@@ -17,8 +17,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
     ConfigError,
     DegenerateProgramError,
@@ -45,6 +43,7 @@ from .perturb import GammaSchedule, RecordScenario, SCENARIO_KINDS, apply_scenar
 from .programs import derive_predictor, program_from_table
 from .lp import solve
 from .records import (
+    cell_counts,
     estimate_corrupted_tables,
     estimate_instance,
     evaluate_predictor_on_records,
@@ -285,11 +284,7 @@ def run_dataset(records, scenario_kind: str, levels, seed: int) -> list[list[str
 
 def _clean_table(records):
     """(label, attribute, prediction) counts in the shape program_from_table expects."""
-    yi = (records.y == -1).astype(int)
-    yti = (records.yhat == -1).astype(int)
-    table = np.zeros((2, 2, 2))
-    np.add.at(table, (yi, records.a.astype(int), yti), 1.0)
-    return table
+    return cell_counts((2, 2, 2), records.y == -1, records.a, records.yhat == -1)
 
 
 LEMMA1_MODES = ("a_violated", "b_violated")

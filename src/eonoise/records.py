@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-import csv
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MissingColumnError, RangeError, RecordsError, ZeroCellError
 from .model import (
@@ -21,12 +23,35 @@ from .model import (
 
 RECORD_CSV_HEADER = ("y", "a", "a_c", "score", "yhat")
 
+_LABEL_VALUES = {"y": (-1, 1), "a": (0, 1), "a_c": (0, 1), "yhat": (-1, 1)}
+_RULES = {
+    "y": "must be -1 or +1",
+    "a": "must be 0 or 1",
+    "a_c": "must be 0 or 1",
+    "yhat": "must be -1 or +1",
+    "score": "must be finite and lie in [0, 1]",
+}
+_CONSISTENCY_RULE = "yhat must be +1 exactly where score > 0.5"
+
+
+def _violations(name: str, col: np.ndarray) -> np.ndarray:
+    """Mask of the entries of column ``name`` that RecordSet rejects."""
+    if name == "score":
+        return ~((col >= 0.0) & (col <= 1.0))  # also true for nan
+    lo, hi = _LABEL_VALUES[name]
+    return (col != lo) & (col != hi)
+
+
+def _inconsistent(score: np.ndarray, yhat: np.ndarray) -> np.ndarray:
+    return (yhat == 1) != (score > 0.5)
+
 
 @dataclass(frozen=True)
 class RecordSet:
     """Columnar sample of (y, a) rows with optional a_c, score, and yhat.
 
-    y and yhat take values -1/+1, a and a_c take 0/1, score lies in [0, 1].
+    y and yhat take values -1/+1, a and a_c take 0/1, score is finite and
+    lies in [0, 1].
     When both score and yhat are present, yhat must equal +1 exactly where
     the score exceeds 0.5.
     """
@@ -39,35 +64,25 @@ class RecordSet:
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=np.int8)
-        a = np.asarray(self.a, dtype=np.int8)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "a", a)
-        n = y.shape[0]
-        if a.shape[0] != n:
-            raise RecordsError("column lengths differ")
-        if not np.isin(y, (-1, 1)).all():
-            raise RecordsError("y values must be -1 or +1")
-        if not np.isin(a, (0, 1)).all():
-            raise RecordsError("a values must be 0 or 1")
-        for name in ("a_c", "score", "yhat"):
+        n = np.shape(self.y)[0]
+        for name in RECORD_CSV_HEADER:
             col = getattr(self, name)
             if col is None:
+                if name in ("y", "a"):
+                    raise RecordsError(f"the {name} column is required")
                 continue
-            dtype = float if name == "score" else np.int8
-            col = np.asarray(col, dtype=dtype)
-            object.__setattr__(self, name, col)
+            # check before narrowing to int8, which would wrap 255 to -1
+            col = np.asarray(col, dtype=float if name == "score" else None)
             if col.shape[0] != n:
                 raise RecordsError("column lengths differ")
-        if self.a_c is not None and not np.isin(self.a_c, (0, 1)).all():
-            raise RecordsError("a_c values must be 0 or 1")
-        if self.yhat is not None and not np.isin(self.yhat, (-1, 1)).all():
-            raise RecordsError("yhat values must be -1 or +1")
-        if self.score is not None and ((self.score < 0) | (self.score > 1)).any():
-            raise RecordsError("scores must lie in [0, 1]")
+            if _violations(name, col).any():
+                raise RecordsError(f"{name} values {_RULES[name]}")
+            if name != "score":
+                col = col.astype(np.int8, copy=False)
+            object.__setattr__(self, name, col)
         if self.score is not None and self.yhat is not None:
-            if not ((self.yhat == 1) == (self.score > 0.5)).all():
-                raise RecordsError("yhat must be +1 exactly where score > 0.5")
+            if _inconsistent(self.score, self.yhat).any():
+                raise RecordsError(_CONSISTENCY_RULE)
 
     @property
     def n(self) -> int:
@@ -100,6 +115,13 @@ class EvalMetrics(NamedTuple):
 def _yi(values: np.ndarray) -> np.ndarray:
     """Axis index for -1/+1 columns: 0 for +1, 1 for -1."""
     return (values == -1).astype(np.intp)
+
+
+def cell_counts(shape: tuple[int, ...], *indices: np.ndarray) -> np.ndarray:
+    """Float counts of the records in each cell of a table of ``shape``,
+    given one index column per axis."""
+    flat = np.ravel_multi_index(indices, shape)
+    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape).astype(float)
 
 
 def estimate_instance(records: RecordSet) -> EstimatedInstance:
@@ -135,16 +157,14 @@ def estimate_corrupted_tables(records: RecordSet) -> CorruptedTables:
 
     yi = _yi(records.y)
     yti = _yi(records.yhat)
-    joint = np.zeros((2, 2, 2))
-    np.add.at(joint, (yi, records.a_c.astype(np.intp), yti), 1.0)
+    joint = cell_counts((2, 2, 2), yi, records.a_c, yti)
     for i, y in enumerate(Y_VALUES):
         for ac in A_VALUES:
             if joint[i, ac].sum() == 0:
                 raise ZeroCellError(f"no records with Y={y}, corrupted attribute={ac}")
     joint /= records.n
 
-    fourway = np.zeros((2, 2, 2, 2))
-    np.add.at(fourway, (yi, records.a.astype(np.intp), yti, records.a_c.astype(np.intp)), 1.0)
+    fourway = cell_counts((2, 2, 2, 2), yi, records.a, yti, records.a_c)
     for i, y in enumerate(Y_VALUES):
         for a in A_VALUES:
             if fourway[i, a].sum() == 0:
@@ -270,54 +290,178 @@ def sample_records(inst: ProblemInstance, n: int, seed: int,
                      meta={"seed": int(seed), "rng": "numpy-pcg64"})
 
 
+#: Physical lines parsed per chunk.  A chunk is halved until its line count
+#: times its longest line is at most _CHUNK_BYTES, which bounds the
+#: (lines, field width) byte matrix built for each of its columns.
+_CHUNK_LINES = 1 << 16
+_CHUNK_BYTES = 1 << 22
+_LF, _CR, _COMMA, _SPACE = b"\n"[0], b"\r"[0], b","[0], b" "[0]
+#: The bytes int() and float() skip around a number; a field made only of
+#: them is empty.
+_IS_SPACE = np.zeros(256, dtype=bool)
+_IS_SPACE[list(b" \t\v\f\r")] = True
+
+
 def read_records_csv(path) -> RecordSet:
     """Read the record CSV format: header ``y,a,a_c,score,yhat``, optional
-    columns left empty uniformly."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise RecordsError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != RECORD_CSV_HEADER:
-            raise RecordsError(f"{path}: header must be {','.join(RECORD_CSV_HEADER)}")
-        rows = [row for row in reader if row]
+    columns left empty uniformly.
 
-    if not rows:
+    Fields are unquoted ASCII, padded with any of space, tab, VT, FF and CR.
+    Blank lines are skipped and CRLF line endings are accepted.  Errors found
+    on a line name its number in the file, blank lines included.
+    """
+    buf = np.fromfile(path, dtype=np.uint8)
+    if buf.size == 0:
+        raise RecordsError(f"{path}: empty file")
+    starts, ends = _line_bounds(buf)
+    header = tuple(f.strip() for f in buf[starts[0]:ends[0]].tobytes().split(b","))
+    if header != tuple(h.encode() for h in RECORD_CSV_HEADER):
+        raise RecordsError(f"{path}:1: header must be {','.join(RECORD_CSV_HEADER)}")
+    n = int(np.count_nonzero(ends[1:] > starts[1:]))
+    if n == 0:
         raise RecordsError(f"{path}: no data rows")
-    columns = {name: [] for name in RECORD_CSV_HEADER}
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != 5:
-            raise RecordsError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-        for name, value in zip(RECORD_CSV_HEADER, row):
-            columns[name].append(value.strip())
 
-    def parse(name, caster):
-        values = columns[name]
-        present = [v != "" for v in values]
-        if not any(present):
-            return None
-        if not all(present):
-            raise RecordsError(f"{path}: column {name} must be filled uniformly")
+    columns = {name: np.empty(n, dtype=float if name == "score" else np.int8)
+               for name in RECORD_CSV_HEADER}
+    present = {}
+    row = 0
+    for first, stop, width in _chunks(starts, ends):
+        kept = np.flatnonzero(ends[first:stop] > starts[first:stop]) + first
+        if not kept.size:
+            continue
+        linenos = kept + 1
+        # The chunk's bytes, with room to read a window of `width` bytes from
+        # any field start; only the file's last chunk needs a copy for that.
+        base = starts[kept[0]]
+        seg = buf[base:ends[kept[-1]] + width]
+        if seg.size < ends[kept[-1]] + width - base:
+            seg = np.concatenate((seg, np.full(width, _SPACE, dtype=np.uint8)))
+        s, e = starts[kept] - base, ends[kept] - base
+
+        commas = np.flatnonzero(seg[:e[-1]] == _COMMA)
+        nfields = np.searchsorted(commas, e) - np.searchsorted(commas, s) + 1
+        bad = np.flatnonzero(nfields != 5)
+        if bad.size:
+            raise RecordsError(f"{path}:{linenos[bad[0]]}: expected 5 fields, got {nfields[bad[0]]}")
+        commas = commas.reshape(-1, 4)
+        field_starts = np.column_stack((s, commas + 1))
+        field_ends = np.column_stack((commas, e))
+
+        rows = slice(row, row + kept.size)
+        for j, name in enumerate(RECORD_CSV_HEADER):
+            fields = _gather_fields(seg, field_starts[:, j], field_ends[:, j])
+            if present.setdefault(name, not _IS_SPACE[fields[0]].all()):
+                columns[name][rows] = _parse_column(path, name, fields, linenos)
+            else:
+                _check_empty_column(path, name, fields, linenos)
+        if present["score"] and present["yhat"]:
+            bad = np.flatnonzero(_inconsistent(columns["score"][rows], columns["yhat"][rows]))
+            if bad.size:
+                raise RecordsError(f"{path}:{linenos[bad[0]]}: {_CONSISTENCY_RULE}")
+        row += kept.size
+
+    return RecordSet(**{name: col if present[name] else None for name, col in columns.items()})
+
+
+def _line_bounds(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of every line; a line's end excludes its LF or
+    CRLF, and a last line without one ends at the end of the file."""
+    ends = np.flatnonzero(buf == _LF)
+    if buf[-1] != _LF:
+        ends = np.append(ends, buf.size)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    crlf = ends > starts
+    crlf[crlf] = buf[ends[crlf] - 1] == _CR
+    return starts, ends - crlf
+
+
+def _chunks(starts: np.ndarray, ends: np.ndarray):
+    """Yield (first line, stop line, longest line length + 1) for chunks of
+    the data lines, 0-based, header excluded."""
+    first = 1
+    while first < starts.size:
+        stop = min(first + _CHUNK_LINES, starts.size)
+        while True:
+            width = int((ends[first:stop] - starts[first:stop]).max()) + 1
+            if stop - first == 1 or (stop - first) * width <= _CHUNK_BYTES:
+                break
+            stop = first + (stop - first) // 2
+        yield first, stop, width
+        first = stop
+
+
+def _gather_fields(seg: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The fields ``seg[start[i]:end[i]]`` as rows of a (fields, width) byte
+    matrix, padded with spaces.
+
+    Every row keeps at least one space of padding: viewed as an ``S<w>``
+    array, a field ending in a NUL byte would otherwise lose it and parse.
+    """
+    length = end - start
+    width = int(length.max()) + 1
+    fields = sliding_window_view(seg, width)[start]
+    fields[np.arange(width) >= length[:, None]] = _SPACE
+    return fields
+
+
+def _parse_column(path, name: str, fields: np.ndarray, linenos: np.ndarray) -> np.ndarray:
+    """Values of a filled column; each field is cast by Python's int() or
+    float() rules, then checked against RecordSet's rule for the column."""
+    text = fields.view(f"S{fields.shape[1]}").ravel()
+    dtype = np.float64 if name == "score" else np.int64
+    try:
+        values = text.astype(dtype)
+    except (ValueError, OverflowError):
+        k = _first_unparsable(text, dtype)
+        if _IS_SPACE[fields[k]].all():
+            raise RecordsError(f"{path}:{linenos[k]}: column {name} is empty here but filled "
+                               "on the first data line; fill it in every row or none") from None
+        raise RecordsError(f"{path}:{linenos[k]}: bad value in column {name}: "
+                           f"{_show(text[k])}") from None
+    bad = np.flatnonzero(_violations(name, values))
+    if bad.size:
+        raise RecordsError(f"{path}:{linenos[bad[0]]}: {name} {_RULES[name]}, "
+                           f"got {_show(text[bad[0]])}")
+    return values
+
+
+def _check_empty_column(path, name: str, fields: np.ndarray, linenos: np.ndarray) -> None:
+    if name in ("y", "a"):
+        raise RecordsError(f"{path}:{linenos[0]}: column {name} is empty; "
+                           "the y and a columns are required")
+    filled = np.flatnonzero(~_IS_SPACE[fields].all(axis=1))
+    if filled.size:
+        raise RecordsError(f"{path}:{linenos[filled[0]]}: column {name} is filled here but "
+                           "empty on the first data line; fill it in every row or none")
+
+
+def _first_unparsable(text: np.ndarray, dtype) -> int:
+    for k in range(text.size):
         try:
-            return np.asarray([caster(v) for v in values])
-        except ValueError as exc:
-            raise RecordsError(f"{path}: bad value in column {name}: {exc}") from None
+            text[k:k + 1].astype(dtype)
+        except (ValueError, OverflowError):
+            return k
+    raise AssertionError("a column failed to parse but each of its fields parses")
 
-    y = parse("y", int)
-    a = parse("a", int)
-    if y is None or a is None:
-        raise RecordsError(f"{path}: y and a columns are required")
-    return RecordSet(y=y, a=a, a_c=parse("a_c", int),
-                     score=parse("score", float), yhat=parse("yhat", int))
+
+def _show(field: bytes) -> str:
+    return repr(field.strip().decode("ascii", "backslashreplace"))
 
 
 def write_records_csv(path, records: RecordSet) -> None:
+    """Write the record CSV format; absent optional columns are left empty
+    and scores are written with 12 significant digits."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(RECORD_CSV_HEADER) + "\n")
-        for i in range(records.n):
-            fields = [str(int(records.y[i])), str(int(records.a[i]))]
-            fields.append("" if records.a_c is None else str(int(records.a_c[i])))
-            fields.append("" if records.score is None else format(float(records.score[i]), ".12g"))
-            fields.append("" if records.yhat is None else str(int(records.yhat[i])))
-            fh.write(",".join(fields) + "\n")
+        for lo in range(0, records.n, _CHUNK_LINES):
+            hi = min(lo + _CHUNK_LINES, records.n)
+            fields = []
+            for name in RECORD_CSV_HEADER:
+                col = getattr(records, name)
+                if col is None:
+                    fields.append(itertools.repeat("", hi - lo))
+                elif name == "score":
+                    fields.append([format(v, ".12g") for v in col[lo:hi].tolist()])
+                else:
+                    fields.append(map(str, col[lo:hi].tolist()))
+            fh.writelines([",".join(row) + "\n" for row in zip(*fields)])

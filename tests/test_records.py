@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eonoise import (
     DerivedPredictor,
@@ -21,6 +23,9 @@ from eonoise import (
     split,
     write_records_csv,
 )
+from eonoise.cli import main
+from eonoise.records import RECORD_CSV_HEADER
+from records_oracle import read_records_csv as oracle_read_records_csv
 from support import fig1_top_left, counterexample_instance, counterexample_spec, population_fourway
 
 
@@ -32,6 +37,21 @@ def test_recordset_validation():
     with pytest.raises(RecordsError):
         RecordSet(y=[1, -1], a=[0, 1], score=[0.9, 0.2], yhat=[-1, -1])
     RecordSet(y=[1, -1], a=[0, 1], score=[0.9, 0.2], yhat=[1, -1])  # consistent
+
+
+@pytest.mark.parametrize("column, values", [
+    ("y", [255, 1]), ("yhat", [1, 255]), ("a", [256, 0]), ("a_c", [0, 257]), ("y", [1.5, 1]),
+])
+def test_recordset_rejects_values_that_int8_would_wrap(column, values):
+    cols = {"y": [1, -1], "a": [0, 1], column: values}
+    with pytest.raises(RecordsError, match=f"{column} values"):
+        RecordSet(**cols)
+
+
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), -0.5, 1.5])
+def test_recordset_rejects_scores_outside_unit_interval(score):
+    with pytest.raises(RecordsError, match="finite"):
+        RecordSet(y=[1, -1], a=[0, 1], score=[score, 0.2])
 
 
 def test_estimate_uniform_records():
@@ -201,3 +221,153 @@ def test_csv_header_and_uniformity_errors(tmp_path):
     ragged.write_text("y,a,a_c,score,yhat\n1,0,,0.7,1\n-1,1,0,,-1\n")
     with pytest.raises(RecordsError):
         read_records_csv(ragged)
+
+
+CSV_HEADER = "y,a,a_c,score,yhat\n"
+
+
+@pytest.mark.parametrize("body, line, what", [
+    ("255,0,,,\n", 2, "y must be -1 or +1"),
+    ("1,0,,,1\n\n-1,1,,\n", 4, "expected 5 fields, got 4"),
+    ("1,0,,,1\n\n\nx,1,,,1\n", 5, "bad value in column y: 'x'"),
+    ("1,0,,0.7,1\n1,0,,nan,-1\n", 3, "score must be finite"),
+    ("1,0,,0.7,1\n1,0,,inf,-1\n", 3, "score must be finite"),
+    ("1,0,,0.7,1\r\n\r\n-1,1,,0.2,1\r\n", 4, "yhat must be +1 exactly where"),
+    ("1,0,,,1\n-1,1,1,,1\n", 3, "column a_c is filled here but empty on the first"),
+    ("1,0,1,,1\n-1,1, \t,,1\n", 3, "column a_c is empty here but filled on the first"),
+    ("99999999999999999999,0,,,\n", 2, "bad value in column y"),
+    (" ,0,,,1\n", 2, "the y and a columns are required"),
+    ("1,0,,,1\n1,0,,,1\n   \n", 4, "expected 5 fields, got 1"),
+    ('1,0,,,"1"\n', 2, "bad value in column yhat"),
+    ("1,0,,,1\x00\n", 2, "bad value in column yhat"),
+    ("1,0,,,\u00e91\n", 2, "bad value in column yhat"),
+])
+def test_csv_errors_name_the_file_line(tmp_path, body, line, what):
+    path = tmp_path / "bad.csv"
+    path.write_bytes((CSV_HEADER + body).encode())
+    with pytest.raises(RecordsError) as info:
+        read_records_csv(path)
+    assert f"{path}:{line}: " in str(info.value)
+    assert what in str(info.value)
+
+
+@pytest.mark.parametrize("text", ["", "y,a,score\n1,0,0.5\n", "\ny,a,a_c,score,yhat\n1,0,,,1\n",
+                                  CSV_HEADER, CSV_HEADER + "\r\n\n"])
+def test_csv_header_and_empty_file_errors(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(RecordsError):
+        read_records_csv(path)
+
+
+def test_dataset_cli_exits_3_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(CSV_HEADER + "1,0,,0.7,1\n\n-1,1,,nan,-1\n")
+    code = main(["dataset", str(path), "--scenario", "independent-flip",
+                 "--grid", "0.1", "--out", str(tmp_path / "out.csv")])
+    assert code == 3
+    assert f"{path}:4: score must be finite" in capsys.readouterr().err
+
+
+def test_csv_crlf_padding_and_blank_lines(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_bytes(b" y , a ,a_c,score,yhat\r\n\r\n 1 ,\t0, ,0.75 , 1\r\n\n-1,1,\t,0.25,-1")
+    back = read_records_csv(path)
+    assert back.y.tolist() == [1, -1] and back.a.tolist() == [0, 1]
+    assert back.a_c is None and back.score.tolist() == [0.75, 0.25]
+
+
+def test_csv_reader_across_chunks_and_a_wide_field(tmp_path):
+    # More lines than one chunk holds, blank lines between them, and one
+    # field wider than a chunk's byte budget.
+    rs = sample_records(fig1_top_left(), 70_000, seed=17,
+                        spec=PerturbationSpec.uniform(0.2), with_scores=True)
+    path = tmp_path / "records.csv"
+    write_records_csv(path, rs)
+    lines = path.read_text().split("\n")
+    y, a, a_c, score, yhat = lines[40_000].split(",")
+    lines[40_000] = ",".join((y, a, a_c, "0" * 100_000 + score, yhat))
+    for k in range(len(lines) - 1, 0, -997):
+        lines.insert(k, "")
+    path.write_text("\n".join(lines))
+    got, want = read_records_csv(path), oracle_read_records_csv(path)
+    for name in ("y", "a", "a_c", "yhat"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(got.score.view(np.int64), want.score.view(np.int64))
+    assert got.n == rs.n and np.array_equal(got.a_c, rs.a_c)
+
+
+_LABELS = {"y": ("1", "-1"), "a": ("0", "1"), "a_c": ("0", "1"), "yhat": ("1", "-1")}
+_ODD_INTS = ("2", "255", "-2", "x", "1.0", "+1", "01", "0_1", "nan", "", " ")
+_ODD_SCORES = ("nan", "inf", "-0.0", "1.5", "-0.25", "1e-3", "x", "5e-1", ".5", "0_0.5", "", "\t")
+_PADS = st.sampled_from(("",) * 6 + (" ", "\t", "  \t"))
+
+
+@st.composite
+def record_csv_files(draw):
+    """Record CSV text over random columns: empty optional columns, CRLF,
+    blank lines and padded fields.  Half the files have one anomaly: an odd
+    value, a value in an empty column, a flipped yhat or a wrong field count."""
+    n = draw(st.integers(1, 12))
+    present = {name: draw(st.integers(0, 15)) > 0 if name in ("y", "a")
+               else draw(st.booleans()) for name in RECORD_CSV_HEADER}
+    rows = []
+    for _ in range(n):
+        row = {}
+        for name in RECORD_CSV_HEADER:
+            if not present[name]:
+                row[name] = ""
+            elif name == "score":
+                value = draw(st.floats(0.0, 1.0))
+                row[name] = draw(st.sampled_from((repr(value), format(value, ".12g"))))
+            else:
+                row[name] = draw(st.sampled_from(_LABELS[name]))
+        if present["score"] and present["yhat"]:
+            row["yhat"] = "1" if float(row["score"]) > 0.5 else "-1"
+        rows.append(row)
+
+    cut = None
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        name = draw(st.sampled_from(RECORD_CSV_HEADER + ("fields",)))
+        if name == "fields":
+            cut = (k, draw(st.sampled_from((0, 1, 2, 3, 4, 6, 7))))
+        elif not present[name]:
+            rows[k][name] = draw(st.sampled_from(("1", "0", "0.5")))
+        elif name == "yhat" and present["score"]:
+            rows[k][name] = {"1": "-1", "-1": "1"}[rows[k][name]]
+        else:
+            rows[k][name] = draw(st.sampled_from(_ODD_SCORES if name == "score" else _ODD_INTS))
+
+    lines = [draw(st.sampled_from(("y,a,a_c,score,yhat", " y , a ,a_c,score,yhat\t")))]
+    for k, row in enumerate(rows):
+        fields = [draw(_PADS) + row[name] + draw(_PADS) for name in RECORD_CSV_HEADER]
+        if cut is not None and cut[0] == k:
+            fields = (fields + ["1", "0"])[:cut[1]]
+        lines.append(",".join(fields))
+        lines.extend([""] * draw(st.sampled_from((0,) * 8 + (1, 2))))
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    return eol.join(lines) + draw(st.sampled_from(("", eol)))
+
+
+@given(record_csv_files())
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_csv_reader_agrees_with_csv_module_oracle(tmp_path, text):
+    path = tmp_path / "records.csv"
+    path.write_bytes(text.encode())
+    try:
+        want = oracle_read_records_csv(path)
+    except RecordsError:
+        with pytest.raises(RecordsError):
+            read_records_csv(path)
+        return
+    got = read_records_csv(path)
+    for name in RECORD_CSV_HEADER:
+        lhs, rhs = getattr(got, name), getattr(want, name)
+        if rhs is None:
+            assert lhs is None, name
+        elif name == "score":
+            assert np.array_equal(lhs.view(np.int64), rhs.view(np.int64))
+        else:
+            assert lhs.dtype == rhs.dtype and np.array_equal(lhs, rhs), name
