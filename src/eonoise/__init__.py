@@ -1,6 +1,10 @@
 """Equalized-odds postprocessing for binary classifiers, with exact analysis
 of what happens when the protected attribute used during training is
-corrupted."""
+corrupted.
+
+The package namespace carries the names the command line, the demos and the
+README use; the rest lives in the submodules (``model``, ``lp``,
+``programs``, ``metrics``, ``perturb``, ``records``, ``cli``)."""
 
 from .errors import (
     ConfigError,
@@ -15,42 +19,13 @@ from .errors import (
     RecordsError,
     ZeroCellError,
 )
-from .model import (
-    CELLS,
-    GENERAL_KEYS,
-    GIVEN_PREDICTOR_P,
-    Y_VALUES,
-    DerivedPredictor,
-    PerturbationSpec,
-    ProblemInstance,
-    lift_perturbation,
-    validate_instance,
-)
-from .lp import (
-    EoProgram,
-    LpSolution,
-    apply_constant_tie_break,
-    solve,
-    solve_with_ties,
-)
-from .programs import (
-    JOINT_KEYS,
-    CorruptedJoint,
-    build_clean_program,
-    build_corrupted_joint,
-    build_corrupted_program,
-    derive_predictor,
-    program_from_table,
-    restricted_corrupted_program,
-)
+from .model import GIVEN_PREDICTOR_P, DerivedPredictor, PerturbationSpec, ProblemInstance
+from .lp import solve
+from .programs import derive_predictor, program_from_table
 from .metrics import (
-    MetricsReport,
-    balanced_uniform_predictor,
     bias_derived,
     bias_given,
     bias_shrink_factor,
-    build_report,
-    check_classifier_informative,
     check_flip_budget,
     check_flip_independence,
     corrupted_bias_bound,
@@ -58,22 +33,11 @@ from .metrics import (
     error_given,
     independence_measure,
 )
-from .perturb import (
-    GammaSchedule,
-    RecordScenario,
-    apply_scenario,
-    schedule_eval,
-)
+from .perturb import RecordScenario, apply_scenario
 from .records import (
-    CorruptedTables,
-    EstimatedInstance,
-    EvalMetrics,
-    RecordSet,
     estimate_corrupted_tables,
     estimate_instance,
     evaluate_predictor_on_records,
-    evaluate_predictor_sampled,
-    read_records_csv,
     sample_records,
     split,
     write_records_csv,
@@ -82,46 +46,26 @@ from .records import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CELLS",
-    "GENERAL_KEYS",
-    "GIVEN_PREDICTOR_P",
-    "JOINT_KEYS",
-    "Y_VALUES",
     "ConfigError",
-    "CorruptedJoint",
-    "CorruptedTables",
     "DegenerateProgramError",
-    "DerivedPredictor",
     "DomainError",
     "EmptyCellError",
     "EoNoiseError",
-    "EoProgram",
-    "EstimatedInstance",
-    "EvalMetrics",
-    "GammaSchedule",
-    "LpSolution",
-    "MetricsReport",
     "MissingColumnError",
     "NormalizationError",
-    "PerturbationSpec",
     "PreconditionError",
-    "ProblemInstance",
     "RangeError",
-    "RecordScenario",
-    "RecordSet",
     "RecordsError",
     "ZeroCellError",
-    "apply_constant_tie_break",
+    "DerivedPredictor",
+    "GIVEN_PREDICTOR_P",
+    "PerturbationSpec",
+    "ProblemInstance",
+    "RecordScenario",
     "apply_scenario",
-    "balanced_uniform_predictor",
     "bias_derived",
     "bias_given",
     "bias_shrink_factor",
-    "build_clean_program",
-    "build_corrupted_joint",
-    "build_corrupted_program",
-    "build_report",
-    "check_classifier_informative",
     "check_flip_budget",
     "check_flip_independence",
     "corrupted_bias_bound",
@@ -131,17 +75,10 @@ __all__ = [
     "estimate_corrupted_tables",
     "estimate_instance",
     "evaluate_predictor_on_records",
-    "evaluate_predictor_sampled",
     "independence_measure",
-    "lift_perturbation",
     "program_from_table",
-    "read_records_csv",
-    "restricted_corrupted_program",
     "sample_records",
-    "schedule_eval",
     "solve",
-    "solve_with_ties",
     "split",
-    "validate_instance",
     "write_records_csv",
 ]

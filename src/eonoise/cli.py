@@ -6,8 +6,8 @@ shrink factor), ``reproduce-lemma1`` (the two settings where corruption
 provably raises bias), and ``estimate`` (fit instance parameters from a
 record CSV).
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
-assertion failure.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 degenerate
+program (an internal invariant failed).
 """
 
 from __future__ import annotations
@@ -443,7 +443,7 @@ def main(argv=None) -> int:
             RangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DegenerateProgramError, AssertionError) as exc:
+    except DegenerateProgramError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 

@@ -18,7 +18,8 @@ class RangeError(EoNoiseError, ValueError):
 
 
 class DegenerateProgramError(EoNoiseError, RuntimeError):
-    """The LP enumeration produced no feasible candidate (internal assertion)."""
+    """An internal invariant failed: the LP enumeration produced no feasible
+    candidate, or a closed-form predictor violates its program."""
 
 
 class EmptyCellError(EoNoiseError, ValueError):

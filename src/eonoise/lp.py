@@ -143,7 +143,12 @@ def _candidates(program: EoProgram):
 
 
 def _pick(ties: Sequence[tuple[float, ...]], prior_pos: float, prior_neg: float) -> tuple[float, ...]:
-    """Tie order: constant ones / constant zeros / lexicographic smallest."""
+    """Select among tied optima: constant ones, then constant zeros, then the
+    lexicographically smallest vertex.
+
+    If both constants are tied, the constant matching the larger label prior
+    wins (ones when P[Y=+1] >= P[Y=-1]).
+    """
     has_ones = _ONES in ties
     has_zeros = _ZEROS in ties
     if has_ones and has_zeros:
@@ -206,19 +211,3 @@ def solve(program: EoProgram) -> LpSolution:
     solution, _ = solve_with_ties(program)
     return solution
 
-
-def apply_constant_tie_break(solutions: Sequence[LpSolution],
-                             prior_pos: float, prior_neg: float) -> LpSolution:
-    """Select among tied optima, preferring constant classifiers.
-
-    If both constants are tied, the constant matching the larger label prior
-    wins (ones when P[Y=+1] >= P[Y=-1]).  Without any constant in the tie
-    set the lexicographically smallest vertex is returned.
-    """
-    if not solutions:
-        raise DegenerateProgramError("empty candidate set")
-    chosen = _pick([s.p_star for s in solutions], prior_pos, prior_neg)
-    for s in solutions:
-        if s.p_star == chosen:
-            return s
-    raise DegenerateProgramError("tie-break selected a vector absent from the candidates")

@@ -10,11 +10,10 @@ the *true* attribute regardless of what the training phase saw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DomainError, EmptyCellError, PreconditionError, RangeError
+from .errors import DegenerateProgramError, DomainError, EmptyCellError, PreconditionError, RangeError
+from .lp import RESIDUAL_TOL
 from .model import (
     A_VALUES,
     DerivedPredictor,
@@ -220,42 +219,7 @@ def balanced_uniform_predictor(inst: ProblemInstance, gamma: float) -> DerivedPr
         program = build_clean_program(inst)
     else:
         program = build_corrupted_program(inst, PerturbationSpec.uniform(gamma))
-    assert program.residual(predictor.p) <= 1e-9
+    if program.residual(predictor.p) > RESIDUAL_TOL:
+        raise DegenerateProgramError("closed-form predictor violates the program's constraints")
     return predictor
 
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Bias and error of the given and derived predictors side by side.
-
-    ``bound_pos`` / ``bound_neg`` carry the corrupted-bias bound when a
-    restricted spec with flip rates below one was supplied, and None
-    otherwise (the bound's arguments are undefined for prediction-dependent
-    flips)."""
-
-    bias_pos_given: float
-    bias_neg_given: float
-    bias_pos_derived: float
-    bias_neg_derived: float
-    error_given: float
-    error_derived: float
-    bound_pos: float | None
-    bound_neg: float | None
-
-
-def build_report(inst: ProblemInstance, predictor: DerivedPredictor,
-                 spec: PerturbationSpec | None = None) -> MetricsReport:
-    bound_pos = bound_neg = None
-    if spec is not None and spec.kind == "restricted" and all(g < 1.0 for g in spec.rates):
-        bound_pos = corrupted_bias_bound(inst, spec, 1)
-        bound_neg = corrupted_bias_bound(inst, spec, -1)
-    return MetricsReport(
-        bias_pos_given=bias_given(inst, 1),
-        bias_neg_given=bias_given(inst, -1),
-        bias_pos_derived=bias_derived(inst, predictor, 1),
-        bias_neg_derived=bias_derived(inst, predictor, -1),
-        error_given=error_given(inst),
-        error_derived=error_derived(inst, predictor),
-        bound_pos=bound_pos,
-        bound_neg=bound_neg,
-    )

@@ -56,7 +56,16 @@ class ProblemInstance:
         object.__setattr__(self, "base", tuple(float(b) for b in self.base))
         for name in ("alpha1", "beta1", "alpha2", "beta2"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        _check_instance(self)
+        for (y, a), b in zip(CELLS, self.base):
+            if not b > 0.0:
+                raise ZeroCellError(f"P[Y={y}, A={a}] = {b} must be strictly positive")
+        total = sum(self.base)
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise NormalizationError(f"base probabilities sum to {total!r}, not 1")
+        for name in ("alpha1", "beta1", "alpha2", "beta2"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise RangeError(f"{name} = {v} outside [0, 1]")
 
     def cell(self, y: int, a: int) -> float:
         """P[Y=y, A=a]."""
@@ -80,29 +89,6 @@ class ProblemInstance:
         """P[Y=y, A=a, prediction=yt]."""
         r = self.rate(y, a)
         return self.cell(y, a) * (r if yt == 1 else 1.0 - r)
-
-
-def _check_instance(inst: ProblemInstance) -> None:
-    for (y, a), b in zip(CELLS, inst.base):
-        if not b > 0.0:
-            raise ZeroCellError(f"P[Y={y}, A={a}] = {b} must be strictly positive")
-    total = sum(inst.base)
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise NormalizationError(f"base probabilities sum to {total!r}, not 1")
-    for name in ("alpha1", "beta1", "alpha2", "beta2"):
-        v = getattr(inst, name)
-        if not 0.0 <= v <= 1.0:
-            raise RangeError(f"{name} = {v} outside [0, 1]")
-
-
-def validate_instance(inst: ProblemInstance) -> ProblemInstance:
-    """Re-check all instance invariants and return the instance unchanged.
-
-    Instances are already validated on construction; this is the explicit,
-    idempotent gate for values that arrive from outside the package.
-    """
-    _check_instance(inst)
-    return inst
 
 
 @dataclass(frozen=True)
@@ -210,7 +196,3 @@ class DerivedPredictor:
     def prob(self, yt: int, a: int) -> float:
         """P[output=+1 | prediction=yt, A=a]."""
         return self.p[CELL_INDEX[(yt, a)]]
-
-    @property
-    def is_constant(self) -> bool:
-        return len(set(self.p)) == 1

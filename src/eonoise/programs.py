@@ -1,15 +1,19 @@
 """Build the postprocessing LP, clean or under attribute corruption, and
 derive predictors from it.
 
-The corrupted program replaces the true attribute by its corrupted version in
-every probability the LP consumes: the objective uses the joint distribution
-of (label, corrupted attribute, prediction) and the constraint rows use the
-positive-prediction rates conditioned on (label, corrupted attribute).
+Every program is one formula applied to a joint over (label, training
+attribute, prediction): the objective coefficient of p[(yt, a)] is
+P[Y=-1, a, yt] - P[Y=+1, a, yt], and the constraint row for label y equates
+the two groups' positive-prediction rates P[prediction=+1 | Y=y, a].  The
+clean program takes the true attribute, the corrupted program the exact
+joint with the corrupted attribute, and the record program a table of
+counts.
+
+Joints are (2, 2, 2) over (label, attribute, prediction), with index 0
+standing for the value +1 on the label and prediction axes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +21,6 @@ from .errors import EmptyCellError, RangeError
 from .lp import EoProgram, solve_with_ties
 from .model import (
     A_VALUES,
-    CELLS,
-    CELL_INDEX,
     DerivedPredictor,
     PerturbationSpec,
     ProblemInstance,
@@ -26,177 +28,68 @@ from .model import (
     lift_perturbation,
 )
 
-#: Fixed (label, corrupted attribute, prediction) order for 8-cell joints.
-JOINT_KEYS = tuple((y, ac, yt) for y in Y_VALUES for ac in A_VALUES for yt in Y_VALUES)
-JOINT_INDEX = {key: i for i, key in enumerate(JOINT_KEYS)}
 
-_SUM_TOL = 1e-12
+def _program(joint, rates) -> EoProgram:
+    """LP from a joint and positive rates, both nested lists of floats
+    indexed like the (2, 2, 2) joint and its first two axes."""
+    objective = tuple(joint[1][a][yti] - joint[0][a][yti] for yti in (0, 1) for a in A_VALUES)
+    rows = tuple((h0, -h1, 1.0 - h0, -(1.0 - h1)) for h0, h1 in rates)
+    return EoProgram(objective=objective, rows=rows)
 
 
-@dataclass(frozen=True)
-class CorruptedJoint:
-    """Distribution of (label, corrupted attribute, prediction).
+def _rates(joint) -> list[list[float]]:
+    """P[prediction=+1 | Y=y, attribute=a] of a nested-list joint."""
+    rates = []
+    for y, by_attr in zip(Y_VALUES, joint):
+        row = []
+        for a, (pos, neg) in zip(A_VALUES, by_attr):
+            mass = pos + neg
+            if mass <= 0.0:
+                raise EmptyCellError(f"no mass at (Y={y}, training attribute={a})")
+            row.append(pos / mass)
+        rates.append(row)
+    return rates
 
-    ``cells`` follows ``JOINT_KEYS`` order.  ``pred_rates`` holds
-    P[prediction=+1 | Y=y, corrupted=a] and ``attr_posteriors`` holds
-    P[A=1 | Y=y, corrupted=a], both in ``CELLS`` order over (y, a).
-    """
 
-    cells: tuple[float, ...]
-    pred_rates: tuple[float, float, float, float]
-    attr_posteriors: tuple[float, float, float, float]
-
-    def __post_init__(self) -> None:
-        cells = tuple(float(v) for v in self.cells)
-        if len(cells) != 8 or any(v < -1e-15 for v in cells):
-            raise RangeError("joint must have eight nonnegative cells")
-        cells = tuple(max(v, 0.0) for v in cells)
-        if abs(sum(cells) - 1.0) > _SUM_TOL:
-            raise RangeError(f"joint sums to {sum(cells)!r}, not 1")
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "pred_rates", tuple(float(v) for v in self.pred_rates))
-        object.__setattr__(self, "attr_posteriors", tuple(float(v) for v in self.attr_posteriors))
-        for (y, ac) in CELLS:
-            m = self.mass(y, ac)
-            if m > 0.0 and abs(self.pred_rate(y, ac) * m - self.joint(y, ac, 1)) > _SUM_TOL:
-                raise RangeError(f"prediction rate inconsistent with joint at (Y={y}, corrupted={ac})")
-
-    def joint(self, y: int, ac: int, yt: int) -> float:
-        return self.cells[JOINT_INDEX[(y, ac, yt)]]
-
-    def mass(self, y: int, ac: int) -> float:
-        """P[Y=y, corrupted attribute=ac]."""
-        return self.joint(y, ac, 1) + self.joint(y, ac, -1)
-
-    def pred_rate(self, y: int, ac: int) -> float:
-        return self.pred_rates[CELL_INDEX[(y, ac)]]
-
-    def attr_posterior(self, y: int, ac: int) -> float:
-        return self.attr_posteriors[CELL_INDEX[(y, ac)]]
-
-    def as_table(self) -> np.ndarray:
-        """(2, 2, 2) array over (label, corrupted attribute, prediction);
-        index 0 stands for the value +1 on the label and prediction axes."""
-        t = np.empty((2, 2, 2))
-        for (y, ac, yt), v in zip(JOINT_KEYS, self.cells):
-            t[0 if y == 1 else 1, ac, 0 if yt == 1 else 1] = v
-        return t
+def _clean_joint(inst: ProblemInstance) -> list[list[list[float]]]:
+    return [[[inst.joint(y, a, yt) for yt in Y_VALUES] for a in A_VALUES] for y in Y_VALUES]
 
 
 def build_clean_program(inst: ProblemInstance) -> EoProgram:
-    """LP that the postprocessing method solves with the true attribute.
-
-    The objective coefficient of p[(yt, a)] is
-    P[Y=-1, A=a, prediction=yt] - P[Y=+1, A=a, prediction=yt]; the constraint
-    row for label y equates the positive-output rates of the two groups.
-    """
-    objective = tuple(inst.joint(-1, a, yt) - inst.joint(1, a, yt) for (yt, a) in CELLS)
-    rows = []
-    for y in Y_VALUES:
-        h0, h1 = inst.rate(y, 0), inst.rate(y, 1)
-        rows.append((h0, -h1, 1.0 - h0, -(1.0 - h1)))
-    return EoProgram(objective=objective, rows=tuple(rows))
+    """LP that the postprocessing method solves with the true attribute."""
+    rates = [[inst.rate(y, a) for a in A_VALUES] for y in Y_VALUES]
+    return _program(_clean_joint(inst), rates)
 
 
-def build_corrupted_joint(inst: ProblemInstance, spec: PerturbationSpec) -> CorruptedJoint:
-    """Exact distribution of (label, corrupted attribute, prediction).
+def build_corrupted_joint(inst: ProblemInstance, spec: PerturbationSpec) -> np.ndarray:
+    """Exact (2, 2, 2) distribution of (label, corrupted attribute, prediction).
 
     Works for general (prediction-dependent) flip specifications:
     P[Y=y, corrupted=a', prediction=yt] = sum over a of
     P[corrupted=a' | y, a, yt] * P[Y=y, A=a, prediction=yt].
     """
     gen = lift_perturbation(spec)
-    cells = []
-    for (y, ac, yt) in JOINT_KEYS:
-        total = 0.0
+    clean = _clean_joint(inst)
+    joint = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    for yi, y in enumerate(Y_VALUES):
         for a in A_VALUES:
-            flip = gen.gamma_given_pred(y, a, yt)
-            move = (1.0 - flip) if ac == a else flip
-            total += move * inst.joint(y, a, yt)
-        cells.append(total)
-
-    pred_rates = []
-    posteriors = []
-    for (y, ac) in CELLS:
-        pos = cells[JOINT_INDEX[(y, ac, 1)]]
-        neg = cells[JOINT_INDEX[(y, ac, -1)]]
-        mass = pos + neg
-        if mass <= 0.0:
-            raise EmptyCellError(f"P[Y={y}, corrupted attribute={ac}] is zero")
-        pred_rates.append(pos / mass)
-        # P[Y=y, A=1, corrupted=ac], summed over the prediction
-        with_a1 = 0.0
-        for yt in Y_VALUES:
-            flip = gen.gamma_given_pred(y, 1, yt)
-            move = (1.0 - flip) if ac == 1 else flip
-            with_a1 += move * inst.joint(y, 1, yt)
-        posteriors.append(with_a1 / mass)
-
-    return CorruptedJoint(cells=tuple(cells), pred_rates=tuple(pred_rates),
-                          attr_posteriors=tuple(posteriors))
+            for yti, yt in enumerate(Y_VALUES):
+                flip = gen.gamma_given_pred(y, a, yt)
+                mass = clean[yi][a][yti]
+                joint[yi][a][yti] += (1.0 - flip) * mass
+                joint[yi][1 - a][yti] += flip * mass
+    return np.array(joint)
 
 
 def build_corrupted_program(inst: ProblemInstance, spec: PerturbationSpec) -> EoProgram:
     """LP with the attribute replaced by its corrupted version everywhere."""
-    cj = build_corrupted_joint(inst, spec)
-    objective = tuple(cj.joint(-1, a, yt) - cj.joint(1, a, yt) for (yt, a) in CELLS)
-    rows = []
-    for y in Y_VALUES:
-        h0, h1 = cj.pred_rate(y, 0), cj.pred_rate(y, 1)
-        rows.append((h0, -h1, 1.0 - h0, -(1.0 - h1)))
-    return EoProgram(objective=objective, rows=tuple(rows))
-
-
-def restricted_corrupted_program(inst: ProblemInstance, spec: PerturbationSpec) -> EoProgram:
-    """Closed-form corrupted LP for prediction-independent flips.
-
-    Independent construction used to cross-check ``build_corrupted_program``:
-    the constraint rates are the group-mixture conditionals
-    ``alpha + (beta - alpha) * P[A=1 | Y=y, corrupted=a]`` with the posterior
-    in closed form, never the 8-cell joint.
-    """
-    if spec.kind != "restricted":
-        raise RangeError("closed-form construction requires a restricted spec")
-
-    mass = {}
-    post = {}
-    for y in Y_VALUES:
-        g0, g1 = spec.gamma(y, 0), spec.gamma(y, 1)
-        p0, p1 = inst.cell(y, 0), inst.cell(y, 1)
-        mass[(y, 0)] = (1.0 - g0) * p0 + g1 * p1
-        mass[(y, 1)] = g0 * p0 + (1.0 - g1) * p1
-        for ac in A_VALUES:
-            if mass[(y, ac)] <= 0.0:
-                raise EmptyCellError(f"P[Y={y}, corrupted attribute={ac}] is zero")
-        post[(y, 0)] = g1 * p1 / mass[(y, 0)]
-        post[(y, 1)] = (1.0 - g1) * p1 / mass[(y, 1)]
-
-    e = inst.alpha1 + (inst.beta1 - inst.alpha1) * post[(1, 0)]
-    f = inst.alpha1 + (inst.beta1 - inst.alpha1) * post[(1, 1)]
-    g = inst.alpha2 + (inst.beta2 - inst.alpha2) * post[(-1, 0)]
-    h = inst.alpha2 + (inst.beta2 - inst.alpha2) * post[(-1, 1)]
-
-    objective = (
-        mass[(-1, 0)] * g - mass[(1, 0)] * e,
-        mass[(-1, 1)] * h - mass[(1, 1)] * f,
-        mass[(-1, 0)] * (1.0 - g) - mass[(1, 0)] * (1.0 - e),
-        mass[(-1, 1)] * (1.0 - h) - mass[(1, 1)] * (1.0 - f),
-    )
-    rows = (
-        (e, -f, 1.0 - e, -(1.0 - f)),
-        (g, -h, 1.0 - g, -(1.0 - h)),
-    )
-    return EoProgram(objective=objective, rows=rows)
+    joint = build_corrupted_joint(inst, spec).tolist()
+    return _program(joint, _rates(joint))
 
 
 def program_from_table(table) -> EoProgram:
     """LP built from an empirical (label, corrupted attribute, prediction)
-    table of counts or probabilities.
-
-    ``table`` is (2, 2, 2) with axes (label, corrupted attribute,
-    prediction) and index 0 standing for the value +1 on the label and
-    prediction axes.
-    """
+    table of counts or probabilities, laid out like a joint."""
     t = np.asarray(table, dtype=float)
     if t.shape != (2, 2, 2):
         raise RangeError(f"table must be (2, 2, 2), got {t.shape}")
@@ -205,24 +98,8 @@ def program_from_table(table) -> EoProgram:
     total = t.sum()
     if total <= 0:
         raise EmptyCellError("table carries no mass")
-    t = t / total
-
-    mass = t.sum(axis=2)
-    for yi, y in enumerate(Y_VALUES):
-        for ac in A_VALUES:
-            if mass[yi, ac] <= 0.0:
-                raise EmptyCellError(f"no mass at (Y={y}, corrupted attribute={ac})")
-    rate = t[:, :, 0] / mass
-
-    objective = []
-    for (yt, a) in CELLS:
-        yti = 0 if yt == 1 else 1
-        objective.append(float(t[1, a, yti] - t[0, a, yti]))
-    rows = []
-    for yi in range(2):
-        h0, h1 = float(rate[yi, 0]), float(rate[yi, 1])
-        rows.append((h0, -h1, 1.0 - h0, -(1.0 - h1)))
-    return EoProgram(objective=tuple(objective), rows=tuple(rows))
+    joint = (t / total).tolist()
+    return _program(joint, _rates(joint))
 
 
 def derive_predictor(inst: ProblemInstance,
@@ -236,6 +113,5 @@ def derive_predictor(inst: ProblemInstance,
         program = build_corrupted_program(inst, spec)
         source = "corrupted"
     solution, tie_count = solve_with_ties(program)
-    assert program.residual(solution.p_star) <= 1e-9
     return DerivedPredictor(p=solution.p_star, source=source,
                             tie_break_applied=tie_count > 1)

@@ -64,7 +64,7 @@ class RecordSet:
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        n = np.shape(self.y)[0]
+        n = None
         for name in RECORD_CSV_HEADER:
             col = getattr(self, name)
             if col is None:
@@ -73,7 +73,11 @@ class RecordSet:
                 continue
             # check before narrowing to int8, which would wrap 255 to -1
             col = np.asarray(col, dtype=float if name == "score" else None)
-            if col.shape[0] != n:
+            if col.ndim != 1:
+                raise RecordsError(f"the {name} column must be one-dimensional, got shape {col.shape}")
+            if n is None:
+                n = col.size
+            elif col.size != n:
                 raise RecordsError("column lengths differ")
             if _violations(name, col).any():
                 raise RecordsError(f"{name} values {_RULES[name]}")
@@ -195,39 +199,6 @@ def evaluate_predictor_on_records(records: RecordSet,
         bias_neg=abs(rate[(-1, 0)] - rate[(-1, 1)]),
         error=error,
     )
-
-
-def evaluate_predictor_sampled(records: RecordSet, predictor: DerivedPredictor,
-                               seed: int, repetitions: int = 100
-                               ) -> tuple[EvalMetrics, np.ndarray]:
-    """Coin-flip evaluation, averaged over repetitions.
-
-    Cross-check mode for the exact expectation; returns the mean metrics and
-    the (repetitions, 3) per-repetition samples.
-    """
-    if records.yhat is None:
-        raise MissingColumnError("evaluation needs a yhat column")
-    flat = _yi(records.yhat) * 2 + records.a.astype(np.intp)
-    pvals = np.asarray(predictor.p)[flat]
-    rng = np.random.default_rng(seed)
-
-    masks = {cell: (records.y == cell[0]) & (records.a == cell[1]) for cell in CELLS}
-    for cell, mask in masks.items():
-        if not mask.any():
-            raise ZeroCellError(f"no records with Y={cell[0]}, A={cell[1]}")
-
-    samples = np.empty((repetitions, 3))
-    for rep in range(repetitions):
-        outputs = rng.random(records.n) < pvals
-        rate = {cell: float(outputs[mask].mean()) for cell, mask in masks.items()}
-        error = float(np.where(records.y == 1, ~outputs, outputs).mean())
-        samples[rep] = (
-            abs(rate[(1, 0)] - rate[(1, 1)]),
-            abs(rate[(-1, 0)] - rate[(-1, 1)]),
-            error,
-        )
-    mean = samples.mean(axis=0)
-    return EvalMetrics(*map(float, mean)), samples
 
 
 def split(records: RecordSet, fractions: Sequence[float], seed: int) -> list[RecordSet]:

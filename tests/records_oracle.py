@@ -1,18 +1,23 @@
-"""Reference reader for the record CSV format, built on the csv module.
+"""Reference implementations of the record path, kept only so tests can
+compare the package against them.
 
-The package's reader parses the file as bytes with numpy; this one parses
-each row in Python, field by field, and is kept only so tests can compare
-the two.  It accepts what the package's reader accepts, except that it
-also reads quoted fields, non-ASCII digits and Unicode whitespace; its
-error messages do not name physical lines.
+``read_records_csv`` is a reader for the record CSV format built on the csv
+module.  The package's reader parses the file as bytes with numpy; this one
+parses each row in Python, field by field.  It accepts what the package's
+reader accepts, except that it also reads quoted fields, non-ASCII digits and
+Unicode whitespace; its error messages do not name physical lines.
+
+``evaluate_predictor_sampled`` evaluates a derived predictor by flipping its
+coins, where the package takes the exact expectation over them.
 """
 
 import csv
 
 import numpy as np
 
-from eonoise import RecordsError, RecordSet
-from eonoise.records import RECORD_CSV_HEADER
+from eonoise import MissingColumnError, RecordsError, ZeroCellError
+from eonoise.model import CELLS
+from eonoise.records import RECORD_CSV_HEADER, EvalMetrics, RecordSet
 
 
 def read_records_csv(path) -> RecordSet:
@@ -53,3 +58,32 @@ def read_records_csv(path) -> RecordSet:
         raise RecordsError(f"{path}: y and a columns are required")
     return RecordSet(y=y, a=a, a_c=parse("a_c", int),
                      score=parse("score", float), yhat=parse("yhat", int))
+
+
+def evaluate_predictor_sampled(records: RecordSet, predictor, seed: int,
+                               repetitions: int = 100) -> tuple[EvalMetrics, np.ndarray]:
+    """Coin-flip evaluation, averaged over repetitions; returns the mean
+    metrics and the (repetitions, 3) per-repetition samples."""
+    if records.yhat is None:
+        raise MissingColumnError("evaluation needs a yhat column")
+    flat = (records.yhat == -1).astype(np.intp) * 2 + records.a.astype(np.intp)
+    pvals = np.asarray(predictor.p)[flat]
+    rng = np.random.default_rng(seed)
+
+    masks = {cell: (records.y == cell[0]) & (records.a == cell[1]) for cell in CELLS}
+    for cell, mask in masks.items():
+        if not mask.any():
+            raise ZeroCellError(f"no records with Y={cell[0]}, A={cell[1]}")
+
+    samples = np.empty((repetitions, 3))
+    for rep in range(repetitions):
+        outputs = rng.random(records.n) < pvals
+        rate = {cell: float(outputs[mask].mean()) for cell, mask in masks.items()}
+        error = float(np.where(records.y == 1, ~outputs, outputs).mean())
+        samples[rep] = (
+            abs(rate[(1, 0)] - rate[(1, 1)]),
+            abs(rate[(-1, 0)] - rate[(-1, 1)]),
+            error,
+        )
+    mean = samples.mean(axis=0)
+    return EvalMetrics(*map(float, mean)), samples

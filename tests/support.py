@@ -2,13 +2,9 @@
 
 import numpy as np
 
-from eonoise import (
-    PerturbationSpec,
-    ProblemInstance,
-    build_clean_program,
-    build_corrupted_program,
-    lift_perturbation,
-)
+from eonoise import PerturbationSpec, ProblemInstance
+from eonoise.model import lift_perturbation
+from eonoise.programs import build_clean_program, build_corrupted_program
 
 BALANCED = (0.25, 0.25, 0.25, 0.25)
 

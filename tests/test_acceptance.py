@@ -12,7 +12,6 @@ import pytest
 
 from eonoise import (
     PerturbationSpec,
-    balanced_uniform_predictor,
     bias_derived,
     bias_given,
     bias_shrink_factor,
@@ -24,6 +23,7 @@ from eonoise import (
     solve,
 )
 from eonoise.cli import SWEEP_COLUMNS, SweepConfig, run_dataset, run_sweep
+from eonoise.metrics import balanced_uniform_predictor
 from eonoise.perturb import GammaSchedule
 from grid_oracle import grid_minimum
 from support import (

@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from eonoise import (
-    EoProgram,
-    LpSolution,
-    PerturbationSpec,
-    RangeError,
-    apply_constant_tie_break,
-    build_clean_program,
-    build_corrupted_program,
-    solve,
-    solve_with_ties,
-)
+from eonoise import PerturbationSpec, RangeError, solve
+from eonoise.lp import EoProgram, _pick, solve_with_ties
+from eonoise.programs import build_clean_program, build_corrupted_program
 from grid_oracle import grid_minimum
 from support import (
     counterexample_instance,
@@ -117,33 +109,26 @@ def test_bitwise_determinism():
         assert first.vertex_active_set == second.vertex_active_set
 
 
-def _sol(p, value=0.0):
-    active = tuple((i, int(v)) for i, v in enumerate(p) if v in (0.0, 1.0))
-    return LpSolution(p_star=p, objective_value=value, vertex_active_set=active,
-                      is_constant_one=p == (1.0,) * 4, is_constant_zero=p == (0.0,) * 4)
+ONES, ZEROS = (1.0,) * 4, (0.0,) * 4
 
 
 def test_constant_tie_break_prefers_ones():
-    interior = _sol((0.5, 0.25, 0.0, 0.0))
-    ones = _sol((1.0,) * 4)
-    chosen = apply_constant_tie_break([interior, ones], prior_pos=0.5, prior_neg=0.5)
-    assert chosen.is_constant_one
+    interior = (0.5, 0.25, 0.0, 0.0)
+    assert _pick([interior, ONES], prior_pos=0.5, prior_neg=0.5) == ONES
 
 
 def test_constant_tie_break_single_zero_candidate():
-    zeros = _sol((0.0,) * 4)
-    assert apply_constant_tie_break([zeros], 0.5, 0.5).is_constant_zero
+    assert _pick([ZEROS], 0.5, 0.5) == ZEROS
 
 
 def test_constant_tie_break_keeps_unique_optimum():
-    interior = _sol((0.3, 0.6, 0.1, 0.2))
-    assert apply_constant_tie_break([interior], 0.5, 0.5) is interior
+    interior = (0.3, 0.6, 0.1, 0.2)
+    assert _pick([interior], 0.5, 0.5) == interior
 
 
 def test_constant_tie_break_both_constants_uses_priors():
-    ones, zeros = _sol((1.0,) * 4), _sol((0.0,) * 4)
-    assert apply_constant_tie_break([ones, zeros], 0.7, 0.3).is_constant_one
-    assert apply_constant_tie_break([ones, zeros], 0.3, 0.7).is_constant_zero
+    assert _pick([ONES, ZEROS], 0.7, 0.3) == ONES
+    assert _pick([ONES, ZEROS], 0.3, 0.7) == ZEROS
 
 
 def test_tie_count_reported():

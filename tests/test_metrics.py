@@ -3,19 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eonoise.metrics
 from eonoise import (
+    DegenerateProgramError,
     DerivedPredictor,
     DomainError,
     EmptyCellError,
     PerturbationSpec,
     PreconditionError,
     ProblemInstance,
-    balanced_uniform_predictor,
     bias_derived,
     bias_given,
     bias_shrink_factor,
-    build_report,
-    check_classifier_informative,
     check_flip_budget,
     check_flip_independence,
     corrupted_bias_bound,
@@ -25,6 +24,8 @@ from eonoise import (
     independence_measure,
     sample_records,
 )
+from eonoise.lp import EoProgram
+from eonoise.metrics import balanced_uniform_predictor, check_classifier_informative
 from support import (
     BALANCED,
     fig1_top_left,
@@ -295,12 +296,11 @@ def test_balanced_error_gain_closed_form():
         assert expected > 0.0
 
 
-def test_report_bounds_only_for_restricted():
-    inst = counterexample_instance()
-    general_report = build_report(inst, derive_predictor(inst, counterexample_spec()), counterexample_spec())
-    assert general_report.bound_pos is None and general_report.bound_neg is None
-    spec = PerturbationSpec.uniform(0.2)
-    report = build_report(inst, derive_predictor(inst, spec), spec)
-    assert report.bound_pos is not None
-    assert report.bias_pos_derived <= report.bound_pos + 1e-9
-    assert report.error_given == pytest.approx(error_given(inst), abs=1e-15)
+def test_balanced_infeasible_closed_form_raises(monkeypatch):
+    # every row asks group 0 for the positive rate 0.9 and group 1 for 0.1;
+    # the closed form is built for the real program, so it violates this one
+    skewed = EoProgram(objective=(0.0,) * 4, rows=((0.9, -0.1, 0.1, -0.9),) * 2)
+    monkeypatch.setattr(eonoise.metrics, "build_corrupted_program", lambda inst, spec: skewed)
+    inst = ProblemInstance(base=BALANCED, alpha1=0.9, beta1=0.6, alpha2=0.4, beta2=0.1)
+    with pytest.raises(DegenerateProgramError):
+        balanced_uniform_predictor(inst, 0.2)

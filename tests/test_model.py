@@ -1,24 +1,25 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eonoise import (
-    CELLS,
     DerivedPredictor,
     NormalizationError,
     PerturbationSpec,
     ProblemInstance,
     RangeError,
     ZeroCellError,
-    lift_perturbation,
-    validate_instance,
 )
+from eonoise.model import CELLS, lift_perturbation
 from support import BALANCED, counterexample_spec
 
 
 def test_accepts_reference_parameters():
     inst = ProblemInstance(base=BALANCED, alpha1=0.9, beta1=0.8, alpha2=0.4, beta2=0.1)
-    assert validate_instance(inst) is inst
+    assert inst.base == BALANCED
+    assert (inst.alpha1, inst.beta1, inst.alpha2, inst.beta2) == (0.9, 0.8, 0.4, 0.1)
 
 
 def test_zero_cell_rejected():
@@ -40,7 +41,8 @@ def test_conditional_out_of_range_rejected():
 
 def test_validation_idempotent():
     inst = ProblemInstance(base=BALANCED, alpha1=0.9, beta1=0.8, alpha2=0.4, beta2=0.1)
-    assert validate_instance(validate_instance(inst)) is inst
+    # replace() runs __post_init__ again on the already validated fields
+    assert dataclasses.replace(dataclasses.replace(inst)) == inst
 
 
 def test_instance_accessors():

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from eonoise import (
-    GammaSchedule,
-    MissingColumnError,
-    RangeError,
-    RecordScenario,
-    RecordSet,
-    apply_scenario,
-    schedule_eval,
-)
+from eonoise import MissingColumnError, RangeError, RecordScenario, apply_scenario
+from eonoise.perturb import GammaSchedule, schedule_eval
+from eonoise.records import RecordSet
 
 
 def test_equal_schedule():

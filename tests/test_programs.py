@@ -7,24 +7,32 @@ from eonoise import (
     ProblemInstance,
     bias_derived,
     bias_given,
-    build_clean_program,
-    build_corrupted_joint,
-    build_corrupted_program,
     derive_predictor,
     error_derived,
     error_given,
-    lift_perturbation,
     program_from_table,
-    restricted_corrupted_program,
 )
+from eonoise.model import lift_perturbation
+from eonoise.programs import build_clean_program, build_corrupted_joint, build_corrupted_program
+from programs_oracle import restricted_corrupted_program
 from support import (
     BALANCED,
     fig1_top_left,
     counterexample_instance,
     counterexample_spec,
+    population_fourway,
+    random_general,
     random_instance,
     random_restricted,
 )
+
+LABELS = (1, -1)
+
+
+def _attr_posterior(inst, spec, y, ac):
+    """P[A=1 | Y=y, corrupted attribute=ac] from the exact four-way table."""
+    table = population_fourway(inst, spec)[LABELS.index(y), :, :, ac]
+    return table[1].sum() / table.sum()
 
 
 def test_clean_objective_sums_to_label_gap():
@@ -54,22 +62,40 @@ def test_clean_solution_has_zero_bias():
 
 def test_zero_perturbation_joint_is_clean_table():
     inst = fig1_top_left()
-    cj = build_corrupted_joint(inst, PerturbationSpec.uniform(0.0))
-    for y in (1, -1):
+    spec = PerturbationSpec.uniform(0.0)
+    joint = build_corrupted_joint(inst, spec)
+    for yi, y in enumerate(LABELS):
         for a in (0, 1):
-            for yt in (1, -1):
-                assert cj.joint(y, a, yt) == pytest.approx(inst.joint(y, a, yt), abs=1e-15)
-            assert cj.pred_rate(y, a) == pytest.approx(inst.rate(y, a), abs=1e-12)
-        assert cj.attr_posterior(y, 0) == 0.0
-        assert cj.attr_posterior(y, 1) == 1.0
+            for yti, yt in enumerate(LABELS):
+                assert joint[yi, a, yti] == pytest.approx(inst.joint(y, a, yt), abs=1e-15)
+            assert joint[yi, a, 0] / joint[yi, a].sum() == pytest.approx(inst.rate(y, a), abs=1e-12)
+        assert _attr_posterior(inst, spec, y, 0) == 0.0
+        assert _attr_posterior(inst, spec, y, 1) == 1.0
 
 
 def test_pure_noise_erases_attribute_information():
     inst = fig1_top_left()
-    cj = build_corrupted_joint(inst, PerturbationSpec.uniform(0.5))
-    for y in (1, -1):
+    spec = PerturbationSpec.uniform(0.5)
+    for y in LABELS:
         for ac in (0, 1):
-            assert cj.attr_posterior(y, ac) == pytest.approx(0.5, abs=1e-12)
+            assert _attr_posterior(inst, spec, y, ac) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_corrupted_joint_is_a_distribution():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        inst = random_instance(rng)
+        for spec in (random_restricted(rng), random_general(rng)):
+            joint = build_corrupted_joint(inst, spec)
+            assert joint.shape == (2, 2, 2)
+            assert (joint >= 0.0).all()
+            assert joint.sum() == pytest.approx(1.0, abs=1e-12)
+        for zero in (PerturbationSpec.uniform(0.0), PerturbationSpec.general()):
+            joint = build_corrupted_joint(inst, zero)
+            for yi, y in enumerate(LABELS):
+                for a in (0, 1):
+                    for yti, yt in enumerate(LABELS):
+                        assert joint[yi, a, yti] == inst.joint(y, a, yt)
 
 
 def test_counterexample_marginal_flip_rate():
@@ -86,7 +112,7 @@ def test_counterexample_marginal_flip_rate():
 def test_vanishing_corrupted_cell_raises():
     inst = fig1_top_left()
     with pytest.raises(EmptyCellError):
-        build_corrupted_joint(inst, PerturbationSpec.restricted(1.0, 0.0, 0.0, 0.0))
+        build_corrupted_program(inst, PerturbationSpec.restricted(1.0, 0.0, 0.0, 0.0))
 
 
 def test_zero_perturbation_program_equals_clean():
@@ -183,8 +209,7 @@ def test_half_noise_returns_given_classifier_metrics():
 def test_program_from_table_matches_exact_joint():
     inst = fig1_top_left()
     spec = PerturbationSpec.restricted(0.2, 0.1, 0.3, 0.05)
-    cj = build_corrupted_joint(inst, spec)
-    scaled = cj.as_table() * 12345.0  # counts-like scaling must not matter
+    scaled = build_corrupted_joint(inst, spec) * 12345.0  # counts-like scaling must not matter
     prog = program_from_table(scaled)
     ref = build_corrupted_program(inst, spec)
     assert np.allclose(prog.objective, ref.objective, atol=1e-12)

@@ -10,21 +10,19 @@ from eonoise import (
     PerturbationSpec,
     RangeError,
     RecordsError,
-    RecordSet,
     ZeroCellError,
     error_given,
     estimate_corrupted_tables,
     estimate_instance,
     evaluate_predictor_on_records,
-    evaluate_predictor_sampled,
     independence_measure,
-    read_records_csv,
     sample_records,
     split,
     write_records_csv,
 )
 from eonoise.cli import main
-from eonoise.records import RECORD_CSV_HEADER
+from eonoise.records import RECORD_CSV_HEADER, RecordSet, read_records_csv
+from records_oracle import evaluate_predictor_sampled
 from records_oracle import read_records_csv as oracle_read_records_csv
 from support import fig1_top_left, counterexample_instance, counterexample_spec, population_fourway
 
@@ -37,6 +35,10 @@ def test_recordset_validation():
     with pytest.raises(RecordsError):
         RecordSet(y=[1, -1], a=[0, 1], score=[0.9, 0.2], yhat=[-1, -1])
     RecordSet(y=[1, -1], a=[0, 1], score=[0.9, 0.2], yhat=[1, -1])  # consistent
+    with pytest.raises(RecordsError, match="one-dimensional"):
+        RecordSet(y=[[1, -1], [1, 1]], a=[0, 1])
+    with pytest.raises(RecordsError, match="one-dimensional"):
+        RecordSet(y=1, a=0)
 
 
 @pytest.mark.parametrize("column, values", [
