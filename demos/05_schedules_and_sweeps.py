@@ -32,9 +32,10 @@ config = SweepConfig(
 )
 rows = run_sweep(config)
 
-out = Path(tempfile.mkdtemp()) / "sweep.csv"
-write_csv(out, SWEEP_COLUMNS, rows)
-print(f"\nwrote {len(rows)} rows to {out}")
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "sweep.csv"
+    write_csv(out, SWEEP_COLUMNS, rows)
+    print(f"\nwrote {len(rows)} rows to {out}")
 print("columns:", ",".join(SWEEP_COLUMNS))
 print("\nfirst and last row:")
 for row in (rows[0], rows[-1]):

@@ -13,6 +13,7 @@ program (an internal invariant failed).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -186,14 +187,30 @@ def load_sweep_config(path, out_override=None) -> SweepConfig:
     grid = (number("grid_start", need("grid_start")),
             number("grid_stop", need("grid_stop")),
             number("grid_step", need("grid_step")))
+    if not all(map(math.isfinite, grid)):
+        raise ConfigError("grid_start, grid_stop and grid_step must be finite")
     if grid[2] <= 0:
         raise ConfigError("grid_step must be positive")
     if not (0.0 <= grid[0] <= grid[1] <= 1.0):
         raise ConfigError("grid must satisfy 0 <= start <= stop <= 1")
+    _check_grid_length(*grid, "the sweep grid")
 
     out = out_override if out_override is not None else merged.get("out")
     return SweepConfig(instance=instance, schedule=schedule, grid=grid,
                        out=None if out is None else Path(out))
+
+
+#: Most points a grid may have.  A longer grid is a configuration error:
+#: a step of 1e-300 would otherwise run until memory runs out.
+MAX_GRID_POINTS = 100_000
+_GRID_SLACK = 1e-12
+
+
+def _check_grid_length(start: float, stop: float, step: float, what: str) -> None:
+    """Reject a finite grid with a positive step whose grid_points would
+    exceed MAX_GRID_POINTS."""
+    if (stop + _GRID_SLACK - start) / step >= MAX_GRID_POINTS:
+        raise ConfigError(f"{what} has more than {MAX_GRID_POINTS} points")
 
 
 def grid_points(start: float, stop: float, step: float) -> list[float]:
@@ -201,7 +218,7 @@ def grid_points(start: float, stop: float, step: float) -> list[float]:
     k = 0
     while True:
         g = start + k * step
-        if g > stop + 1e-12:
+        if g > stop + _GRID_SLACK:
             break
         points.append(min(g, 1.0))
         k += 1
@@ -380,11 +397,14 @@ def parse_grid(text: str) -> list[float]:
         numbers = [float(p) for p in parts]
     except ValueError:
         raise ConfigError(f"grid {text!r} contains a non-numeric field") from None
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"grid {text!r} contains a non-finite field")
     if len(numbers) == 1:
         return numbers
     start, stop, step = numbers
     if step <= 0 or stop < start:
         raise ConfigError(f"bad grid {text!r}")
+    _check_grid_length(start, stop, step, f"grid {text!r}")
     return grid_points(start, stop, step)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -54,6 +55,10 @@ class RecordSet:
     lies in [0, 1].
     When both score and yhat are present, yhat must equal +1 exactly where
     the score exceeds 0.5.
+
+    Columns must not be mutated after construction: the index that
+    evaluate_predictor_on_records reads is derived from them once, on first
+    use, and would go stale.
     """
 
     y: np.ndarray
@@ -92,6 +97,12 @@ class RecordSet:
     def n(self) -> int:
         return int(self.y.shape[0])
 
+    @cached_property
+    def _eval_index(self) -> "_EvalIndex":
+        slot = (_yi(self.yhat) * 2 + self.a).astype(np.uint8)
+        cells = tuple(slot[(self.y == y) & (self.a == a)] for (y, a) in CELLS)
+        return _EvalIndex(cells, slot + (self.y == 1).astype(np.uint8) * 4)
+
     def subset(self, idx) -> "RecordSet":
         take = lambda col: None if col is None else col[idx]
         return RecordSet(y=self.y[idx], a=self.a[idx], a_c=take(self.a_c),
@@ -108,6 +119,14 @@ class CorruptedTables(NamedTuple):
     joint: np.ndarray
     #: (2, 2, 2, 2) counts over (label, attribute, prediction, corrupted attribute).
     fourway: np.ndarray
+
+
+class _EvalIndex(NamedTuple):
+    #: Per (y, a) cell in CELLS order, the (prediction, attribute) slot of
+    #: each of its records into a predictor's p, in record order.
+    cells: tuple[np.ndarray, ...]
+    #: Per record, its slot plus 4 where y = +1: an index into concat(p, 1 - p).
+    keys: np.ndarray
 
 
 class EvalMetrics(NamedTuple):
@@ -184,16 +203,15 @@ def evaluate_predictor_on_records(records: RecordSet,
     sampled coin flip."""
     if records.yhat is None:
         raise MissingColumnError("evaluation needs a yhat column")
-    flat = _yi(records.yhat) * 2 + records.a.astype(np.intp)
-    pvals = np.asarray(predictor.p)[flat]
+    index = records._eval_index
+    p = np.asarray(predictor.p, dtype=float)
 
     rate = {}
-    for (y, a) in CELLS:
-        mask = (records.y == y) & (records.a == a)
-        if not mask.any():
+    for (y, a), slots in zip(CELLS, index.cells):
+        if not slots.size:
             raise ZeroCellError(f"no records with Y={y}, A={a}")
-        rate[(y, a)] = float(pvals[mask].mean())
-    error = float(np.where(records.y == 1, 1.0 - pvals, pvals).mean())
+        rate[(y, a)] = float(p[slots].mean())
+    error = float(np.concatenate((p, 1.0 - p))[index.keys].mean())
     return EvalMetrics(
         bias_pos=abs(rate[(1, 0)] - rate[(1, 1)]),
         bias_neg=abs(rate[(-1, 0)] - rate[(-1, 1)]),
@@ -320,11 +338,17 @@ def read_records_csv(path) -> RecordSet:
 
         rows = slice(row, row + kept.size)
         for j, name in enumerate(RECORD_CSV_HEADER):
-            fields = _gather_fields(seg, field_starts[:, j], field_ends[:, j])
-            if present.setdefault(name, not _IS_SPACE[fields[0]].all()):
-                columns[name][rows] = _parse_column(path, name, fields, linenos)
+            fs, fe = field_starts[:, j], field_ends[:, j]
+            if not present.setdefault(name, not _IS_SPACE[seg[fs[0]:fe[0]]].all()):
+                _check_empty_column(path, name, _gather_fields(seg, fs, fe), linenos)
+            elif name == "score":
+                columns[name][rows] = _parse_column(path, name, _gather_fields(seg, fs, fe), linenos)
             else:
-                _check_empty_column(path, name, fields, linenos)
+                values, odd = _decode_labels(seg, fs, fe - fs, name)
+                if odd.size:
+                    values[odd] = _parse_column(path, name, _gather_fields(seg, fs[odd], fe[odd]),
+                                                linenos[odd])
+                columns[name][rows] = values
         if present["score"] and present["yhat"]:
             bad = np.flatnonzero(_inconsistent(columns["score"][rows], columns["yhat"][rows]))
             if bad.size:
@@ -373,6 +397,28 @@ def _gather_fields(seg: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.nd
     fields = sliding_window_view(seg, width)[start]
     fields[np.arange(width) >= length[:, None]] = _SPACE
     return fields
+
+
+def _decode_labels(seg: np.ndarray, start: np.ndarray, length: np.ndarray,
+                   name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Values of a label column's fields read straight from their bytes, and
+    the positions of the fields this cannot read.
+
+    A field spelled exactly ``str(v)`` for one of the column's two values is
+    read as v; any other field (padded, ``+1``, ``01``, bad) is left for
+    _parse_column, and its slot in the returned values is arbitrary.
+    """
+    first = seg[start]
+    lo, hi = _LABEL_VALUES[name]
+    hits = []
+    for v in (lo, hi):
+        spelled = str(v).encode()
+        hit = (length == len(spelled)) & (first == spelled[0])
+        for k, byte in enumerate(spelled[1:], start=1):
+            hit &= seg[start + k] == byte
+        hits.append(hit)
+    values = np.where(hits[0], np.int8(lo), np.int8(hi))
+    return values, np.flatnonzero(~(hits[0] | hits[1]))
 
 
 def _parse_column(path, name: str, fields: np.ndarray, linenos: np.ndarray) -> np.ndarray:

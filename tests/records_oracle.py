@@ -7,6 +7,10 @@ parses each row in Python, field by field.  It accepts what the package's
 reader accepts, except that it also reads quoted fields, non-ASCII digits and
 Unicode whitespace; its error messages do not name physical lines.
 
+``evaluate_predictor_on_records`` is the package's exact evaluation written
+with one boolean mask per (y, a) cell, rebuilt on every call; the package
+derives a per-record index once per record set and reuses it.
+
 ``evaluate_predictor_sampled`` evaluates a derived predictor by flipping its
 coins, where the package takes the exact expectation over them.
 """
@@ -58,6 +62,26 @@ def read_records_csv(path) -> RecordSet:
         raise RecordsError(f"{path}: y and a columns are required")
     return RecordSet(y=y, a=a, a_c=parse("a_c", int),
                      score=parse("score", float), yhat=parse("yhat", int))
+
+
+def evaluate_predictor_on_records(records: RecordSet, predictor) -> EvalMetrics:
+    if records.yhat is None:
+        raise MissingColumnError("evaluation needs a yhat column")
+    flat = (records.yhat == -1).astype(np.intp) * 2 + records.a.astype(np.intp)
+    pvals = np.asarray(predictor.p)[flat]
+
+    rate = {}
+    for (y, a) in CELLS:
+        mask = (records.y == y) & (records.a == a)
+        if not mask.any():
+            raise ZeroCellError(f"no records with Y={y}, A={a}")
+        rate[(y, a)] = float(pvals[mask].mean())
+    error = float(np.where(records.y == 1, 1.0 - pvals, pvals).mean())
+    return EvalMetrics(
+        bias_pos=abs(rate[(1, 0)] - rate[(1, 1)]),
+        bias_neg=abs(rate[(-1, 0)] - rate[(-1, 1)]),
+        error=error,
+    )
 
 
 def evaluate_predictor_sampled(records: RecordSet, predictor, seed: int,

@@ -1,8 +1,10 @@
 import pytest
 
 from eonoise import sample_records, write_records_csv
+import eonoise.cli
 from eonoise.cli import (
     DATASET_COLUMNS,
+    MAX_GRID_POINTS,
     SWEEP_COLUMNS,
     load_sweep_config,
     main,
@@ -160,6 +162,48 @@ def test_parse_grid():
         parse_grid("a:b:c")
     with pytest.raises(ConfigError):
         parse_grid("0:0.2:-0.1")
+
+
+@pytest.fixture
+def no_grid_expansion(monkeypatch):
+    """Grids that would never finish expanding must be rejected before
+    grid_points runs; with this fixture a regression fails at once instead
+    of eating memory."""
+    def refuse(*args):
+        raise AssertionError(f"grid_points reached with {args}")
+    monkeypatch.setattr(eonoise.cli, "grid_points", refuse)
+
+
+@pytest.mark.parametrize("text", ["0:1:nan", "0:inf:0.1", "0:1:1e-300", "nan:1:0.1",
+                                  "-inf:0:0.1", "0:1:inf", "nan", "inf", "0:1:0.00001"])
+def test_parse_grid_rejects_unbounded_grids(no_grid_expansion, tmp_path, capsys, text):
+    with pytest.raises(ConfigError):
+        parse_grid(text)
+    records = tmp_path / "records.csv"
+    write_records_csv(records, sample_records(fig1_top_left(), 200, seed=35))
+    assert main(["dataset", str(records), "--scenario", "independent-flip",
+                 f"--grid={text}", "--out", str(tmp_path / "out.csv")]) == 2
+    assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("grid_step", "nan"), ("grid_step", "1e-300"),
+                                        ("grid_step", "inf"), ("grid_start", "nan"),
+                                        ("grid_stop", "nan"), ("grid_step", "0.000001")])
+def test_sweep_config_rejects_unbounded_grids(no_grid_expansion, tmp_path, capsys, key, value):
+    text = "".join(f"{key} = {value}\n" if line.startswith(key) else line
+                   for line in TOP_LEFT_CONFIG.splitlines(keepends=True))
+    assert f"\n{key} = {value}\n" in text
+    path = _write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match="grid"):
+        load_sweep_config(path)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert "grid" in capsys.readouterr().err
+
+
+def test_grid_point_cap_is_exact():
+    assert len(parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+    with pytest.raises(ConfigError, match="more than"):
+        parse_grid(f"0:{MAX_GRID_POINTS}:1")
 
 
 def _dataset_rowmap(row):

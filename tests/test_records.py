@@ -20,8 +20,10 @@ from eonoise import (
     split,
     write_records_csv,
 )
+from eonoise import records
 from eonoise.cli import main
 from eonoise.records import RECORD_CSV_HEADER, RecordSet, read_records_csv
+from records_oracle import evaluate_predictor_on_records as oracle_evaluate
 from records_oracle import evaluate_predictor_sampled
 from records_oracle import read_records_csv as oracle_read_records_csv
 from support import fig1_top_left, counterexample_instance, counterexample_spec, population_fourway
@@ -144,6 +146,56 @@ def test_sampled_evaluation_agrees_with_expectation():
     se = samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
     for got, want, s in zip(mean, exact, se):
         assert abs(got - want) <= 3.0 * max(s, 1e-4)
+
+
+def _random_predictor(rng):
+    p = rng.random(4)
+    p[rng.random(4) < 0.3] = rng.choice((0.0, 1.0))
+    return DerivedPredictor(tuple(p.tolist()), "corrupted")
+
+
+def _hex(metrics):
+    return [float.hex(v) for v in metrics]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_indexed_evaluation_matches_mask_oracle_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice((8, 300, 20_011)))
+    cell = rng.choice(4, size=n, p=rng.dirichlet(np.ones(4)) * 0.9 + 0.025)
+    cell[:4] = range(4)  # no empty cell
+    rs = RecordSet(y=np.where(cell < 2, 1, -1), a=cell % 2, yhat=rng.choice((-1, 1), size=n))
+    train, test = split(rs, (0.5, 0.5), seed)
+    picked = rs.subset(rng.integers(0, n, size=n))
+    for part in (rs, train, test, picked):
+        for _ in range(4):  # repeated calls reuse the index with another predictor
+            pred = _random_predictor(rng)
+            try:
+                want = oracle_evaluate(part, pred)
+            except ZeroCellError as exc:
+                with pytest.raises(ZeroCellError, match=str(exc)):
+                    evaluate_predictor_on_records(part, pred)
+                continue
+            assert _hex(evaluate_predictor_on_records(part, pred)) == _hex(want)
+
+
+def test_indexed_evaluation_matches_mask_oracle_on_sampled_records():
+    rs = sample_records(fig1_top_left(), 30_000, seed=18, with_scores=True)
+    _, test = split(rs, (0.5, 0.5), seed=3)
+    rng = np.random.default_rng(19)
+    preds = [DerivedPredictor(GIVEN_PREDICTOR_P, "clean")] + [_random_predictor(rng) for _ in range(12)]
+    for pred in preds:
+        assert _hex(evaluate_predictor_on_records(test, pred)) == _hex(oracle_evaluate(test, pred))
+
+
+def test_evaluation_empty_cell_raises_on_every_call():
+    rs = RecordSet(y=[1, 1, -1, -1, -1], a=[0, 0, 0, 1, 1], yhat=[1, -1, 1, -1, 1])
+    rng = np.random.default_rng(20)
+    for _ in range(3):
+        with pytest.raises(ZeroCellError, match="Y=1, A=1"):
+            evaluate_predictor_on_records(rs, _random_predictor(rng))
+    with pytest.raises(MissingColumnError):
+        evaluate_predictor_on_records(RecordSet(y=[1, -1], a=[0, 1]), _random_predictor(rng))
 
 
 def test_split_sizes_and_determinism():
@@ -352,12 +404,7 @@ def record_csv_files(draw):
     return eol.join(lines) + draw(st.sampled_from(("", eol)))
 
 
-@given(record_csv_files())
-@settings(max_examples=400, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_csv_reader_agrees_with_csv_module_oracle(tmp_path, text):
-    path = tmp_path / "records.csv"
-    path.write_bytes(text.encode())
+def _assert_agrees_with_oracle(path):
     try:
         want = oracle_read_records_csv(path)
     except RecordsError:
@@ -373,3 +420,76 @@ def test_csv_reader_agrees_with_csv_module_oracle(tmp_path, text):
             assert np.array_equal(lhs.view(np.int64), rhs.view(np.int64))
         else:
             assert lhs.dtype == rhs.dtype and np.array_equal(lhs, rhs), name
+
+
+@given(record_csv_files())
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_csv_reader_agrees_with_csv_module_oracle(tmp_path, text):
+    path = tmp_path / "records.csv"
+    path.write_bytes(text.encode())
+    _assert_agrees_with_oracle(path)
+
+
+@given(record_csv_files())
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_csv_reader_agrees_with_csv_module_oracle_in_3_line_chunks(tmp_path, monkeypatch, text):
+    # The generated files have at most 12 data rows, so only a small chunk
+    # makes their values, blank lines and anomalies fall across chunks.
+    monkeypatch.setattr(records, "_CHUNK_LINES", 3)
+    path = tmp_path / "records.csv"
+    path.write_bytes(text.encode())
+    _assert_agrees_with_oracle(path)
+
+
+#: Valid spellings of each label column's values that are not ``str(v)``,
+#: mixed with canonical ones.
+_MIXED_SPELLINGS = {
+    "y": ("1", "+1", "-1", "01", "-01", "0_1", "\t1\t", " -1", "1"),
+    "a": ("0", "+0", "1", "01", "-0", "0_1", "\t1", "00 ", "1"),
+}
+_MIXED_SPELLINGS["yhat"] = _MIXED_SPELLINGS["y"]
+_MIXED_SPELLINGS["a_c"] = _MIXED_SPELLINGS["a"]
+
+
+def _label_column_file(path, column, values):
+    """One row per value, the value in ``column``; the other label columns
+    canonical and the score column empty."""
+    rows = []
+    for value in values:
+        row = {"y": "1", "a": "0", "a_c": "0", "score": "", "yhat": "-1", column: value}
+        rows.append(",".join(row[name] for name in RECORD_CSV_HEADER))
+    path.write_text(CSV_HEADER + "\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("chunk_lines", [records._CHUNK_LINES, 3])
+@pytest.mark.parametrize("column", sorted(_MIXED_SPELLINGS))
+def test_csv_label_columns_mix_spellings(tmp_path, monkeypatch, column, chunk_lines):
+    monkeypatch.setattr(records, "_CHUNK_LINES", chunk_lines)
+    path = tmp_path / "records.csv"
+    _label_column_file(path, column, _MIXED_SPELLINGS[column])
+    got, want = read_records_csv(path), oracle_read_records_csv(path)
+    assert getattr(got, column).tolist() == getattr(want, column).tolist()
+    assert len(set(getattr(got, column).tolist())) == 2
+
+
+@pytest.mark.parametrize("chunk_lines", [records._CHUNK_LINES, 3])
+@pytest.mark.parametrize("column", sorted(_MIXED_SPELLINGS))
+@pytest.mark.parametrize("tail, line, what", [
+    (("x",), 11, "bad value in column {}: 'x'"),
+    (("2",), 11, "{} must be"),
+    (("-2",), 11, "{} must be"),
+    # a value that does not parse is reported before an earlier one out of range
+    (("2", "x"), 12, "bad value in column {}: 'x'"),
+    (("x", "2"), 11, "bad value in column {}: 'x'"),
+])
+def test_csv_bad_label_after_mixed_spellings(tmp_path, monkeypatch, column, chunk_lines,
+                                             tail, line, what):
+    monkeypatch.setattr(records, "_CHUNK_LINES", chunk_lines)
+    path = tmp_path / "records.csv"
+    _label_column_file(path, column, _MIXED_SPELLINGS[column] + tail + ("1",))
+    with pytest.raises(RecordsError) as info:
+        read_records_csv(path)
+    assert f"{path}:{line}: " in str(info.value)
+    assert what.format(column) in str(info.value)
