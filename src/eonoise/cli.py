@@ -237,19 +237,21 @@ def run_sweep(config: SweepConfig) -> list[list[str]]:
         spec = schedule_eval(config.schedule, g10)
         predictor = derive_predictor(inst, spec)
         err_corr = error_derived(inst, predictor)
+        # The bound is undefined when a flip rate of the label's class is 1,
+        # outside bias_shrink_factor's domain [0, 1); its field is left empty.
         bounds = []
         for y in (1, -1):
             if spec.gamma(y, 0) < 1.0 and spec.gamma(y, 1) < 1.0:
-                bounds.append(corrupted_bias_bound(inst, spec, y))
+                bounds.append(_fmt(corrupted_bias_bound(inst, spec, y)))
             else:
-                bounds.append(float("nan"))
+                bounds.append("")
         row = [
             _fmt(g10), _fmt(spec.gamma(1, 1)), _fmt(spec.gamma(-1, 0)), _fmt(spec.gamma(-1, 1)),
             _fmt(bias_derived(inst, predictor, 1)),
             _fmt(bias_derived(inst, predictor, -1)),
             _fmt(err_corr),
             _fmt(given[0]), _fmt(given[1]), _fmt(given[2]),
-            _fmt(bounds[0]), _fmt(bounds[1]),
+            bounds[0], bounds[1],
             str(int(check_flip_budget(spec, 1))),
             str(int(check_flip_budget(spec, -1))),
             str(int(a2)),

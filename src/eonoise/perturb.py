@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import MissingColumnError, RangeError
 from .model import PerturbationSpec
-from .records import RecordSet
+from .records import RecordSet, read_only
 
 SCHEDULE_KINDS = ("equal", "halves", "power-halving", "capped")
 SCENARIO_KINDS = (
@@ -137,5 +137,5 @@ def apply_scenario(records: RecordSet, scenario: RecordScenario, seed: int) -> R
     meta = dict(records.meta)
     meta.update(scenario=scenario.kind, level=scenario.level,
                 seed=int(seed), rng=RNG_ALGORITHM)
-    return RecordSet(y=records.y, a=records.a, a_c=a_c,
+    return RecordSet(y=records.y, a=records.a, a_c=read_only(a_c),
                      score=records.score, yhat=records.yhat, meta=meta)

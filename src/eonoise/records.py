@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -56,9 +55,10 @@ class RecordSet:
     When both score and yhat are present, yhat must equal +1 exactly where
     the score exceeds 0.5.
 
-    Columns must not be mutated after construction: the index that
-    evaluate_predictor_on_records reads is derived from them once, on first
-    use, and would go stale.
+    Every column is stored read-only.  An array the caller could still write
+    to (a writeable array, or a view of writeable memory) is copied first,
+    so a later write to it changes neither the validated columns nor the
+    index that evaluate_predictor_on_records derives from them on first use.
     """
 
     y: np.ndarray
@@ -71,13 +71,13 @@ class RecordSet:
     def __post_init__(self) -> None:
         n = None
         for name in RECORD_CSV_HEADER:
-            col = getattr(self, name)
-            if col is None:
+            given = getattr(self, name)
+            if given is None:
                 if name in ("y", "a"):
                     raise RecordsError(f"the {name} column is required")
                 continue
             # check before narrowing to int8, which would wrap 255 to -1
-            col = np.asarray(col, dtype=float if name == "score" else None)
+            col = np.asarray(given, dtype=float if name == "score" else None)
             if col.ndim != 1:
                 raise RecordsError(f"the {name} column must be one-dimensional, got shape {col.shape}")
             if n is None:
@@ -88,6 +88,9 @@ class RecordSet:
                 raise RecordsError(f"{name} values {_RULES[name]}")
             if name != "score":
                 col = col.astype(np.int8, copy=False)
+            if _writable_elsewhere(col, given):
+                col = col.copy()
+            col.flags.writeable = False
             object.__setattr__(self, name, col)
         if self.score is not None and self.yhat is not None:
             if _inconsistent(self.score, self.yhat).any():
@@ -104,9 +107,33 @@ class RecordSet:
         return _EvalIndex(cells, slot + (self.y == 1).astype(np.uint8) * 4)
 
     def subset(self, idx) -> "RecordSet":
-        take = lambda col: None if col is None else col[idx]
-        return RecordSet(y=self.y[idx], a=self.a[idx], a_c=take(self.a_c),
+        take = lambda col: None if col is None else read_only(col[idx])
+        return RecordSet(y=take(self.y), a=take(self.a), a_c=take(self.a_c),
                          score=take(self.score), yhat=take(self.yhat), meta=self.meta)
+
+
+def read_only(col: np.ndarray | None) -> np.ndarray | None:
+    """Mark a freshly made column read-only, so that RecordSet stores it
+    without a copy, and return it."""
+    if col is not None:
+        col.flags.writeable = False
+    return col
+
+
+def _writable_elsewhere(col: np.ndarray, given) -> bool:
+    """Whether the caller could still write to the memory of ``col``.
+
+    An array made here from ``given`` (from a list, or by a cast) is
+    private.  Otherwise ``col`` is the caller's array, and it is safe only
+    when it and every array it views are read-only and the last of them
+    owns its memory."""
+    if col is not given and col.flags.owndata:
+        return False
+    while isinstance(col, np.ndarray):
+        if col.flags.writeable:
+            return True
+        col = col.base
+    return col is not None
 
 
 class EstimatedInstance(NamedTuple):
@@ -275,7 +302,8 @@ def sample_records(inst: ProblemInstance, n: int, seed: int,
         u = rng.random(n)
         score = np.where(yhat == 1, 0.5 + 0.5 * (1.0 - u), 0.5 * u)
 
-    return RecordSet(y=y, a=a, a_c=a_c, score=score, yhat=yhat,
+    return RecordSet(y=read_only(y), a=read_only(a), a_c=read_only(a_c),
+                     score=read_only(score), yhat=read_only(yhat),
                      meta={"seed": int(seed), "rng": "numpy-pcg64"})
 
 
@@ -355,7 +383,8 @@ def read_records_csv(path) -> RecordSet:
                 raise RecordsError(f"{path}:{linenos[bad[0]]}: {_CONSISTENCY_RULE}")
         row += kept.size
 
-    return RecordSet(**{name: col if present[name] else None for name, col in columns.items()})
+    return RecordSet(**{name: read_only(col) if present[name] else None
+                        for name, col in columns.items()})
 
 
 def _line_bounds(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -467,18 +496,24 @@ def _show(field: bytes) -> str:
 
 def write_records_csv(path, records: RecordSet) -> None:
     """Write the record CSV format; absent optional columns are left empty
-    and scores are written with 12 significant digits."""
+    and scores are written with 12 significant digits.
+
+    Each chunk of rows is one ``%`` operation: a line template with ``%d``
+    for a label, ``%.12g`` for the score and an empty field for an absent
+    column, repeated once per row and applied to the chunk's values
+    interleaved row by row.  ``%d`` and ``%.12g`` give the bytes of
+    ``str(int)`` and ``format(v, ".12g")``.
+    """
+    columns = [getattr(records, name) for name in RECORD_CSV_HEADER]
+    present = [col for col in columns if col is not None]
+    line = ",".join("" if col is None else "%.12g" if name == "score" else "%d"
+                    for name, col in zip(RECORD_CSV_HEADER, columns)) + "\n"
+    k = len(present)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(RECORD_CSV_HEADER) + "\n")
         for lo in range(0, records.n, _CHUNK_LINES):
             hi = min(lo + _CHUNK_LINES, records.n)
-            fields = []
-            for name in RECORD_CSV_HEADER:
-                col = getattr(records, name)
-                if col is None:
-                    fields.append(itertools.repeat("", hi - lo))
-                elif name == "score":
-                    fields.append([format(v, ".12g") for v in col[lo:hi].tolist()])
-                else:
-                    fields.append(map(str, col[lo:hi].tolist()))
-            fh.writelines([",".join(row) + "\n" for row in zip(*fields)])
+            values = [None] * (k * (hi - lo))
+            for j, col in enumerate(present):
+                values[j::k] = col[lo:hi].tolist()
+            fh.write(line * (hi - lo) % tuple(values))

@@ -11,11 +11,16 @@ Unicode whitespace; its error messages do not name physical lines.
 with one boolean mask per (y, a) cell, rebuilt on every call; the package
 derives a per-record index once per record set and reuses it.
 
+``write_records_csv`` writes the record CSV format one field at a time,
+with ``str`` for labels and ``format(v, ".12g")`` for scores; the package
+formats each chunk of rows with one line template.
+
 ``evaluate_predictor_sampled`` evaluates a derived predictor by flipping its
 coins, where the package takes the exact expectation over them.
 """
 
 import csv
+import itertools
 
 import numpy as np
 
@@ -62,6 +67,21 @@ def read_records_csv(path) -> RecordSet:
         raise RecordsError(f"{path}: y and a columns are required")
     return RecordSet(y=y, a=a, a_c=parse("a_c", int),
                      score=parse("score", float), yhat=parse("yhat", int))
+
+
+def write_records_csv(path, records: RecordSet) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(RECORD_CSV_HEADER) + "\n")
+        fields = []
+        for name in RECORD_CSV_HEADER:
+            col = getattr(records, name)
+            if col is None:
+                fields.append(itertools.repeat("", records.n))
+            elif name == "score":
+                fields.append([format(v, ".12g") for v in col.tolist()])
+            else:
+                fields.append(map(str, col.tolist()))
+        fh.writelines([",".join(row) + "\n" for row in zip(*fields)])
 
 
 def evaluate_predictor_on_records(records: RecordSet, predictor) -> EvalMetrics:

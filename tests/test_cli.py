@@ -118,6 +118,25 @@ def test_sweep_csv_byte_deterministic(tmp_path):
     assert header == ",".join(SWEEP_COLUMNS)
 
 
+@pytest.mark.parametrize("schedule, empty", [
+    ("equal", ("bound_pos", "bound_neg")), ("halves", ("bound_pos",)),
+    ("power-halving", ("bound_pos",)), ("capped", ("bound_pos",)),
+])
+def test_sweep_leaves_bound_empty_at_flip_rate_one(tmp_path, schedule, empty):
+    config = _write_config(tmp_path, f"preset = fig1-top-left\nschedule = {schedule}\n"
+                                     "grid_start = 0.9\ngrid_stop = 1\ngrid_step = 0.1\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "nan" not in text
+    header, below_one, at_one = text.splitlines()
+    assert header == ",".join(SWEEP_COLUMNS)
+    for name, value in _rowmap(below_one.split(",")).items():
+        assert value != "", name
+    for name, value in _rowmap(at_one.split(",")).items():
+        assert (value == "") == (name in empty), name
+
+
 def test_main_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("preset = fig1-top-left\nwhat = 1\n")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,8 +11,10 @@ from eonoise import (
     MissingColumnError,
     PerturbationSpec,
     RangeError,
+    RecordScenario,
     RecordsError,
     ZeroCellError,
+    apply_scenario,
     error_given,
     estimate_corrupted_tables,
     estimate_instance,
@@ -26,6 +30,7 @@ from eonoise.records import RECORD_CSV_HEADER, RecordSet, read_records_csv
 from records_oracle import evaluate_predictor_on_records as oracle_evaluate
 from records_oracle import evaluate_predictor_sampled
 from records_oracle import read_records_csv as oracle_read_records_csv
+from records_oracle import write_records_csv as oracle_write_records_csv
 from support import fig1_top_left, counterexample_instance, counterexample_spec, population_fourway
 
 
@@ -56,6 +61,71 @@ def test_recordset_rejects_values_that_int8_would_wrap(column, values):
 def test_recordset_rejects_scores_outside_unit_interval(score):
     with pytest.raises(RecordsError, match="finite"):
         RecordSet(y=[1, -1], a=[0, 1], score=[score, 0.2])
+
+
+@pytest.mark.parametrize("column", RECORD_CSV_HEADER)
+def test_recordset_keeps_no_alias_of_a_writeable_input(column):
+    cols = {"y": np.array([1, -1, 1, -1], dtype=np.int8),
+            "a": np.array([0, 1, 1, 0], dtype=np.int8),
+            "a_c": np.array([0, 1, 0, 1], dtype=np.int8),
+            "score": np.array([0.9, 0.2, 0.7, 0.4]),
+            "yhat": np.array([1, -1, 1, -1], dtype=np.int8)}
+    rs = RecordSet(**cols)
+    before = getattr(rs, column).copy()
+    cols[column][:] = 7
+    assert np.array_equal(getattr(rs, column), before)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(rs, column)[0] = 7
+
+
+def test_recordset_copies_a_read_only_view_of_writeable_memory():
+    y = np.array([1, -1], dtype=np.int8)
+    view = y[:]
+    view.flags.writeable = False
+    rs = RecordSet(y=view, a=[0, 1])
+    y[0] = 7
+    assert rs.y.tolist() == [1, -1]
+
+
+def test_recordset_stores_read_only_arrays_without_a_copy():
+    y = np.array([1, -1], dtype=np.int8)
+    y.flags.writeable = False
+    rs = RecordSet(y=y, a=[0, 1])
+    assert rs.y is y
+    assert not rs.a.flags.writeable
+
+
+def _assert_read_only(rs):
+    for name in RECORD_CSV_HEADER:
+        col = getattr(rs, name)
+        assert col is None or not col.flags.writeable, name
+
+
+def test_package_record_sets_are_read_only_and_shared(tmp_path, monkeypatch):
+    # the package's own constructors hand over read-only arrays, so RecordSet
+    # copies none of them
+    verdicts = []
+    writable_elsewhere = records._writable_elsewhere
+
+    def spy(col, given):
+        verdicts.append(writable_elsewhere(col, given))
+        return verdicts[-1]
+
+    monkeypatch.setattr(records, "_writable_elsewhere", spy)
+    rs = sample_records(fig1_top_left(), 40, seed=3, with_scores=True)
+    _assert_read_only(rs)
+    parts = split(rs, (0.5, 0.5), seed=0)
+    for part in parts + [rs.subset(slice(5, 9))]:
+        _assert_read_only(part)
+    corrupted = apply_scenario(parts[0], RecordScenario.independent_flip(0.3), seed=1)
+    _assert_read_only(corrupted)
+    # apply_scenario hands the kept columns over without a copy
+    for name in ("y", "a", "score", "yhat"):
+        assert getattr(corrupted, name) is getattr(parts[0], name)
+    path = tmp_path / "records.csv"
+    write_records_csv(path, rs)
+    _assert_read_only(read_records_csv(path))
+    assert verdicts and not any(verdicts)
 
 
 def test_estimate_uniform_records():
@@ -441,6 +511,71 @@ def test_csv_reader_agrees_with_csv_module_oracle_in_3_line_chunks(tmp_path, mon
     path = tmp_path / "records.csv"
     path.write_bytes(text.encode())
     _assert_agrees_with_oracle(path)
+
+
+#: Scores the writer must spell as format(v, ".12g") does: both ends of
+#: [0, 1], the cut-off, an exponent form, the smallest subnormal, negative
+#: zero, and values whose 12 significant digits round up to 1.
+_EDGE_SCORES = (0.0, 1.0, 0.5, 1e-05, 5e-324, -0.0,
+                1.0 - 1e-13, 0.99999999999951, float(np.nextafter(1.0, 0.0)))
+_OPTIONAL = ("a_c", "score", "yhat")
+
+
+def _rounds_to_the_same_side(score):
+    """Whether the 12-digit score read back keeps yhat consistent."""
+    return (score > 0.5) == (float(format(score, ".12g")) > 0.5)
+
+
+def _record_set(rng, scores, absent):
+    n = len(scores)
+    score = np.array(scores, dtype=float)
+    cols = {"y": rng.choice(np.array([-1, 1], dtype=np.int8), n),
+            "a": rng.choice(np.array([0, 1], dtype=np.int8), n),
+            "a_c": rng.choice(np.array([0, 1], dtype=np.int8), n),
+            "score": score,
+            "yhat": np.where(score > 0.5, 1, -1).astype(np.int8)}
+    return RecordSet(**{name: None if name in absent else col for name, col in cols.items()})
+
+
+def _assert_writer_matches_oracle(tmp_path, rs):
+    path, reference = tmp_path / "records.csv", tmp_path / "reference.csv"
+    write_records_csv(path, rs)
+    oracle_write_records_csv(reference, rs)
+    assert path.read_bytes() == reference.read_bytes()
+    back = read_records_csv(path)
+    for name in RECORD_CSV_HEADER:
+        col, got = getattr(rs, name), getattr(back, name)
+        if col is None:
+            assert got is None, name
+        elif name == "score":
+            want = np.array([float(format(v, ".12g")) for v in col.tolist()])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        else:
+            assert got.dtype == np.int8 and np.array_equal(got, col), name
+
+
+@pytest.mark.parametrize("chunk_lines", [records._CHUNK_LINES, 3])
+@pytest.mark.parametrize("n", [1, len(_EDGE_SCORES)])
+@pytest.mark.parametrize("absent", [frozenset(c) for k in range(4)
+                                    for c in itertools.combinations(_OPTIONAL, k)],
+                         ids=lambda absent: "-".join(sorted(absent)) or "none")
+def test_csv_writer_matches_per_field_oracle(tmp_path, monkeypatch, absent, n, chunk_lines):
+    monkeypatch.setattr(records, "_CHUNK_LINES", chunk_lines)
+    rs = _record_set(np.random.default_rng(n), _EDGE_SCORES[-n:], absent)
+    _assert_writer_matches_oracle(tmp_path, rs)
+
+
+@given(st.lists(st.one_of(st.sampled_from(_EDGE_SCORES), st.floats(0.0, 1.0))
+                .filter(_rounds_to_the_same_side), min_size=1, max_size=12),
+       st.sets(st.sampled_from(_OPTIONAL)), st.sampled_from([records._CHUNK_LINES, 3]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_csv_writer_agrees_with_per_field_oracle(tmp_path, monkeypatch, scores, absent,
+                                                  chunk_lines, seed):
+    monkeypatch.setattr(records, "_CHUNK_LINES", chunk_lines)
+    rs = _record_set(np.random.default_rng(seed), scores, absent)
+    _assert_writer_matches_oracle(tmp_path, rs)
 
 
 #: Valid spellings of each label column's values that are not ``str(v)``,

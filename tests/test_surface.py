@@ -1,7 +1,9 @@
 """The names that code outside the package reaches for: the benchmark's
 tracer and worker, and the demos.  A deleted or renamed name fails here
-instead of in a benchmark run or a demo."""
+instead of in a benchmark run or a demo.  Also the package's promise that
+its checks still run under ``python -O``."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -15,6 +17,7 @@ import eonoise.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "eonoise").glob("*.py"))
 
 
 def _load_tracer():
@@ -56,3 +59,15 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert not list(tmpdir.iterdir()), "the demo left files in its temp dir"
+
+
+def test_package_sources_found():
+    assert len(SOURCES) >= 9
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_no_bare_assert_in_package(source):
+    # python -O strips assert statements, so an invariant must raise instead
+    tree = ast.parse(source.read_text(), filename=str(source))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{source.name}: assert on lines {lines}"
