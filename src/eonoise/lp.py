@@ -11,7 +11,7 @@ all systems with three coordinates fixed at a bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
@@ -21,7 +21,6 @@ BOUND_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
 SINGULAR_TOL = 1e-12
 TIE_TOL = 1e-12
-PATTERN_TOL = 1e-9
 
 _ONES = (1.0, 1.0, 1.0, 1.0)
 _ZEROS = (0.0, 0.0, 0.0, 0.0)
@@ -29,33 +28,33 @@ _ZEROS = (0.0, 0.0, 0.0, 0.0)
 
 @dataclass(frozen=True)
 class EoProgram:
-    """Objective vector and constraint rows of the postprocessing LP.
+    """Objective vector and group rates of the postprocessing LP.
 
-    ``objective`` and both rows are indexed over (prediction, attribute)
-    cells in the package-wide order (see ``model.CELLS``).  ``rows[0]`` is
-    the constraint for label +1, ``rows[1]`` for label -1; each row has the
-    sign pattern ``(h0, -h1, 1-h0, -(1-h1))`` with h0, h1 in [0, 1], so the
-    constraints read "group-0 positive rate equals group-1 positive rate".
+    ``objective`` is indexed over (prediction, attribute) cells in the
+    package-wide order (see ``model.CELLS``).  ``rates[0]`` is the pair
+    (h0, h1) of the two groups' positive-prediction rates for label +1,
+    ``rates[1]`` the pair for label -1.  Each pair gives the constraint row
+    ``(h0, -h1, 1-h0, -(1-h1))`` in ``rows``, which reads "group-0 positive
+    rate equals group-1 positive rate".
     """
 
     objective: tuple[float, float, float, float]
-    rows: tuple[tuple[float, float, float, float], tuple[float, float, float, float]]
+    rates: tuple[tuple[float, float], tuple[float, float]]
+    rows: tuple[tuple[float, float, float, float], tuple[float, float, float, float]] = field(init=False)
 
     def __post_init__(self) -> None:
         objective = tuple(float(v) for v in self.objective)
         if len(objective) != 4:
             raise RangeError("objective must have four coefficients")
-        rows = tuple(tuple(float(v) for v in row) for row in self.rows)
-        if len(rows) != 2 or any(len(r) != 4 for r in rows):
-            raise RangeError("constraint matrix must be 2x4")
-        for row in rows:
-            h0, h1 = row[0], -row[1]
-            if not (-PATTERN_TOL <= h0 <= 1.0 + PATTERN_TOL and -PATTERN_TOL <= h1 <= 1.0 + PATTERN_TOL):
-                raise RangeError(f"row {row} has rate coefficients outside [0, 1]")
-            if abs(row[2] - (1.0 - h0)) > PATTERN_TOL or abs(row[3] + (1.0 - h1)) > PATTERN_TOL:
-                raise RangeError(f"row {row} does not follow the (h0, -h1, 1-h0, -(1-h1)) pattern")
+        rates = tuple(tuple(float(v) for v in pair) for pair in self.rates)
+        if len(rates) != 2 or any(len(pair) != 2 for pair in rates):
+            raise RangeError("rates must be two (h0, h1) pairs")
+        for pair in rates:
+            if not all(0.0 <= h <= 1.0 for h in pair):
+                raise RangeError(f"rate pair {pair} outside [0, 1]")
         object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "rows", tuple((h0, -h1, 1.0 - h0, -(1.0 - h1)) for h0, h1 in rates))
 
     def value(self, p: Sequence[float]) -> float:
         c = self.objective
@@ -74,9 +73,6 @@ class EoProgram:
 class LpSolution:
     p_star: tuple[float, float, float, float]
     objective_value: float
-    vertex_active_set: tuple[tuple[int, int], ...]
-    is_constant_one: bool
-    is_constant_zero: bool
 
 
 def _snap(p: Sequence[float]) -> tuple[float, ...] | None:
@@ -99,7 +95,7 @@ def _candidates(program: EoProgram):
     cands = []
 
     # All box corners; includes the two constant classifiers, which are
-    # feasible for every valid row pattern (row entries sum to zero).
+    # feasible for every program (each row's entries sum to zero).
     for bits in range(16):
         cands.append(tuple(float((bits >> k) & 1) for k in range(4)))
 
@@ -160,17 +156,6 @@ def _pick(ties: Sequence[tuple[float, ...]], prior_pos: float, prior_neg: float)
     return min(ties)
 
 
-def _solution(program: EoProgram, p: tuple[float, ...]) -> LpSolution:
-    active = tuple((i, int(v)) for i, v in enumerate(p) if v == 0.0 or v == 1.0)
-    return LpSolution(
-        p_star=p,
-        objective_value=program.value(p),
-        vertex_active_set=active,
-        is_constant_one=p == _ONES,
-        is_constant_zero=p == _ZEROS,
-    )
-
-
 def solve_with_ties(program: EoProgram) -> tuple[LpSolution, int]:
     """Solve the program; also report how many distinct optima tied."""
     feasible = []
@@ -198,7 +183,7 @@ def solve_with_ties(program: EoProgram) -> tuple[LpSolution, int]:
     prior_pos = (1.0 - csum) / 2.0
     prior_neg = (1.0 + csum) / 2.0
     chosen = _pick(ties, prior_pos, prior_neg)
-    return _solution(program, chosen), len(ties)
+    return LpSolution(chosen, program.value(chosen)), len(ties)
 
 
 def solve(program: EoProgram) -> LpSolution:

@@ -176,7 +176,6 @@ class DerivedPredictor:
 
     p: tuple[float, float, float, float]
     source: Literal["clean", "corrupted"]
-    tie_break_applied: bool = False
 
     def __post_init__(self) -> None:
         vals = []

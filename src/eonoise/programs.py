@@ -25,7 +25,6 @@ from .model import (
     PerturbationSpec,
     ProblemInstance,
     Y_VALUES,
-    lift_perturbation,
 )
 
 
@@ -33,8 +32,7 @@ def _program(joint, rates) -> EoProgram:
     """LP from a joint and positive rates, both nested lists of floats
     indexed like the (2, 2, 2) joint and its first two axes."""
     objective = tuple(joint[1][a][yti] - joint[0][a][yti] for yti in (0, 1) for a in A_VALUES)
-    rows = tuple((h0, -h1, 1.0 - h0, -(1.0 - h1)) for h0, h1 in rates)
-    return EoProgram(objective=objective, rows=rows)
+    return EoProgram(objective=objective, rates=rates)
 
 
 def _rates(joint) -> list[list[float]]:
@@ -68,13 +66,12 @@ def build_corrupted_joint(inst: ProblemInstance, spec: PerturbationSpec) -> np.n
     P[Y=y, corrupted=a', prediction=yt] = sum over a of
     P[corrupted=a' | y, a, yt] * P[Y=y, A=a, prediction=yt].
     """
-    gen = lift_perturbation(spec)
     clean = _clean_joint(inst)
     joint = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     for yi, y in enumerate(Y_VALUES):
         for a in A_VALUES:
             for yti, yt in enumerate(Y_VALUES):
-                flip = gen.gamma_given_pred(y, a, yt)
+                flip = spec.gamma_given_pred(y, a, yt)
                 mass = clean[yi][a][yti]
                 joint[yi][a][yti] += (1.0 - flip) * mass
                 joint[yi][1 - a][yti] += flip * mass
@@ -112,6 +109,5 @@ def derive_predictor(inst: ProblemInstance,
     else:
         program = build_corrupted_program(inst, spec)
         source = "corrupted"
-    solution, tie_count = solve_with_ties(program)
-    return DerivedPredictor(p=solution.p_star, source=source,
-                            tie_break_applied=tie_count > 1)
+    solution, _ = solve_with_ties(program)
+    return DerivedPredictor(p=solution.p_star, source=source)

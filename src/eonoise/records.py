@@ -109,7 +109,7 @@ class RecordSet:
     def subset(self, idx) -> "RecordSet":
         take = lambda col: None if col is None else read_only(col[idx])
         return RecordSet(y=take(self.y), a=take(self.a), a_c=take(self.a_c),
-                         score=take(self.score), yhat=take(self.yhat), meta=self.meta)
+                         score=take(self.score), yhat=take(self.yhat), meta=dict(self.meta))
 
 
 def read_only(col: np.ndarray | None) -> np.ndarray | None:

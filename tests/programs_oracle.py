@@ -41,8 +41,4 @@ def restricted_corrupted_program(inst: ProblemInstance, spec: PerturbationSpec) 
         mass[(-1, 0)] * (1.0 - g) - mass[(1, 0)] * (1.0 - e),
         mass[(-1, 1)] * (1.0 - h) - mass[(1, 1)] * (1.0 - f),
     )
-    rows = (
-        (e, -f, 1.0 - e, -(1.0 - f)),
-        (g, -h, 1.0 - g, -(1.0 - h)),
-    )
-    return EoProgram(objective=objective, rows=rows)
+    return EoProgram(objective=objective, rates=((e, f), (g, h)))

@@ -3,7 +3,6 @@
 import numpy as np
 
 from eonoise import PerturbationSpec, ProblemInstance
-from eonoise.model import lift_perturbation
 from eonoise.programs import build_clean_program, build_corrupted_program
 
 BALANCED = (0.25, 0.25, 0.25, 0.25)
@@ -12,12 +11,11 @@ BALANCED = (0.25, 0.25, 0.25, 0.25)
 def population_fourway(inst: ProblemInstance, spec: PerturbationSpec) -> np.ndarray:
     """Exact (label, attribute, prediction, corrupted attribute) table of the
     generative model, for feeding the independence measure."""
-    gen = lift_perturbation(spec)
     table = np.zeros((2, 2, 2, 2))
     for yi, y in enumerate((1, -1)):
         for a in (0, 1):
             for yti, yt in enumerate((1, -1)):
-                flip = gen.gamma_given_pred(y, a, yt)
+                flip = spec.gamma_given_pred(y, a, yt)
                 mass = inst.joint(y, a, yt)
                 table[yi, a, yti, 1 - a] += flip * mass
                 table[yi, a, yti, a] += (1.0 - flip) * mass

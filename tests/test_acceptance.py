@@ -23,9 +23,9 @@ from eonoise import (
     solve,
 )
 from eonoise.cli import SWEEP_COLUMNS, SweepConfig, run_dataset, run_sweep
-from eonoise.metrics import balanced_uniform_predictor
 from eonoise.perturb import GammaSchedule
 from grid_oracle import grid_minimum
+from metrics_oracle import balanced_uniform_predictor
 from support import (
     fig1_top_left,
     counterexample_instance,

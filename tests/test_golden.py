@@ -1,11 +1,14 @@
-"""Outputs checked against the sha256 digests the benchmark pins in
-perfbench/expected/: the 24 preset sweeps on the benchmark grid, and the
-1e6-row record CSV the dataset workload writes for seeds 0 and 1.  The
-inputs are read from perfbench/worker.py, so the two cannot drift apart."""
+"""Outputs checked against the digests the benchmark pins in
+perfbench/expected/: the 24 preset sweeps on the benchmark grid, and, for
+seeds 0 and 1, the 1e6-row record CSV, the ``eonoise dataset`` run on it,
+and the 10,000 derived predictors of the derive workload.  The inputs and
+the passes are read from perfbench/worker.py, so the two cannot drift
+apart."""
 
 import hashlib
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -58,9 +61,22 @@ def test_preset_sweep_matches_pinned_digest(tmp_path, name):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_dataset_records_csv_matches_pinned_digest(tmp_path, seed):
+def test_dataset_matches_pinned_digests(tmp_path, seed):
+    expected = _expected(f"dataset-1e6-seed{seed}.txt")
     inst = eonoise.ProblemInstance(**WORKER.DATASET_INSTANCE)
     records = eonoise.sample_records(inst, WORKER.DATASET_ROWS, seed, with_scores=True)
-    path = tmp_path / "records.csv"
+    path, _ = WORKER.dataset_paths(tmp_path)
     eonoise.write_records_csv(path, records)
-    assert _sha256(path) == _expected(f"dataset-1e6-seed{seed}.txt")["records.csv"]
+    assert _sha256(path) == expected["records.csv"]
+
+    work_pass = WORKER.DatasetPass(eonoise, tmp_path, seed)
+    assert all(ok for _, _, ok in work_pass.run(time.perf_counter))
+    assert work_pass.digests() == [expected["dataset"]]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_derive_single_matches_pinned_digests(tmp_path, seed):
+    work_pass = WORKER.DerivePass(eonoise, tmp_path, seed)
+    assert all(ok for _, _, ok in work_pass.run(time.perf_counter))
+    digests = dict(zip(work_pass.ops, work_pass.digests()))
+    assert digests == _expected(f"derive-single-seed{seed}.txt")

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import eonoise.metrics
 from eonoise import (
     DegenerateProgramError,
     DerivedPredictor,
@@ -25,7 +24,9 @@ from eonoise import (
     sample_records,
 )
 from eonoise.lp import EoProgram
-from eonoise.metrics import balanced_uniform_predictor, check_classifier_informative
+from eonoise.metrics import check_classifier_informative
+import metrics_oracle
+from metrics_oracle import balanced_uniform_predictor
 from support import (
     BALANCED,
     fig1_top_left,
@@ -299,8 +300,8 @@ def test_balanced_error_gain_closed_form():
 def test_balanced_infeasible_closed_form_raises(monkeypatch):
     # every row asks group 0 for the positive rate 0.9 and group 1 for 0.1;
     # the closed form is built for the real program, so it violates this one
-    skewed = EoProgram(objective=(0.0,) * 4, rows=((0.9, -0.1, 0.1, -0.9),) * 2)
-    monkeypatch.setattr(eonoise.metrics, "build_corrupted_program", lambda inst, spec: skewed)
+    skewed = EoProgram(objective=(0.0,) * 4, rates=((0.9, 0.1),) * 2)
+    monkeypatch.setattr(metrics_oracle, "build_corrupted_program", lambda inst, spec: skewed)
     inst = ProblemInstance(base=BALANCED, alpha1=0.9, beta1=0.6, alpha2=0.4, beta2=0.1)
     with pytest.raises(DegenerateProgramError):
         balanced_uniform_predictor(inst, 0.2)

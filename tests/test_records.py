@@ -289,6 +289,14 @@ def test_split_partitions_rows():
     assert np.array_equal(gathered, np.sort(rs.score))
 
 
+def test_split_parts_own_their_meta():
+    rs = sample_records(fig1_top_left(), 10, seed=11)
+    parts = split(rs, (0.5, 0.5), seed=0)
+    assert all(p.meta == rs.meta and p.meta is not rs.meta for p in parts)
+    parts[0].meta["note"] = "x"
+    assert "note" not in rs.meta and "note" not in parts[1].meta
+
+
 def test_split_fraction_validation():
     rs = sample_records(fig1_top_left(), 10, seed=11)
     with pytest.raises(RangeError):
