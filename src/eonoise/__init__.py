@@ -14,7 +14,6 @@ from .errors import (
     EoNoiseError,
     MissingColumnError,
     NormalizationError,
-    PreconditionError,
     RangeError,
     RecordsError,
     ZeroCellError,
@@ -53,7 +52,6 @@ __all__ = [
     "EoNoiseError",
     "MissingColumnError",
     "NormalizationError",
-    "PreconditionError",
     "RangeError",
     "RecordsError",
     "ZeroCellError",

@@ -44,7 +44,7 @@ from .perturb import GammaSchedule, RecordScenario, SCENARIO_KINDS, apply_scenar
 from .programs import derive_predictor, program_from_table
 from .lp import solve
 from .records import (
-    cell_counts,
+    clean_counts,
     estimate_corrupted_tables,
     estimate_instance,
     evaluate_predictor_on_records,
@@ -187,13 +187,9 @@ def load_sweep_config(path, out_override=None) -> SweepConfig:
     grid = (number("grid_start", need("grid_start")),
             number("grid_stop", need("grid_stop")),
             number("grid_step", need("grid_step")))
-    if not all(map(math.isfinite, grid)):
-        raise ConfigError("grid_start, grid_stop and grid_step must be finite")
-    if grid[2] <= 0:
-        raise ConfigError("grid_step must be positive")
-    if not (0.0 <= grid[0] <= grid[1] <= 1.0):
+    _check_grid(*grid, "the sweep grid {}:{}:{}".format(*grid))
+    if not (0.0 <= grid[0] and grid[1] <= 1.0):
         raise ConfigError("grid must satisfy 0 <= start <= stop <= 1")
-    _check_grid_length(*grid, "the sweep grid")
 
     out = out_override if out_override is not None else merged.get("out")
     return SweepConfig(instance=instance, schedule=schedule, grid=grid,
@@ -206,21 +202,28 @@ MAX_GRID_POINTS = 100_000
 _GRID_SLACK = 1e-12
 
 
-def _check_grid_length(start: float, stop: float, step: float, what: str) -> None:
-    """Reject a finite grid with a positive step whose grid_points would
-    exceed MAX_GRID_POINTS."""
+def _check_grid(start: float, stop: float, step: float, what: str) -> None:
+    """Reject a grid unless start, stop and step are finite, the step is
+    positive, stop is at least start and grid_points gives at most
+    MAX_GRID_POINTS points."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"{what} contains a non-finite field")
+    if step <= 0 or stop < start:
+        raise ConfigError(f"{what} needs a positive step and stop >= start")
     if (stop + _GRID_SLACK - start) / step >= MAX_GRID_POINTS:
         raise ConfigError(f"{what} has more than {MAX_GRID_POINTS} points")
 
 
 def grid_points(start: float, stop: float, step: float) -> list[float]:
+    """start + k * step for k = 0, 1, ... up to stop; a point past stop by
+    rounding only is clamped to stop, so no point leaves [start, stop]."""
     points = []
     k = 0
     while True:
         g = start + k * step
         if g > stop + _GRID_SLACK:
             break
-        points.append(min(g, 1.0))
+        points.append(min(g, stop))
         k += 1
     return points
 
@@ -273,18 +276,18 @@ def run_dataset(records, scenario_kind: str, levels, seed: int) -> list[list[str
     evaluate everything on the held-out half with the true attribute."""
     if scenario_kind not in SCENARIO_KINDS:
         raise ConfigError(f"unknown scenario {scenario_kind!r}")
+    scenarios = [RecordScenario(scenario_kind, level) for level in levels]
     train, test = split(records, (0.5, 0.5), seed)
 
     true_pred = DerivedPredictor(
-        p=solve(program_from_table(_clean_table(train))).p_star, source="clean")
+        p=solve(program_from_table(clean_counts(train))).p_star, source="clean")
     given_pred = DerivedPredictor(p=GIVEN_PREDICTOR_P, source="clean")
 
     given_metrics = evaluate_predictor_on_records(test, given_pred)
     true_metrics = evaluate_predictor_on_records(test, true_pred)
 
     rows = []
-    for level in levels:
-        scenario = RecordScenario(scenario_kind, level)
+    for scenario in scenarios:
         corrupted = apply_scenario(train, scenario, seed)
         tables = estimate_corrupted_tables(corrupted)
         corr_pred = DerivedPredictor(
@@ -292,18 +295,13 @@ def run_dataset(records, scenario_kind: str, levels, seed: int) -> list[list[str
         corr_metrics = evaluate_predictor_on_records(test, corr_pred)
         measure = independence_measure(tables.fourway)
         rows.append([
-            _fmt(level),
+            _fmt(scenario.level),
             _fmt(given_metrics.bias_pos), _fmt(given_metrics.bias_neg), _fmt(given_metrics.error),
             _fmt(corr_metrics.bias_pos), _fmt(corr_metrics.bias_neg), _fmt(corr_metrics.error),
             _fmt(true_metrics.bias_pos), _fmt(true_metrics.bias_neg), _fmt(true_metrics.error),
             _fmt(measure),
         ])
     return rows
-
-
-def _clean_table(records):
-    """(label, attribute, prediction) counts in the shape program_from_table expects."""
-    return cell_counts((2, 2, 2), records.y == -1, records.a, records.yhat == -1)
 
 
 LEMMA1_MODES = ("a_violated", "b_violated")
@@ -345,6 +343,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_dataset(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     records = read_records_csv(args.records)
     levels = parse_grid(args.grid)
     rows = run_dataset(records, args.scenario, levels, args.seed)
@@ -399,15 +399,11 @@ def parse_grid(text: str) -> list[float]:
         numbers = [float(p) for p in parts]
     except ValueError:
         raise ConfigError(f"grid {text!r} contains a non-numeric field") from None
-    if not all(map(math.isfinite, numbers)):
-        raise ConfigError(f"grid {text!r} contains a non-finite field")
     if len(numbers) == 1:
+        _check_grid(numbers[0], numbers[0], 1.0, f"grid {text!r}")  # a one-point grid
         return numbers
-    start, stop, step = numbers
-    if step <= 0 or stop < start:
-        raise ConfigError(f"bad grid {text!r}")
-    _check_grid_length(start, stop, step, f"grid {text!r}")
-    return grid_points(start, stop, step)
+    _check_grid(*numbers, f"grid {text!r}")
+    return grid_points(*numbers)
 
 
 def build_parser() -> argparse.ArgumentParser:

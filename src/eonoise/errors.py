@@ -30,10 +30,6 @@ class DomainError(EoNoiseError, ValueError):
     """Arguments are outside the domain on which a quantity is defined."""
 
 
-class PreconditionError(EoNoiseError, ValueError):
-    """A closed-form construction was called outside its preconditions."""
-
-
 class MissingColumnError(EoNoiseError, ValueError):
     """A record-level operation needs a column the record set does not carry."""
 

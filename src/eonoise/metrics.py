@@ -21,11 +21,7 @@ INDEPENDENCE_TOL = 1e-12
 def bias_given(inst: ProblemInstance, y: int) -> float:
     """Group gap of the given classifier: |alpha1 - beta1| for label +1,
     |alpha2 - beta2| for label -1."""
-    if y == 1:
-        return abs(inst.alpha1 - inst.beta1)
-    if y == -1:
-        return abs(inst.alpha2 - inst.beta2)
-    raise RangeError(f"label must be +1 or -1, got {y}")
+    return abs(inst.rate(y, 0) - inst.rate(y, 1))
 
 
 def bias_derived(inst: ProblemInstance, predictor: DerivedPredictor, y: int) -> float:

@@ -36,6 +36,17 @@ NORMALIZATION_TOL = 1e-12
 GIVEN_PREDICTOR_P = (1.0, 1.0, 0.0, 0.0)
 
 
+def _index(index: Mapping[tuple, int], key: tuple) -> int:
+    """Position of a (label, attribute) key in CELLS, or of a (label,
+    attribute, prediction) key in GENERAL_KEYS; any other key is a
+    RangeError."""
+    try:
+        return index[key]
+    except KeyError:
+        raise RangeError(f"no cell {key!r}: labels and predictions are +1 or -1, "
+                         "attributes 0 or 1") from None
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """Joint distribution of (label, attribute) plus the given classifier.
@@ -69,13 +80,11 @@ class ProblemInstance:
 
     def cell(self, y: int, a: int) -> float:
         """P[Y=y, A=a]."""
-        return self.base[CELL_INDEX[(y, a)]]
+        return self.base[_index(CELL_INDEX, (y, a))]
 
     def rate(self, y: int, a: int) -> float:
         """P[prediction=+1 | Y=y, A=a]."""
-        if y == 1:
-            return self.alpha1 if a == 0 else self.beta1
-        return self.alpha2 if a == 0 else self.beta2
+        return (self.alpha1, self.beta1, self.alpha2, self.beta2)[_index(CELL_INDEX, (y, a))]
 
     def label_prob(self, y: int) -> float:
         """P[Y=y]."""
@@ -87,8 +96,10 @@ class ProblemInstance:
 
     def joint(self, y: int, a: int, yt: int) -> float:
         """P[Y=y, A=a, prediction=yt]."""
-        r = self.rate(y, a)
-        return self.cell(y, a) * (r if yt == 1 else 1.0 - r)
+        # GENERAL_KEYS lists prediction +1 then -1 inside each cell of CELLS
+        i, pred_neg = divmod(_index(GENERAL_INDEX, (y, a, yt)), 2)
+        r = (self.alpha1, self.beta1, self.alpha2, self.beta2)[i]
+        return self.base[i] * (1.0 - r if pred_neg else r)
 
 
 @dataclass(frozen=True)
@@ -127,27 +138,26 @@ class PerturbationSpec:
         return cls.restricted(gamma, gamma, gamma, gamma)
 
     @classmethod
-    def general(cls, entries: Mapping[tuple[int, int, int], float] | None = None,
-                default: float = 0.0) -> "PerturbationSpec":
-        """Prediction-dependent rates; ``entries`` maps (y, a, yt) to a rate."""
-        table = dict.fromkeys(GENERAL_KEYS, float(default))
+    def general(cls, entries: Mapping[tuple[int, int, int], float] | None = None
+                ) -> "PerturbationSpec":
+        """Prediction-dependent rates; ``entries`` maps (y, a, yt) to a rate,
+        and every key left out gets rate 0."""
+        rates = [0.0] * len(GENERAL_KEYS)
         for key, value in (entries or {}).items():
-            if key not in table:
-                raise RangeError(f"unknown flip key {key!r}, expected (label, attribute, prediction)")
-            table[key] = float(value)
-        return cls("general", tuple(table[k] for k in GENERAL_KEYS))
+            rates[_index(GENERAL_INDEX, key)] = float(value)
+        return cls("general", rates)
 
     def gamma(self, y: int, a: int) -> float:
         """P[corrupted != A | Y=y, A=a] for a restricted spec."""
         if self.kind != "restricted":
             raise RangeError("per-cell rate without a prediction value needs a restricted spec")
-        return self.rates[CELL_INDEX[(y, a)]]
+        return self.rates[_index(CELL_INDEX, (y, a))]
 
     def gamma_given_pred(self, y: int, a: int, yt: int) -> float:
         """P[corrupted != A | Y=y, A=a, prediction=yt]; restricted specs ignore yt."""
-        if self.kind == "restricted":
-            return self.rates[CELL_INDEX[(y, a)]]
-        return self.rates[GENERAL_INDEX[(y, a, yt)]]
+        i = _index(GENERAL_INDEX, (y, a, yt))
+        # GENERAL_KEYS lists prediction +1 then -1 inside each cell of CELLS
+        return self.rates[i // 2 if self.kind == "restricted" else i]
 
     @property
     def is_zero(self) -> bool:
@@ -191,7 +201,3 @@ class DerivedPredictor:
         object.__setattr__(self, "p", tuple(vals))
         if self.source not in ("clean", "corrupted"):
             raise RangeError(f"unknown predictor source {self.source!r}")
-
-    def prob(self, yt: int, a: int) -> float:
-        """P[output=+1 | prediction=yt, A=a]."""
-        return self.p[CELL_INDEX[(yt, a)]]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import MissingColumnError, RangeError
 from .model import PerturbationSpec
-from .records import RecordSet, read_only
+from .records import RNG_ALGORITHM, RecordSet, read_only
 
 SCHEDULE_KINDS = ("equal", "halves", "power-halving", "capped")
 SCENARIO_KINDS = (
@@ -23,9 +23,6 @@ SCENARIO_KINDS = (
     "independent-flip-on-errors",
     "score-band-on-errors",
 )
-
-#: Generator algorithm recorded in output metadata for reproducibility.
-RNG_ALGORITHM = "numpy-pcg64"
 
 
 @dataclass(frozen=True)

@@ -11,17 +11,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MissingColumnError, RangeError, RecordsError, ZeroCellError
-from .model import (
-    A_VALUES,
-    CELLS,
-    DerivedPredictor,
-    PerturbationSpec,
-    ProblemInstance,
-    Y_VALUES,
-    lift_perturbation,
-)
+from .model import CELLS, DerivedPredictor, PerturbationSpec, ProblemInstance, lift_perturbation
 
 RECORD_CSV_HEADER = ("y", "a", "a_c", "score", "yhat")
+
+#: Generator algorithm recorded in output metadata for reproducibility.
+RNG_ALGORITHM = "numpy-pcg64"
 
 _LABEL_VALUES = {"y": (-1, 1), "a": (0, 1), "a_c": (0, 1), "yhat": (-1, 1)}
 _RULES = {
@@ -55,10 +50,12 @@ class RecordSet:
     When both score and yhat are present, yhat must equal +1 exactly where
     the score exceeds 0.5.
 
-    Every column is stored read-only.  An array the caller could still write
-    to (a writeable array, or a view of writeable memory) is copied first,
-    so a later write to it changes neither the validated columns nor the
-    index that evaluate_predictor_on_records derives from them on first use.
+    Every column is stored read-only.  A column is stored as is only when it
+    owns its memory and, if the caller passed it in, is already read-only;
+    anything else (a writeable array, a view, a memmap) is copied first, so
+    a later write by the caller changes neither the validated columns nor
+    the index that evaluate_predictor_on_records derives from them on first
+    use.
     """
 
     y: np.ndarray
@@ -88,7 +85,7 @@ class RecordSet:
                 raise RecordsError(f"{name} values {_RULES[name]}")
             if name != "score":
                 col = col.astype(np.int8, copy=False)
-            if _writable_elsewhere(col, given):
+            if not col.flags.owndata or (col is given and col.flags.writeable):
                 col = col.copy()
             col.flags.writeable = False
             object.__setattr__(self, name, col)
@@ -118,22 +115,6 @@ def read_only(col: np.ndarray | None) -> np.ndarray | None:
     if col is not None:
         col.flags.writeable = False
     return col
-
-
-def _writable_elsewhere(col: np.ndarray, given) -> bool:
-    """Whether the caller could still write to the memory of ``col``.
-
-    An array made here from ``given`` (from a list, or by a cast) is
-    private.  Otherwise ``col`` is the caller's array, and it is safe only
-    when it and every array it views are read-only and the last of them
-    owns its memory."""
-    if col is not given and col.flags.owndata:
-        return False
-    while isinstance(col, np.ndarray):
-        if col.flags.writeable:
-            return True
-        col = col.base
-    return col is not None
 
 
 class EstimatedInstance(NamedTuple):
@@ -167,58 +148,61 @@ def _yi(values: np.ndarray) -> np.ndarray:
     return (values == -1).astype(np.intp)
 
 
-def cell_counts(shape: tuple[int, ...], *indices: np.ndarray) -> np.ndarray:
+def _counts(shape: tuple[int, ...], *indices: np.ndarray) -> np.ndarray:
     """Float counts of the records in each cell of a table of ``shape``,
     given one index column per axis."""
     flat = np.ravel_multi_index(indices, shape)
     return np.bincount(flat, minlength=math.prod(shape)).reshape(shape).astype(float)
 
 
+def clean_counts(records: RecordSet) -> np.ndarray:
+    """(2, 2, 2) counts over (label, true attribute, prediction), laid out
+    like the joint program_from_table takes."""
+    if records.yhat is None:
+        raise MissingColumnError("estimation needs a yhat column")
+    return _counts((2, 2, 2), _yi(records.y), records.a, _yi(records.yhat))
+
+
+def _require_records(table: np.ndarray, attribute: str) -> None:
+    """Raise on the first (label, attribute) cell of a count table, in CELLS
+    order, that holds no records."""
+    for (y, a), count in zip(CELLS, table.reshape(4, -1).sum(axis=1).tolist()):
+        if count == 0:
+            raise ZeroCellError(f"no records with Y={y}, {attribute}={a}")
+
+
 def estimate_instance(records: RecordSet) -> EstimatedInstance:
     """Cell frequencies and within-cell positive-prediction rates.
 
     Every (y, a) cell must contain at least one record; the error names the
-    first empty cell found.
+    first empty cell in CELLS order.
     """
-    if records.yhat is None:
-        raise MissingColumnError("estimation needs a yhat column")
-    counts = []
-    rates = []
-    for (y, a) in CELLS:
-        mask = (records.y == y) & (records.a == a)
-        c = int(mask.sum())
-        if c == 0:
-            raise ZeroCellError(f"no records with Y={y}, A={a}")
-        counts.append(c)
-        rates.append(float((records.yhat[mask] == 1).mean()))
-    base = tuple(c / records.n for c in counts)
-    inst = ProblemInstance(base=base, alpha1=rates[0], beta1=rates[1],
-                           alpha2=rates[2], beta2=rates[3])
-    return EstimatedInstance(inst, tuple(counts))
+    table = clean_counts(records)
+    _require_records(table, "A")
+    counts = tuple(int(c) for c in table.sum(axis=2).ravel().tolist())
+    rates = [pos / c for pos, c in zip(table[..., 0].ravel().tolist(), counts)]
+    inst = ProblemInstance(base=tuple(c / records.n for c in counts), alpha1=rates[0],
+                           beta1=rates[1], alpha2=rates[2], beta2=rates[3])
+    return EstimatedInstance(inst, counts)
 
 
 def estimate_corrupted_tables(records: RecordSet) -> CorruptedTables:
     """Empirical tables the corrupted training phase and the independence
-    measure consume."""
+    measure consume.
+
+    The records are counted once, into the four-way table; the joint sums
+    out its true attribute, which is exact on whole counts.
+    """
     if records.yhat is None:
         raise MissingColumnError("estimation needs a yhat column")
     if records.a_c is None:
         raise MissingColumnError("estimation needs an a_c column")
 
-    yi = _yi(records.y)
-    yti = _yi(records.yhat)
-    joint = cell_counts((2, 2, 2), yi, records.a_c, yti)
-    for i, y in enumerate(Y_VALUES):
-        for ac in A_VALUES:
-            if joint[i, ac].sum() == 0:
-                raise ZeroCellError(f"no records with Y={y}, corrupted attribute={ac}")
+    fourway = _counts((2, 2, 2, 2), _yi(records.y), records.a, _yi(records.yhat), records.a_c)
+    joint = np.ascontiguousarray(fourway.sum(axis=1).transpose(0, 2, 1))
+    _require_records(joint, "corrupted attribute")
     joint /= records.n
-
-    fourway = cell_counts((2, 2, 2, 2), yi, records.a, yti, records.a_c)
-    for i, y in enumerate(Y_VALUES):
-        for a in A_VALUES:
-            if fourway[i, a].sum() == 0:
-                raise ZeroCellError(f"no records with Y={y}, A={a}")
+    _require_records(fourway, "A")
     return CorruptedTables(joint, fourway)
 
 
@@ -304,7 +288,7 @@ def sample_records(inst: ProblemInstance, n: int, seed: int,
 
     return RecordSet(y=read_only(y), a=read_only(a), a_c=read_only(a_c),
                      score=read_only(score), yhat=read_only(yhat),
-                     meta={"seed": int(seed), "rng": "numpy-pcg64"})
+                     meta={"seed": int(seed), "rng": RNG_ALGORITHM})
 
 
 #: Physical lines parsed per chunk.  A chunk is halved until its line count

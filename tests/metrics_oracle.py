@@ -9,13 +9,17 @@ its answer against the program's constraints.
 from eonoise import (
     DegenerateProgramError,
     DerivedPredictor,
+    EoNoiseError,
     PerturbationSpec,
-    PreconditionError,
     ProblemInstance,
 )
 from eonoise.lp import RESIDUAL_TOL
 from eonoise.metrics import check_classifier_informative
 from eonoise.programs import build_clean_program, build_corrupted_program
+
+
+class PreconditionError(EoNoiseError, ValueError):
+    """The closed form was called outside its preconditions."""
 
 
 def balanced_uniform_predictor(inst: ProblemInstance, gamma: float) -> DerivedPredictor:

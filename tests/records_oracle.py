@@ -17,6 +17,11 @@ formats each chunk of rows with one line template.
 
 ``evaluate_predictor_sampled`` evaluates a derived predictor by flipping its
 coins, where the package takes the exact expectation over them.
+
+``estimate_instance`` counts each (y, a) cell and its positive predictions
+with one boolean mask per cell, and ``estimate_corrupted_tables`` counts the
+joint and the four-way table with a bincount each; the package counts the
+records once per table and reads the cells and the joint from it.
 """
 
 import csv
@@ -24,9 +29,15 @@ import itertools
 
 import numpy as np
 
-from eonoise import MissingColumnError, RecordsError, ZeroCellError
-from eonoise.model import CELLS
-from eonoise.records import RECORD_CSV_HEADER, EvalMetrics, RecordSet
+from eonoise import MissingColumnError, ProblemInstance, RecordsError, ZeroCellError
+from eonoise.model import A_VALUES, CELLS, Y_VALUES
+from eonoise.records import (
+    RECORD_CSV_HEADER,
+    CorruptedTables,
+    EstimatedInstance,
+    EvalMetrics,
+    RecordSet,
+)
 
 
 def read_records_csv(path) -> RecordSet:
@@ -131,3 +142,49 @@ def evaluate_predictor_sampled(records: RecordSet, predictor, seed: int,
         )
     mean = samples.mean(axis=0)
     return EvalMetrics(*map(float, mean)), samples
+
+
+def estimate_instance(records: RecordSet) -> EstimatedInstance:
+    if records.yhat is None:
+        raise MissingColumnError("estimation needs a yhat column")
+    counts = []
+    rates = []
+    for (y, a) in CELLS:
+        mask = (records.y == y) & (records.a == a)
+        c = int(mask.sum())
+        if c == 0:
+            raise ZeroCellError(f"no records with Y={y}, A={a}")
+        counts.append(c)
+        rates.append(float((records.yhat[mask] == 1).mean()))
+    base = tuple(c / records.n for c in counts)
+    inst = ProblemInstance(base=base, alpha1=rates[0], beta1=rates[1],
+                           alpha2=rates[2], beta2=rates[3])
+    return EstimatedInstance(inst, tuple(counts))
+
+
+def _bincount_table(shape, *indices) -> np.ndarray:
+    flat = np.ravel_multi_index(indices, shape)
+    return np.bincount(flat, minlength=int(np.prod(shape))).reshape(shape).astype(float)
+
+
+def estimate_corrupted_tables(records: RecordSet) -> CorruptedTables:
+    if records.yhat is None:
+        raise MissingColumnError("estimation needs a yhat column")
+    if records.a_c is None:
+        raise MissingColumnError("estimation needs an a_c column")
+
+    yi = (records.y == -1).astype(np.intp)
+    yti = (records.yhat == -1).astype(np.intp)
+    joint = _bincount_table((2, 2, 2), yi, records.a_c, yti)
+    for i, y in enumerate(Y_VALUES):
+        for ac in A_VALUES:
+            if joint[i, ac].sum() == 0:
+                raise ZeroCellError(f"no records with Y={y}, corrupted attribute={ac}")
+    joint /= records.n
+
+    fourway = _bincount_table((2, 2, 2, 2), yi, records.a, yti, records.a_c)
+    for i, y in enumerate(Y_VALUES):
+        for a in A_VALUES:
+            if fourway[i, a].sum() == 0:
+                raise ZeroCellError(f"no records with Y={y}, A={a}")
+    return CorruptedTables(joint, fourway)

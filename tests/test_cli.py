@@ -6,6 +6,7 @@ from eonoise.cli import (
     DATASET_COLUMNS,
     MAX_GRID_POINTS,
     SWEEP_COLUMNS,
+    grid_points,
     load_sweep_config,
     main,
     parse_config_text,
@@ -14,7 +15,8 @@ from eonoise.cli import (
     run_dataset,
     run_sweep,
 )
-from eonoise.errors import ConfigError
+from eonoise.errors import ConfigError, MissingColumnError
+from eonoise.records import RecordSet
 from support import fig1_top_left
 
 TOP_LEFT_CONFIG = """
@@ -217,6 +219,56 @@ def test_sweep_config_rejects_unbounded_grids(no_grid_expansion, tmp_path, capsy
         load_sweep_config(path)
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
     assert "grid" in capsys.readouterr().err
+
+
+def test_grid_points_stay_inside_start_stop():
+    # 3 * 0.1 is 0.30000000000000004, past stop by rounding only
+    assert grid_points(0.0, 0.3, 0.1)[-1] == 0.3
+    assert parse_grid("0:1.5:0.5") == [0.0, 0.5, 1.0, 1.5]
+    assert parse_grid("0") == [0.0]
+    for start, stop, step in [(0.0, 0.3, 0.1), (0.1, 0.7, 0.2), (0.0, 1.0, 1 / 3)]:
+        points = grid_points(start, stop, step)
+        assert points[-1] == stop and all(start <= g <= stop for g in points)
+
+
+@pytest.mark.parametrize("text", ["0:1.5:0.5", "1.5"])
+def test_dataset_level_outside_the_scenario_range_exits_3(tmp_path, capsys, text):
+    records = tmp_path / "records.csv"
+    write_records_csv(records, sample_records(fig1_top_left(), 200, seed=36))
+    out = tmp_path / "out.csv"
+    assert main(["dataset", str(records), "--scenario", "independent-flip",
+                 f"--grid={text}", "--out", str(out)]) == 3
+    assert "flip probability 1.5 outside [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dataset_rejects_a_negative_seed(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    write_records_csv(records, sample_records(fig1_top_left(), 200, seed=37))
+    out = tmp_path / "out.csv"
+    assert main(["dataset", str(records), "--scenario", "independent-flip",
+                 "--grid", "0:0.2:0.1", "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--seed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("grid_start = 0.5\ngrid_stop = 0.2\ngrid_step = 0.1\n", "needs a positive step"),
+    ("grid_start = 0\ngrid_stop = 0.5\ngrid_step = 0\n", "needs a positive step"),
+    ("grid_start = -0.1\ngrid_stop = 0.5\ngrid_step = 0.1\n", "0 <= start <= stop <= 1"),
+    ("grid_start = 0\ngrid_stop = 1.5\ngrid_step = 0.1\n", "0 <= start <= stop <= 1"),
+])
+def test_sweep_config_grid_messages(tmp_path, grid, message):
+    path = _write_config(tmp_path, "preset = fig1-top-left\n" + grid)
+    with pytest.raises(ConfigError, match=message):
+        load_sweep_config(path)
+
+
+def test_dataset_without_predictions_fails_at_the_clean_table():
+    rs = sample_records(fig1_top_left(), 200, seed=38)
+    with pytest.raises(MissingColumnError, match="estimation needs a yhat column"):
+        run_dataset(RecordSet(y=rs.y, a=rs.a), "independent-flip", [0.1], seed=0)
 
 
 def test_grid_point_cap_is_exact():

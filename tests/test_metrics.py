@@ -9,7 +9,6 @@ from eonoise import (
     DomainError,
     EmptyCellError,
     PerturbationSpec,
-    PreconditionError,
     ProblemInstance,
     bias_derived,
     bias_given,
@@ -26,7 +25,7 @@ from eonoise import (
 from eonoise.lp import EoProgram
 from eonoise.metrics import check_classifier_informative
 import metrics_oracle
-from metrics_oracle import balanced_uniform_predictor
+from metrics_oracle import PreconditionError, balanced_uniform_predictor
 from support import (
     BALANCED,
     fig1_top_left,

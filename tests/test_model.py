@@ -11,6 +11,10 @@ from eonoise import (
     ProblemInstance,
     RangeError,
     ZeroCellError,
+    bias_derived,
+    bias_given,
+    check_flip_budget,
+    corrupted_bias_bound,
 )
 from eonoise.model import CELLS, lift_perturbation
 from support import BALANCED, counterexample_spec
@@ -96,6 +100,34 @@ def test_spec_validation():
         PerturbationSpec.general({(2, 0, 1): 0.5})
 
 
+_INST = ProblemInstance(base=BALANCED, alpha1=0.9, beta1=0.8, alpha2=0.4, beta2=0.1)
+_PRED = DerivedPredictor(p=(1.0, 0.5, 0.25, 0.0), source="clean")
+_RESTRICTED = PerturbationSpec.restricted(0.1, 0.2, 0.3, 0.4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _INST.rate(5, 0),
+    lambda: _INST.rate(1, 2),
+    lambda: _INST.cell(0, 0),
+    lambda: _INST.label_prob(0),
+    lambda: _INST.attr_given_label(0),
+    lambda: _INST.joint(1, 0, 0),
+    lambda: bias_given(_INST, 0),
+    lambda: bias_derived(_INST, _PRED, 0),
+    lambda: _RESTRICTED.gamma(0, 0),
+    lambda: _RESTRICTED.gamma_given_pred(1, 0, 0),
+    lambda: counterexample_spec().gamma_given_pred(1, 0, 0),
+    lambda: corrupted_bias_bound(_INST, _RESTRICTED, 0),
+    lambda: check_flip_budget(_RESTRICTED, 0),
+    lambda: PerturbationSpec.general({(1, 0, 0): 0.5}),
+], ids=["rate-label", "rate-attribute", "cell", "label_prob", "attr_given_label", "joint-prediction",
+        "bias_given", "bias_derived", "gamma", "gamma_given_pred-restricted",
+        "gamma_given_pred-general", "corrupted_bias_bound", "check_flip_budget", "general"])
+def test_label_outside_plus_minus_one_is_a_range_error(call):
+    with pytest.raises(RangeError, match=r"labels and predictions are \+1 or -1, attributes 0 or 1"):
+        call()
+
+
 def test_restricted_rate_lookup_requires_restricted():
     with pytest.raises(RangeError):
         counterexample_spec().gamma(1, 0)
@@ -106,7 +138,7 @@ def test_predictor_validation_and_snapping():
         DerivedPredictor(p=(1.1, 0.0, 0.0, 0.0), source="clean")
     snapped = DerivedPredictor(p=(1.0 + 5e-13, -5e-13, 0.5, 0.5), source="corrupted")
     assert snapped.p == (1.0, 0.0, 0.5, 0.5)
-    assert snapped.prob(1, 0) == 1.0
-    assert snapped.prob(-1, 1) == 0.5
+    assert snapped.p[0] == 1.0
+    assert snapped.p[3] == 0.5
     with pytest.raises(RangeError):
         DerivedPredictor(p=(0.5,) * 4, source="mystery")

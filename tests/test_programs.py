@@ -47,8 +47,8 @@ def test_clean_objective_sums_to_label_gap():
 def test_perfect_fair_classifier_untouched():
     inst = ProblemInstance(base=BALANCED, alpha1=1.0, beta1=1.0, alpha2=0.0, beta2=0.0)
     pred = derive_predictor(inst)
-    assert pred.prob(1, 0) - pred.prob(-1, 0) == pytest.approx(1.0, abs=1e-12)
-    assert pred.prob(1, 1) - pred.prob(-1, 1) == pytest.approx(1.0, abs=1e-12)
+    assert pred.p[0] - pred.p[2] == pytest.approx(1.0, abs=1e-12)
+    assert pred.p[1] - pred.p[3] == pytest.approx(1.0, abs=1e-12)
     assert bias_derived(inst, pred, 1) == pytest.approx(0.0, abs=1e-12)
     assert error_derived(inst, pred) == pytest.approx(0.0, abs=1e-12)
 
@@ -137,9 +137,9 @@ def test_balanced_uniform_constraint_rates():
 def test_counterexample_predictor():
     pred = derive_predictor(counterexample_instance(), counterexample_spec())
     assert pred.source == "corrupted"
-    assert 0.82 <= pred.prob(1, 0) <= 0.84
-    assert pred.prob(1, 1) == 1.0
-    assert pred.prob(-1, 0) == 0.0 and pred.prob(-1, 1) == 0.0
+    assert 0.82 <= pred.p[0] <= 0.84
+    assert pred.p[1] == 1.0
+    assert pred.p[2] == 0.0 and pred.p[3] == 0.0
     inst = counterexample_instance()
     assert bias_derived(inst, pred, 1) == pytest.approx(0.06, abs=0.005)
     assert bias_given(inst, 1) == pytest.approx(0.05, abs=1e-12)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from eonoise import (
     DerivedPredictor,
+    EoNoiseError,
     GIVEN_PREDICTOR_P,
     MissingColumnError,
     PerturbationSpec,
@@ -26,7 +27,9 @@ from eonoise import (
 )
 from eonoise import records
 from eonoise.cli import main
-from eonoise.records import RECORD_CSV_HEADER, RecordSet, read_records_csv
+from eonoise.records import RECORD_CSV_HEADER, RecordSet, clean_counts, read_records_csv
+from records_oracle import estimate_corrupted_tables as oracle_corrupted_tables
+from records_oracle import estimate_instance as oracle_estimate_instance
 from records_oracle import evaluate_predictor_on_records as oracle_evaluate
 from records_oracle import evaluate_predictor_sampled
 from records_oracle import read_records_csv as oracle_read_records_csv
@@ -87,6 +90,26 @@ def test_recordset_copies_a_read_only_view_of_writeable_memory():
     assert rs.y.tolist() == [1, -1]
 
 
+def _read_only(col):
+    col.flags.writeable = False
+    return col
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: np.memmap(path, dtype=np.int8, mode="r"),
+    lambda path: np.frombuffer(path.read_bytes(), dtype=np.int8),
+    lambda path: _read_only(np.fromfile(path, dtype=np.int8))[:],
+], ids=["memmap", "frombuffer", "read-only-view-of-read-only-memory"])
+def test_recordset_copies_memory_it_does_not_own(tmp_path, make):
+    path = tmp_path / "y.bin"
+    np.array([1, -1, 1], dtype=np.int8).tofile(path)
+    given = make(path)
+    assert not given.flags.owndata
+    rs = RecordSet(y=given, a=[0, 1, 0])
+    assert rs.y is not given and rs.y.flags.owndata and not rs.y.flags.writeable
+    assert rs.y.tolist() == [1, -1, 1]
+
+
 def test_recordset_stores_read_only_arrays_without_a_copy():
     y = np.array([1, -1], dtype=np.int8)
     y.flags.writeable = False
@@ -102,30 +125,44 @@ def _assert_read_only(rs):
 
 
 def test_package_record_sets_are_read_only_and_shared(tmp_path, monkeypatch):
-    # the package's own constructors hand over read-only arrays, so RecordSet
-    # copies none of them
-    verdicts = []
-    writable_elsewhere = records._writable_elsewhere
+    # the package's producers hand over fresh, owned, read-only arrays, so
+    # RecordSet stores each of them as is
+    handed = []
+    post_init = RecordSet.__post_init__
 
-    def spy(col, given):
-        verdicts.append(writable_elsewhere(col, given))
-        return verdicts[-1]
+    def spy(self):
+        given = [getattr(self, name) for name in RECORD_CSV_HEADER]
+        post_init(self)
+        handed.extend((col, getattr(self, name)) for name, col in zip(RECORD_CSV_HEADER, given)
+                      if isinstance(col, np.ndarray))
 
-    monkeypatch.setattr(records, "_writable_elsewhere", spy)
-    rs = sample_records(fig1_top_left(), 40, seed=3, with_scores=True)
+    def stored_as_is():
+        done = handed[:]
+        handed.clear()
+        return done and all(stored is col for col, stored in done)
+
+    monkeypatch.setattr(RecordSet, "__post_init__", spy)
+    rs = sample_records(fig1_top_left(), 40, seed=3, with_scores=True,
+                        spec=PerturbationSpec.uniform(0.2))
     _assert_read_only(rs)
+    assert stored_as_is()
     parts = split(rs, (0.5, 0.5), seed=0)
-    for part in parts + [rs.subset(slice(5, 9))]:
+    for part in parts:
         _assert_read_only(part)
+    assert stored_as_is()
     corrupted = apply_scenario(parts[0], RecordScenario.independent_flip(0.3), seed=1)
     _assert_read_only(corrupted)
+    assert stored_as_is()
     # apply_scenario hands the kept columns over without a copy
     for name in ("y", "a", "score", "yhat"):
         assert getattr(corrupted, name) is getattr(parts[0], name)
     path = tmp_path / "records.csv"
     write_records_csv(path, rs)
     _assert_read_only(read_records_csv(path))
-    assert verdicts and not any(verdicts)
+    assert stored_as_is()
+    # a slice is a view, so RecordSet copies it
+    _assert_read_only(rs.subset(slice(5, 9)))
+    assert handed and not any(stored is col for col, stored in handed)
 
 
 def test_estimate_uniform_records():
@@ -156,6 +193,56 @@ def test_estimate_missing_cell():
         estimate_instance(rs)
     with pytest.raises(MissingColumnError):
         estimate_instance(RecordSet(y=[1, -1], a=[0, 1]))
+
+
+def test_clean_counts_table_and_missing_prediction():
+    rs = RecordSet(y=[1, 1, -1, -1, -1], a=[0, 1, 1, 1, 0], yhat=[-1, -1, 1, -1, -1])
+    want = np.zeros((2, 2, 2))
+    for y, a, yt in zip(rs.y, rs.a, rs.yhat):
+        want[int(y == -1), a, int(yt == -1)] += 1
+    got = clean_counts(rs)
+    assert got.dtype == float and np.array_equal(got, want)
+    with pytest.raises(MissingColumnError, match="yhat"):
+        clean_counts(RecordSet(y=[1, -1], a=[0, 1]))
+
+
+def _outcome(estimate, rs):
+    """float.hex of every number an estimator returns, or the type and the
+    message of the error it raises."""
+    try:
+        got = estimate(rs)
+    except EoNoiseError as exc:
+        return type(exc), str(exc)
+    if hasattr(got, "fourway"):
+        assert got.joint.flags.c_contiguous
+        return [t.shape for t in got] + [float.hex(v) for t in got for v in t.ravel().tolist()]
+    inst = got.instance
+    return list(got.counts) + [float.hex(v) for v in
+                               (*inst.base, inst.alpha1, inst.beta1, inst.alpha2, inst.beta2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.one_of(st.integers(0, 12), st.integers(13, 3000)),
+       skew=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+       seed=st.integers(0, 2**32 - 1), absent=st.sets(st.sampled_from(("a_c", "yhat"))))
+def test_estimators_match_mask_and_two_bincount_oracles(n, skew, seed, absent):
+    rng = np.random.default_rng(seed)
+    weights = np.asarray(skew) + 1e-3
+    # a skewed draw over the (y, a, a_c) cells leaves cells empty at small n
+    cell = rng.choice(8, size=n, p=weights / weights.sum())
+    cols = {"y": np.where(cell < 4, 1, -1), "a": (cell >> 1) % 2, "a_c": cell % 2,
+            "yhat": rng.choice((-1, 1), size=n)}
+    rs = RecordSet(**{name: None if name in absent else col for name, col in cols.items()})
+    assert _outcome(estimate_instance, rs) == _outcome(oracle_estimate_instance, rs)
+    assert _outcome(estimate_corrupted_tables, rs) == _outcome(oracle_corrupted_tables, rs)
+
+
+def test_estimators_match_oracles_on_sampled_records():
+    spec = PerturbationSpec.restricted(0.2, 0.3, 0.15, 0.25)
+    rs = sample_records(fig1_top_left(), 200_000, seed=20, spec=spec)
+    for part in [rs] + split(rs, (0.5, 0.5), seed=4):
+        assert _outcome(estimate_instance, part) == _outcome(oracle_estimate_instance, part)
+        assert _outcome(estimate_corrupted_tables, part) == _outcome(oracle_corrupted_tables, part)
 
 
 def test_corrupted_tables_identity_corruption():
