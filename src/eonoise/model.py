@@ -22,29 +22,29 @@ from .errors import NormalizationError, RangeError, ZeroCellError
 Y_VALUES = (1, -1)
 A_VALUES = (0, 1)
 
+
+class _CheckedIndex(dict):
+    """Position of a (label, attribute) key in CELLS, or of a (label,
+    attribute, prediction) key in GENERAL_KEYS; any other key is a
+    RangeError.  A hit is a plain dict lookup."""
+
+    def __missing__(self, key):
+        raise RangeError(f"no cell {key!r}: labels and predictions are +1 or -1, "
+                         "attributes 0 or 1")
+
+
 #: Fixed (label, attribute) cell order for all 4-tuples in the package.
 CELLS = ((1, 0), (1, 1), (-1, 0), (-1, 1))
-CELL_INDEX = {cell: i for i, cell in enumerate(CELLS)}
+CELL_INDEX = _CheckedIndex((cell, i) for i, cell in enumerate(CELLS))
 
 #: Fixed (label, attribute, prediction) order for prediction-dependent flip rates.
 GENERAL_KEYS = tuple((y, a, yt) for (y, a) in CELLS for yt in Y_VALUES)
-GENERAL_INDEX = {key: i for i, key in enumerate(GENERAL_KEYS)}
+GENERAL_INDEX = _CheckedIndex((key, i) for i, key in enumerate(GENERAL_KEYS))
 
 NORMALIZATION_TOL = 1e-12
 
 #: Probability vector that reproduces the given classifier unchanged.
 GIVEN_PREDICTOR_P = (1.0, 1.0, 0.0, 0.0)
-
-
-def _index(index: Mapping[tuple, int], key: tuple) -> int:
-    """Position of a (label, attribute) key in CELLS, or of a (label,
-    attribute, prediction) key in GENERAL_KEYS; any other key is a
-    RangeError."""
-    try:
-        return index[key]
-    except KeyError:
-        raise RangeError(f"no cell {key!r}: labels and predictions are +1 or -1, "
-                         "attributes 0 or 1") from None
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,16 @@ class ProblemInstance:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise RangeError(f"{name} = {v} outside [0, 1]")
+        # the four rates in CELLS order, built once for rate() and joint()
+        object.__setattr__(self, "_rates", (self.alpha1, self.beta1, self.alpha2, self.beta2))
 
     def cell(self, y: int, a: int) -> float:
         """P[Y=y, A=a]."""
-        return self.base[_index(CELL_INDEX, (y, a))]
+        return self.base[CELL_INDEX[(y, a)]]
 
     def rate(self, y: int, a: int) -> float:
         """P[prediction=+1 | Y=y, A=a]."""
-        return (self.alpha1, self.beta1, self.alpha2, self.beta2)[_index(CELL_INDEX, (y, a))]
+        return self._rates[CELL_INDEX[(y, a)]]
 
     def label_prob(self, y: int) -> float:
         """P[Y=y]."""
@@ -97,8 +99,8 @@ class ProblemInstance:
     def joint(self, y: int, a: int, yt: int) -> float:
         """P[Y=y, A=a, prediction=yt]."""
         # GENERAL_KEYS lists prediction +1 then -1 inside each cell of CELLS
-        i, pred_neg = divmod(_index(GENERAL_INDEX, (y, a, yt)), 2)
-        r = (self.alpha1, self.beta1, self.alpha2, self.beta2)[i]
+        i, pred_neg = divmod(GENERAL_INDEX[(y, a, yt)], 2)
+        r = self._rates[i]
         return self.base[i] * (1.0 - r if pred_neg else r)
 
 
@@ -144,18 +146,18 @@ class PerturbationSpec:
         and every key left out gets rate 0."""
         rates = [0.0] * len(GENERAL_KEYS)
         for key, value in (entries or {}).items():
-            rates[_index(GENERAL_INDEX, key)] = float(value)
+            rates[GENERAL_INDEX[key]] = float(value)
         return cls("general", rates)
 
     def gamma(self, y: int, a: int) -> float:
         """P[corrupted != A | Y=y, A=a] for a restricted spec."""
         if self.kind != "restricted":
             raise RangeError("per-cell rate without a prediction value needs a restricted spec")
-        return self.rates[_index(CELL_INDEX, (y, a))]
+        return self.rates[CELL_INDEX[(y, a)]]
 
     def gamma_given_pred(self, y: int, a: int, yt: int) -> float:
         """P[corrupted != A | Y=y, A=a, prediction=yt]; restricted specs ignore yt."""
-        i = _index(GENERAL_INDEX, (y, a, yt))
+        i = GENERAL_INDEX[(y, a, yt)]
         # GENERAL_KEYS lists prediction +1 then -1 inside each cell of CELLS
         return self.rates[i // 2 if self.kind == "restricted" else i]
 
