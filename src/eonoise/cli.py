@@ -240,19 +240,24 @@ def run_sweep(config: SweepConfig) -> list[list[str]]:
         spec = schedule_eval(config.schedule, g10)
         predictor = derive_predictor(inst, spec)
         err_corr = error_derived(inst, predictor)
+        biases = (bias_derived(inst, predictor, 1), bias_derived(inst, predictor, -1))
         # The bound is undefined when a flip rate of the label's class is 1,
         # outside bias_shrink_factor's domain [0, 1); its field is left empty.
+        # Where it is defined, the derived predictor must keep to it.
         bounds = []
-        for y in (1, -1):
+        for y, bias in zip((1, -1), biases):
             if spec.gamma(y, 0) < 1.0 and spec.gamma(y, 1) < 1.0:
-                bounds.append(_fmt(corrupted_bias_bound(inst, spec, y)))
+                bound = corrupted_bias_bound(inst, spec, y)
+                if bias > bound + 1e-9:
+                    raise DegenerateProgramError(
+                        f"at gamma10 = {_fmt(g10)}, the label {y:+d} bias {_fmt(bias)} "
+                        f"exceeds its bound {_fmt(bound)}")
+                bounds.append(_fmt(bound))
             else:
                 bounds.append("")
         row = [
             _fmt(g10), _fmt(spec.gamma(1, 1)), _fmt(spec.gamma(-1, 0)), _fmt(spec.gamma(-1, 1)),
-            _fmt(bias_derived(inst, predictor, 1)),
-            _fmt(bias_derived(inst, predictor, -1)),
-            _fmt(err_corr),
+            _fmt(biases[0]), _fmt(biases[1]), _fmt(err_corr),
             _fmt(given[0]), _fmt(given[1]), _fmt(given[2]),
             bounds[0], bounds[1],
             str(int(check_flip_budget(spec, 1))),

@@ -19,7 +19,8 @@ class RangeError(EoNoiseError, ValueError):
 
 class DegenerateProgramError(EoNoiseError, RuntimeError):
     """An internal invariant failed: the LP enumeration produced no feasible
-    candidate, or a closed-form predictor violates its program."""
+    candidate, a closed-form predictor violates its program, or a sweep row's
+    bias exceeds the paper's bound."""
 
 
 class EmptyCellError(EoNoiseError, ValueError):

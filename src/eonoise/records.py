@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MissingColumnError, RangeError, RecordsError, ZeroCellError
 from .model import CELLS, DerivedPredictor, PerturbationSpec, ProblemInstance, lift_perturbation
@@ -30,9 +30,10 @@ _CONSISTENCY_RULE = "yhat must be +1 exactly where score > 0.5"
 
 
 def _violations(name: str, col: np.ndarray) -> np.ndarray:
-    """Mask of the entries of column ``name`` that RecordSet rejects."""
+    """Mask of the entries of column ``name`` that RecordSet rejects; on one
+    value, whether RecordSet rejects it."""
     if name == "score":
-        return ~((col >= 0.0) & (col <= 1.0))  # also true for nan
+        return np.logical_not((col >= 0.0) & (col <= 1.0))  # also true for nan
     lo, hi = _LABEL_VALUES[name]
     return (col != lo) & (col != hi)
 
@@ -291,16 +292,15 @@ def sample_records(inst: ProblemInstance, n: int, seed: int,
                      meta={"seed": int(seed), "rng": RNG_ALGORITHM})
 
 
-#: Physical lines parsed per chunk.  A chunk is halved until its line count
-#: times its longest line is at most _CHUNK_BYTES, which bounds the
-#: (lines, field width) byte matrix built for each of its columns.
+#: Rows write_records_csv formats per ``%`` operation.
 _CHUNK_LINES = 1 << 16
-_CHUNK_BYTES = 1 << 22
-_LF, _CR, _COMMA, _SPACE = b"\n"[0], b"\r"[0], b","[0], b" "[0]
-#: The bytes int() and float() skip around a number; a field made only of
-#: them is empty.
-_IS_SPACE = np.zeros(256, dtype=bool)
-_IS_SPACE[list(b" \t\v\f\r")] = True
+_HEADER = ",".join(RECORD_CSV_HEADER).encode()
+#: The bytes of write_records_csv's rows, CR included, and of padding.  On
+#: them np.loadtxt reads a field as int() or float() does or rejects it;
+#: elsewhere it accepts more, such as ``1\x1c``, and splits at a lone CR.
+_NUMERIC_BYTES = b"0123456789+-.eE,\n\r \t\v\f"
+#: The bytes int() and float() skip around a number; a field of them is empty.
+_PADDING = b" \t\v\f\r"
 
 
 def read_records_csv(path) -> RecordSet:
@@ -309,173 +309,95 @@ def read_records_csv(path) -> RecordSet:
 
     Fields are unquoted ASCII, padded with any of space, tab, VT, FF and CR.
     Blank lines are skipped and CRLF line endings are accepted.  Errors found
-    on a line name its number in the file, blank lines included.
+    on a line name its number in the file, blank lines included; in a file
+    with several faults, the first line at fault is named.
+
+    A file in the form write_records_csv gives is parsed with one np.loadtxt
+    call.  Any other file, and any file that call or RecordSet rejects, is
+    read by _read_lines, which defines the format.
     """
-    buf = np.fromfile(path, dtype=np.uint8)
-    if buf.size == 0:
-        raise RecordsError(f"{path}: empty file")
-    starts, ends = _line_bounds(buf)
-    header = tuple(f.strip() for f in buf[starts[0]:ends[0]].tobytes().split(b","))
-    if header != tuple(h.encode() for h in RECORD_CSV_HEADER):
-        raise RecordsError(f"{path}:1: header must be {','.join(RECORD_CSV_HEADER)}")
-    n = int(np.count_nonzero(ends[1:] > starts[1:]))
-    if n == 0:
-        raise RecordsError(f"{path}: no data rows")
-
-    columns = {name: np.empty(n, dtype=float if name == "score" else np.int8)
-               for name in RECORD_CSV_HEADER}
-    present = {}
-    row = 0
-    for first, stop, width in _chunks(starts, ends):
-        kept = np.flatnonzero(ends[first:stop] > starts[first:stop]) + first
-        if not kept.size:
-            continue
-        linenos = kept + 1
-        # The chunk's bytes, with room to read a window of `width` bytes from
-        # any field start; only the file's last chunk needs a copy for that.
-        base = starts[kept[0]]
-        seg = buf[base:ends[kept[-1]] + width]
-        if seg.size < ends[kept[-1]] + width - base:
-            seg = np.concatenate((seg, np.full(width, _SPACE, dtype=np.uint8)))
-        s, e = starts[kept] - base, ends[kept] - base
-
-        commas = np.flatnonzero(seg[:e[-1]] == _COMMA)
-        nfields = np.searchsorted(commas, e) - np.searchsorted(commas, s) + 1
-        bad = np.flatnonzero(nfields != 5)
-        if bad.size:
-            raise RecordsError(f"{path}:{linenos[bad[0]]}: expected 5 fields, got {nfields[bad[0]]}")
-        commas = commas.reshape(-1, 4)
-        field_starts = np.column_stack((s, commas + 1))
-        field_ends = np.column_stack((commas, e))
-
-        rows = slice(row, row + kept.size)
-        for j, name in enumerate(RECORD_CSV_HEADER):
-            fs, fe = field_starts[:, j], field_ends[:, j]
-            if not present.setdefault(name, not _IS_SPACE[seg[fs[0]:fe[0]]].all()):
-                _check_empty_column(path, name, _gather_fields(seg, fs, fe), linenos)
-            elif name == "score":
-                columns[name][rows] = _parse_column(path, name, _gather_fields(seg, fs, fe), linenos)
-            else:
-                values, odd = _decode_labels(seg, fs, fe - fs, name)
-                if odd.size:
-                    values[odd] = _parse_column(path, name, _gather_fields(seg, fs[odd], fe[odd]),
-                                                linenos[odd])
-                columns[name][rows] = values
-        if present["score"] and present["yhat"]:
-            bad = np.flatnonzero(_inconsistent(columns["score"][rows], columns["yhat"][rows]))
-            if bad.size:
-                raise RecordsError(f"{path}:{linenos[bad[0]]}: {_CONSISTENCY_RULE}")
-        row += kept.size
-
-    return RecordSet(**{name: read_only(col) if present[name] else None
-                        for name, col in columns.items()})
-
-
-def _line_bounds(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end offsets of every line; a line's end excludes its LF or
-    CRLF, and a last line without one ends at the end of the file."""
-    ends = np.flatnonzero(buf == _LF)
-    if buf[-1] != _LF:
-        ends = np.append(ends, buf.size)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    crlf = ends > starts
-    crlf[crlf] = buf[ends[crlf] - 1] == _CR
-    return starts, ends - crlf
-
-
-def _chunks(starts: np.ndarray, ends: np.ndarray):
-    """Yield (first line, stop line, longest line length + 1) for chunks of
-    the data lines, 0-based, header excluded."""
-    first = 1
-    while first < starts.size:
-        stop = min(first + _CHUNK_LINES, starts.size)
-        while True:
-            width = int((ends[first:stop] - starts[first:stop]).max()) + 1
-            if stop - first == 1 or (stop - first) * width <= _CHUNK_BYTES:
-                break
-            stop = first + (stop - first) // 2
-        yield first, stop, width
-        first = stop
-
-
-def _gather_fields(seg: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """The fields ``seg[start[i]:end[i]]`` as rows of a (fields, width) byte
-    matrix, padded with spaces.
-
-    Every row keeps at least one space of padding: viewed as an ``S<w>``
-    array, a field ending in a NUL byte would otherwise lose it and parse.
-    """
-    length = end - start
-    width = int(length.max()) + 1
-    fields = sliding_window_view(seg, width)[start]
-    fields[np.arange(width) >= length[:, None]] = _SPACE
-    return fields
-
-
-def _decode_labels(seg: np.ndarray, start: np.ndarray, length: np.ndarray,
-                   name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Values of a label column's fields read straight from their bytes, and
-    the positions of the fields this cannot read.
-
-    A field spelled exactly ``str(v)`` for one of the column's two values is
-    read as v; any other field (padded, ``+1``, ``01``, bad) is left for
-    _parse_column, and its slot in the returned values is arbitrary.
-    """
-    first = seg[start]
-    lo, hi = _LABEL_VALUES[name]
-    hits = []
-    for v in (lo, hi):
-        spelled = str(v).encode()
-        hit = (length == len(spelled)) & (first == spelled[0])
-        for k, byte in enumerate(spelled[1:], start=1):
-            hit &= seg[start + k] == byte
-        hits.append(hit)
-    values = np.where(hits[0], np.int8(lo), np.int8(hi))
-    return values, np.flatnonzero(~(hits[0] | hits[1]))
-
-
-def _parse_column(path, name: str, fields: np.ndarray, linenos: np.ndarray) -> np.ndarray:
-    """Values of a filled column; each field is cast by Python's int() or
-    float() rules, then checked against RecordSet's rule for the column."""
-    text = fields.view(f"S{fields.shape[1]}").ravel()
-    dtype = np.float64 if name == "score" else np.int64
-    try:
-        values = text.astype(dtype)
-    except (ValueError, OverflowError):
-        k = _first_unparsable(text, dtype)
-        if _IS_SPACE[fields[k]].all():
-            raise RecordsError(f"{path}:{linenos[k]}: column {name} is empty here but filled "
-                               "on the first data line; fill it in every row or none") from None
-        raise RecordsError(f"{path}:{linenos[k]}: bad value in column {name}: "
-                           f"{_show(text[k])}") from None
-    bad = np.flatnonzero(_violations(name, values))
-    if bad.size:
-        raise RecordsError(f"{path}:{linenos[bad[0]]}: {name} {_RULES[name]}, "
-                           f"got {_show(text[bad[0]])}")
-    return values
-
-
-def _check_empty_column(path, name: str, fields: np.ndarray, linenos: np.ndarray) -> None:
-    if name in ("y", "a"):
-        raise RecordsError(f"{path}:{linenos[0]}: column {name} is empty; "
-                           "the y and a columns are required")
-    filled = np.flatnonzero(~_IS_SPACE[fields].all(axis=1))
-    if filled.size:
-        raise RecordsError(f"{path}:{linenos[filled[0]]}: column {name} is filled here but "
-                           "empty on the first data line; fill it in every row or none")
-
-
-def _first_unparsable(text: np.ndarray, dtype) -> int:
-    for k in range(text.size):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if _in_writer_form(data):
         try:
-            text[k:k + 1].astype(dtype)
-        except (ValueError, OverflowError):
-            return k
-    raise AssertionError("a column failed to parse but each of its fields parses")
+            return _load_numeric(path, data)
+        except (ValueError, DeprecationWarning):  # RecordsError and UnicodeDecodeError included
+            pass
+    return _read_lines(path, data)
+
+
+def _in_writer_form(data: bytes) -> bool:
+    header, _, body = data.partition(b"\n")
+    return (header.removesuffix(b"\r") == _HEADER
+            and body.partition(b"\n")[0].count(b",") == 4
+            and body.count(b"\r") == body.count(b"\r\n")
+            and not body.translate(None, _NUMERIC_BYTES))
+
+
+def _load_numeric(path, data: bytes) -> RecordSet:
+    """Parse the columns filled on the first data line; the others must stay empty."""
+    first = data.split(b"\n", 2)[1].split(b",")
+    dtype = [(name, "S1" if not field.strip(_PADDING) else "f8" if name == "score" else "i1")
+             for name, field in zip(RECORD_CSV_HEADER, first)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x reads "1.0" as an int
+        table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                           encoding="ascii", ndmin=1)
+    if any(np.count_nonzero(table[name]) for name, kind in dtype if kind == "S1"):
+        raise RecordsError("a column empty on the first data line is filled later")
+    return RecordSet(**{name: None if kind == "S1" else read_only(table[name].copy())
+                        for name, kind in dtype})
+
+
+def _read_lines(path, data: bytes) -> RecordSet:
+    """Read a record CSV one line at a time: each field is stripped of
+    _PADDING, read by int() or float() and checked by RecordSet's rule for
+    its column, then the line is checked for consistency.  The error names
+    the first line at fault and, within it, the first field."""
+    if not data:
+        raise RecordsError(f"{path}: empty file")
+    lines = data.split(b"\n")
+    if tuple(f.strip() for f in lines[0].split(b",")) != tuple(_HEADER.split(b",")):
+        raise RecordsError(f"{path}:1: header must be {','.join(RECORD_CSV_HEADER)}")
+
+    values = {name: [] for name in RECORD_CSV_HEADER}
+    filled = None
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line in (b"", b"\r"):
+            continue
+        fields = [f.strip(_PADDING) for f in line.split(b",")]
+        if len(fields) != 5:
+            raise RecordsError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
+        if filled is None:
+            filled = dict(zip(RECORD_CSV_HEADER, map(bool, fields)))
+        for name, text in zip(RECORD_CSV_HEADER, fields):
+            if not filled[name] and name in ("y", "a"):
+                raise RecordsError(f"{path}:{lineno}: column {name} is empty; "
+                                   "the y and a columns are required")
+            if bool(text) != filled[name]:
+                here, first = ("filled", "empty") if text else ("empty", "filled")
+                raise RecordsError(f"{path}:{lineno}: column {name} is {here} here but {first} "
+                                   "on the first data line; fill it in every row or none")
+            if not text:
+                continue
+            try:
+                value = float(text) if name == "score" else int(text)
+            except ValueError:
+                raise RecordsError(f"{path}:{lineno}: bad value in column {name}: "
+                                   f"{_show(text)}") from None
+            if _violations(name, value):
+                raise RecordsError(f"{path}:{lineno}: {name} {_RULES[name]}, got {_show(text)}")
+            if name == "yhat" and filled["score"] and _inconsistent(values["score"][-1], value):
+                raise RecordsError(f"{path}:{lineno}: {_CONSISTENCY_RULE}")
+            values[name].append(value)
+    if filled is None:
+        raise RecordsError(f"{path}: no data rows")
+    return RecordSet(**{name: read_only(np.array(col, dtype=float if name == "score" else np.int8))
+                        for name, col in values.items() if filled[name]})
 
 
 def _show(field: bytes) -> str:
-    return repr(field.strip().decode("ascii", "backslashreplace"))
+    return repr(field.decode("ascii", "backslashreplace"))
 
 
 def write_records_csv(path, records: RecordSet) -> None:

@@ -2,10 +2,12 @@
 compare the package against them.
 
 ``read_records_csv`` is a reader for the record CSV format built on the csv
-module.  The package's reader parses the file as bytes with numpy; this one
-parses each row in Python, field by field.  It accepts what the package's
-reader accepts, except that it also reads quoted fields, non-ASCII digits and
-Unicode whitespace; its error messages do not name physical lines.
+module.  The package's reader hands a file in the writer's form to
+``np.loadtxt`` and reads any other file by splitting its bytes into lines and
+fields; this one leaves lines, quoting and fields to the csv module.  It
+accepts what the package's reader accepts, except that it also reads quoted
+fields, non-ASCII digits and Unicode whitespace; its error messages do not
+name physical lines.
 
 ``evaluate_predictor_on_records`` is the package's exact evaluation written
 with one boolean mask per (y, a) cell, rebuilt on every call; the package

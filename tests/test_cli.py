@@ -1,6 +1,6 @@
 import pytest
 
-from eonoise import sample_records, write_records_csv
+from eonoise import GIVEN_PREDICTOR_P, DerivedPredictor, sample_records, write_records_csv
 import eonoise.cli
 from eonoise.cli import (
     DATASET_COLUMNS,
@@ -137,6 +137,17 @@ def test_sweep_leaves_bound_empty_at_flip_rate_one(tmp_path, schedule, empty):
         assert value != "", name
     for name, value in _rowmap(at_one.split(",")).items():
         assert (value == "") == (name in empty), name
+
+
+def test_sweep_exits_4_when_a_bias_breaks_its_bound(tmp_path, monkeypatch, capsys):
+    # The given classifier keeps its own bias, which the bound shrinks.
+    monkeypatch.setattr(eonoise.cli, "derive_predictor",
+                        lambda inst, spec: DerivedPredictor(GIVEN_PREDICTOR_P, "clean"))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "at gamma10 = 0, the label +1 bias " in err and "exceeds its bound" in err
 
 
 def test_main_exit_codes(tmp_path, capsys):

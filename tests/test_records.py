@@ -454,7 +454,7 @@ CSV_HEADER = "y,a,a_c,score,yhat\n"
     ("1,0,,0.7,1\r\n\r\n-1,1,,0.2,1\r\n", 4, "yhat must be +1 exactly where"),
     ("1,0,,,1\n-1,1,1,,1\n", 3, "column a_c is filled here but empty on the first"),
     ("1,0,1,,1\n-1,1, \t,,1\n", 3, "column a_c is empty here but filled on the first"),
-    ("99999999999999999999,0,,,\n", 2, "bad value in column y"),
+    ("99999999999999999999,0,,,\n", 2, "y must be -1 or +1, got '99999999999999999999'"),
     (" ,0,,,1\n", 2, "the y and a columns are required"),
     ("1,0,,,1\n1,0,,,1\n   \n", 4, "expected 5 fields, got 1"),
     ('1,0,,,"1"\n', 2, "bad value in column yhat"),
@@ -471,7 +471,8 @@ def test_csv_errors_name_the_file_line(tmp_path, body, line, what):
 
 
 @pytest.mark.parametrize("text", ["", "y,a,score\n1,0,0.5\n", "\ny,a,a_c,score,yhat\n1,0,,,1\n",
-                                  CSV_HEADER, CSV_HEADER + "\r\n\n"])
+                                  CSV_HEADER, CSV_HEADER + "\r\n\n",
+                                  "y,a,a_c,score,y\n1,0,,0.75,1\n"])
 def test_csv_header_and_empty_file_errors(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_bytes(text.encode())
@@ -496,9 +497,20 @@ def test_csv_crlf_padding_and_blank_lines(tmp_path):
     assert back.a_c is None and back.score.tolist() == [0.75, 0.25]
 
 
-def test_csv_reader_across_chunks_and_a_wide_field(tmp_path):
-    # More lines than one chunk holds, blank lines between them, and one
-    # field wider than a chunk's byte budget.
+def _read_lines(path):
+    return records._read_lines(path, path.read_bytes())
+
+
+#: The package's two ways to read a record CSV: the entry point, which tries
+#: np.loadtxt first, and the line reader it falls back to.
+READERS = pytest.mark.parametrize("read", [read_records_csv, _read_lines],
+                                  ids=["read_records_csv", "_read_lines"])
+
+
+@READERS
+def test_csv_readers_on_many_lines_blank_lines_and_a_wide_field(tmp_path, read):
+    # 70,000 lines, blank lines between them, and one 100,000-byte field;
+    # the file keeps the bytes of the writer's form.
     rs = sample_records(fig1_top_left(), 70_000, seed=17,
                         spec=PerturbationSpec.uniform(0.2), with_scores=True)
     path = tmp_path / "records.csv"
@@ -509,7 +521,7 @@ def test_csv_reader_across_chunks_and_a_wide_field(tmp_path):
     for k in range(len(lines) - 1, 0, -997):
         lines.insert(k, "")
     path.write_text("\n".join(lines))
-    got, want = read_records_csv(path), oracle_read_records_csv(path)
+    got, want = read(path), oracle_read_records_csv(path)
     for name in ("y", "a", "a_c", "yhat"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
     assert np.array_equal(got.score.view(np.int64), want.score.view(np.int64))
@@ -520,13 +532,24 @@ _LABELS = {"y": ("1", "-1"), "a": ("0", "1"), "a_c": ("0", "1"), "yhat": ("1", "
 _ODD_INTS = ("2", "255", "-2", "x", "1.0", "+1", "01", "0_1", "nan", "", " ")
 _ODD_SCORES = ("nan", "inf", "-0.0", "1.5", "-0.25", "1e-3", "x", "5e-1", ".5", "0_0.5", "", "\t")
 _PADS = st.sampled_from(("",) * 6 + (" ", "\t", "  \t"))
+#: Fields np.loadtxt must not be trusted with: separator bytes, NUL,
+#: non-ASCII, a lone CR, a comment mark, quotes and a sixth field.
+_HOSTILE = ("1\x1c", "\x1f0", "1\x00", "0.5\x1f", "\u00e91", "1\r", "\r0", "#1", '"1"', "'0'",
+            "1,", ",0")
+#: Padding alone, which leaves a field empty.
+_BLANKS = (" ", "\t", "\v", "\f", "\r")
 
 
 @st.composite
-def record_csv_files(draw):
+def record_csv_files(draw, hostile=False):
     """Record CSV text over random columns: empty optional columns, CRLF,
     blank lines and padded fields.  Half the files have one anomaly: an odd
-    value, a value in an empty column, a flipped yhat or a wrong field count."""
+    value, a value in an empty column, a flipped yhat or a wrong field count.
+
+    With ``hostile``, half the files have no padding, as the writer's output
+    has none, the anomaly may also be a field from _HOSTILE or padding in an
+    empty column, and half the files join two lines with a lone CR."""
+    pads = _PADS if not hostile or draw(st.booleans()) else st.just("")
     n = draw(st.integers(1, 12))
     present = {name: draw(st.integers(0, 15)) > 0 if name in ("y", "a")
                else draw(st.booleans()) for name in RECORD_CSV_HEADER}
@@ -552,31 +575,35 @@ def record_csv_files(draw):
         if name == "fields":
             cut = (k, draw(st.sampled_from((0, 1, 2, 3, 4, 6, 7))))
         elif not present[name]:
-            rows[k][name] = draw(st.sampled_from(("1", "0", "0.5")))
+            rows[k][name] = draw(st.sampled_from(("1", "0", "0.5") + (_BLANKS if hostile else ())))
         elif name == "yhat" and present["score"]:
             rows[k][name] = {"1": "-1", "-1": "1"}[rows[k][name]]
         else:
-            rows[k][name] = draw(st.sampled_from(_ODD_SCORES if name == "score" else _ODD_INTS))
+            odd = _ODD_SCORES if name == "score" else _ODD_INTS
+            rows[k][name] = draw(st.sampled_from(odd + (_HOSTILE if hostile else ())))
 
     lines = [draw(st.sampled_from(("y,a,a_c,score,yhat", " y , a ,a_c,score,yhat\t")))]
     for k, row in enumerate(rows):
-        fields = [draw(_PADS) + row[name] + draw(_PADS) for name in RECORD_CSV_HEADER]
+        fields = [draw(pads) + row[name] + draw(pads) for name in RECORD_CSV_HEADER]
         if cut is not None and cut[0] == k:
             fields = (fields + ["1", "0"])[:cut[1]]
         lines.append(",".join(fields))
         lines.extend([""] * draw(st.sampled_from((0,) * 8 + (1, 2))))
+    if hostile and len(lines) > 2 and draw(st.booleans()):
+        k = draw(st.integers(1, len(lines) - 2))
+        lines[k:k + 2] = [lines[k] + "\r" + lines[k + 1]]
     eol = draw(st.sampled_from(("\n", "\r\n")))
     return eol.join(lines) + draw(st.sampled_from(("", eol)))
 
 
-def _assert_agrees_with_oracle(path):
+def _assert_agrees_with_oracle(path, read=read_records_csv):
     try:
         want = oracle_read_records_csv(path)
     except RecordsError:
         with pytest.raises(RecordsError):
-            read_records_csv(path)
+            read(path)
         return
-    got = read_records_csv(path)
+    got = read(path)
     for name in RECORD_CSV_HEADER:
         lhs, rhs = getattr(got, name), getattr(want, name)
         if rhs is None:
@@ -599,13 +626,59 @@ def test_csv_reader_agrees_with_csv_module_oracle(tmp_path, text):
 @given(record_csv_files())
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_csv_reader_agrees_with_csv_module_oracle_in_3_line_chunks(tmp_path, monkeypatch, text):
-    # The generated files have at most 12 data rows, so only a small chunk
-    # makes their values, blank lines and anomalies fall across chunks.
-    monkeypatch.setattr(records, "_CHUNK_LINES", 3)
+def test_csv_line_reader_agrees_with_csv_module_oracle(tmp_path, text):
+    # the test above checks read_records_csv, which falls back to this
+    # reader on any file np.loadtxt is not given or rejects
     path = tmp_path / "records.csv"
     path.write_bytes(text.encode())
-    _assert_agrees_with_oracle(path)
+    _assert_agrees_with_oracle(path, _read_lines)
+
+
+def _outcome_of_read(read, path):
+    """The columns a reader returns, labels as int8 and scores as float.hex,
+    or the message of the RecordsError it raises."""
+    try:
+        got = read(path)
+    except RecordsError as exc:
+        return str(exc)
+    columns = {}
+    for name in RECORD_CSV_HEADER:
+        col = getattr(got, name)
+        if col is None or name == "score":
+            columns[name] = col if col is None else [float.hex(v) for v in col.tolist()]
+        else:
+            assert col.dtype == np.int8, name
+            columns[name] = col.tolist()
+    return columns
+
+
+@given(record_csv_files(hostile=True))
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_csv_numpy_path_agrees_with_line_reader(tmp_path, text):
+    path = tmp_path / "records.csv"
+    path.write_bytes(text.encode())
+    assert _outcome_of_read(read_records_csv, path) == _outcome_of_read(_read_lines, path)
+
+
+@pytest.fixture
+def line_reads(monkeypatch):
+    """The paths records._read_lines is called with."""
+    calls = []
+    read = records._read_lines
+
+    def spy(path, data):
+        calls.append(path)
+        return read(path, data)
+
+    monkeypatch.setattr(records, "_read_lines", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def sampled_70000():
+    return sample_records(fig1_top_left(), 70_000, seed=21,
+                          spec=PerturbationSpec.uniform(0.2), with_scores=True)
 
 
 #: Scores the writer must spell as format(v, ".12g") does: both ends of
@@ -637,7 +710,12 @@ def _assert_writer_matches_oracle(tmp_path, rs):
     write_records_csv(path, rs)
     oracle_write_records_csv(reference, rs)
     assert path.read_bytes() == reference.read_bytes()
-    back = read_records_csv(path)
+    _assert_reads_back(rs, read_records_csv(path))
+
+
+def _assert_reads_back(rs, back):
+    """``back`` holds the columns of ``rs``, scores rounded as the writer
+    spells them."""
     for name in RECORD_CSV_HEADER:
         col, got = getattr(rs, name), getattr(back, name)
         if col is None:
@@ -649,11 +727,14 @@ def _assert_writer_matches_oracle(tmp_path, rs):
             assert got.dtype == np.int8 and np.array_equal(got, col), name
 
 
+_ABSENT = pytest.mark.parametrize("absent", [frozenset(c) for k in range(4)
+                                             for c in itertools.combinations(_OPTIONAL, k)],
+                                  ids=lambda absent: "-".join(sorted(absent)) or "none")
+
+
 @pytest.mark.parametrize("chunk_lines", [records._CHUNK_LINES, 3])
 @pytest.mark.parametrize("n", [1, len(_EDGE_SCORES)])
-@pytest.mark.parametrize("absent", [frozenset(c) for k in range(4)
-                                    for c in itertools.combinations(_OPTIONAL, k)],
-                         ids=lambda absent: "-".join(sorted(absent)) or "none")
+@_ABSENT
 def test_csv_writer_matches_per_field_oracle(tmp_path, monkeypatch, absent, n, chunk_lines):
     monkeypatch.setattr(records, "_CHUNK_LINES", chunk_lines)
     rs = _record_set(np.random.default_rng(n), _EDGE_SCORES[-n:], absent)
@@ -693,33 +774,68 @@ def _label_column_file(path, column, values):
     path.write_text(CSV_HEADER + "\n".join(rows) + "\n")
 
 
-@pytest.mark.parametrize("chunk_lines", [records._CHUNK_LINES, 3])
+@READERS
 @pytest.mark.parametrize("column", sorted(_MIXED_SPELLINGS))
-def test_csv_label_columns_mix_spellings(tmp_path, monkeypatch, column, chunk_lines):
-    monkeypatch.setattr(records, "_CHUNK_LINES", chunk_lines)
+def test_csv_label_columns_mix_spellings(tmp_path, column, read):
     path = tmp_path / "records.csv"
     _label_column_file(path, column, _MIXED_SPELLINGS[column])
-    got, want = read_records_csv(path), oracle_read_records_csv(path)
+    got, want = read(path), oracle_read_records_csv(path)
     assert getattr(got, column).tolist() == getattr(want, column).tolist()
     assert len(set(getattr(got, column).tolist())) == 2
 
 
-@pytest.mark.parametrize("chunk_lines", [records._CHUNK_LINES, 3])
+@READERS
 @pytest.mark.parametrize("column", sorted(_MIXED_SPELLINGS))
 @pytest.mark.parametrize("tail, line, what", [
     (("x",), 11, "bad value in column {}: 'x'"),
     (("2",), 11, "{} must be"),
     (("-2",), 11, "{} must be"),
-    # a value that does not parse is reported before an earlier one out of range
-    (("2", "x"), 12, "bad value in column {}: 'x'"),
+    # the first line at fault is reported
+    (("2", "x"), 11, "{} must be"),
     (("x", "2"), 11, "bad value in column {}: 'x'"),
 ])
-def test_csv_bad_label_after_mixed_spellings(tmp_path, monkeypatch, column, chunk_lines,
-                                             tail, line, what):
-    monkeypatch.setattr(records, "_CHUNK_LINES", chunk_lines)
+def test_csv_bad_label_after_mixed_spellings(tmp_path, column, read, tail, line, what):
     path = tmp_path / "records.csv"
     _label_column_file(path, column, _MIXED_SPELLINGS[column] + tail + ("1",))
     with pytest.raises(RecordsError) as info:
-        read_records_csv(path)
+        read(path)
     assert f"{path}:{line}: " in str(info.value)
     assert what.format(column) in str(info.value)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("n", [1, 70_000])
+@_ABSENT
+def test_csv_in_the_writers_form_is_read_by_numpy(tmp_path, line_reads, sampled_70000,
+                                                    absent, n, eol):
+    rs = RecordSet(**{name: None if name in absent else getattr(sampled_70000, name)[:n]
+                      for name in RECORD_CSV_HEADER})
+    path = tmp_path / "records.csv"
+    write_records_csv(path, rs)
+    path.write_bytes(path.read_bytes().replace(b"\n", eol.encode()))
+    back = read_records_csv(path)
+    assert not line_reads
+    _assert_reads_back(rs, back)
+
+
+@pytest.mark.parametrize("second_line, accepted", [
+    ("-1,1,,0.25\r,-1", True),
+    ("-1,1,,0.25,-1\r1,0,,0.75,1", False),
+    ("-1,1, ,0.25,-1", True),
+    ("-1,1,,0.25,-1\x1c", False),
+    ("-1.0,1,,0.25,-1", False),
+    ("-1,1,,0.25,-1,", False),
+], ids=["lone-CR-in-a-field", "lone-CR-between-rows", "padded-empty-column", "1-x1c",
+        "label-1.0", "6-fields"])
+def test_csv_outside_the_writers_form_is_read_line_by_line(tmp_path, line_reads,
+                                                           second_line, accepted):
+    path = tmp_path / "records.csv"
+    path.write_bytes((CSV_HEADER + "1,0,,0.75,1\n" + second_line + "\n").encode())
+    if accepted:
+        back = read_records_csv(path)
+        assert back.y.tolist() == [1, -1] and back.a_c is None
+        assert back.score.tolist() == [0.75, 0.25]
+    else:
+        with pytest.raises(RecordsError, match=f"{path}:3: "):
+            read_records_csv(path)
+    assert line_reads == [path]
