@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import math
-import warnings
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
@@ -30,10 +31,9 @@ _CONSISTENCY_RULE = "yhat must be +1 exactly where score > 0.5"
 
 
 def _violations(name: str, col: np.ndarray) -> np.ndarray:
-    """Mask of the entries of column ``name`` that RecordSet rejects; on one
-    value, whether RecordSet rejects it."""
+    """Mask of the entries of column ``name`` that RecordSet rejects."""
     if name == "score":
-        return np.logical_not((col >= 0.0) & (col <= 1.0))  # also true for nan
+        return ~((col >= 0.0) & (col <= 1.0))  # also true for nan
     lo, hi = _LABEL_VALUES[name]
     return (col != lo) & (col != hi)
 
@@ -294,13 +294,16 @@ def sample_records(inst: ProblemInstance, n: int, seed: int,
 
 #: Rows write_records_csv formats per ``%`` operation.
 _CHUNK_LINES = 1 << 16
-_HEADER = ",".join(RECORD_CSV_HEADER).encode()
-#: The bytes of write_records_csv's rows, CR included, and of padding.  On
-#: them np.loadtxt reads a field as int() or float() does or rejects it;
-#: elsewhere it accepts more, such as ``1\x1c``, and splits at a lone CR.
+_HEADER = [name.encode() for name in RECORD_CSV_HEADER]
+#: The bytes of numbers, separators and padding.  On them np.loadtxt reads a
+#: field as int() or float() does or rejects it; elsewhere it accepts more,
+#: such as ``1\x1c``, and it splits a line at a lone CR.
 _NUMERIC_BYTES = b"0123456789+-.eE,\n\r \t\v\f"
 #: The bytes int() and float() skip around a number; a field of them is empty.
 _PADDING = b" \t\v\f\r"
+#: np.loadtxt reads an empty column's fields as bytes of this width and cuts
+#: longer ones, so a field that fills the width may hide a value past the cut.
+_EMPTY_WIDTH = 4
 
 
 def read_records_csv(path) -> RecordSet:
@@ -312,40 +315,43 @@ def read_records_csv(path) -> RecordSet:
     on a line name its number in the file, blank lines included; in a file
     with several faults, the first line at fault is named.
 
-    A file in the form write_records_csv gives is parsed with one np.loadtxt
-    call.  Any other file, and any file that call or RecordSet rejects, is
-    read by _read_lines, which defines the format.
+    A file whose rows hold only numbers, commas, padding and CRLF or LF line
+    ends is parsed by one np.loadtxt call, which reads it a second time from
+    ``path``.  Any other file, and any file that call or RecordSet rejects,
+    is read by _read_lines, which defines the format.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if _in_writer_form(data):
-        try:
-            return _load_numeric(path, data)
-        except (ValueError, DeprecationWarning):  # RecordsError and UnicodeDecodeError included
-            pass
+    try:
+        return _load_numeric(path, data)
+    except ValueError:  # RecordsError included
+        pass
     return _read_lines(path, data)
 
 
-def _in_writer_form(data: bytes) -> bool:
-    header, _, body = data.partition(b"\n")
-    return (header.removesuffix(b"\r") == _HEADER
-            and body.partition(b"\n")[0].count(b",") == 4
-            and body.count(b"\r") == body.count(b"\r\n")
-            and not body.translate(None, _NUMERIC_BYTES))
+def _is_header(line: bytes) -> bool:
+    return [f.strip() for f in line.split(b",")] == _HEADER
 
 
 def _load_numeric(path, data: bytes) -> RecordSet:
-    """Parse the columns filled on the first data line; the others must stay empty."""
-    first = data.split(b"\n", 2)[1].split(b",")
-    dtype = [(name, "S1" if not field.strip(_PADDING) else "f8" if name == "score" else "i1")
+    """Parse the columns filled on the first data line as numbers and the
+    others as text that must be padding alone; ValueError if the file is not
+    of that form."""
+    header, _, body = data.partition(b"\n")
+    first = body.lstrip(b"\r\n").partition(b"\n")[0].split(b",")
+    if (not _is_header(header) or len(first) != 5 or body.count(b"\r") != body.count(b"\r\n")
+            or body.translate(None, _NUMERIC_BYTES)):
+        raise ValueError("not a file of numbers")
+    del body  # a copy of the file, freed before np.loadtxt reads it again
+    empty = f"S{_EMPTY_WIDTH}"
+    dtype = [(name, empty if not field.strip(_PADDING) else "f8" if name == "score" else "i1")
              for name, field in zip(RECORD_CSV_HEADER, first)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x reads "1.0" as an int
-        table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
-                           encoding="ascii", ndmin=1)
-    if any(np.count_nonzero(table[name]) for name, kind in dtype if kind == "S1"):
+    table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                       encoding="ascii", ndmin=1)
+    cells = b"".join(table[name].tobytes() for name, kind in dtype if kind == empty)
+    if cells[_EMPTY_WIDTH - 1::_EMPTY_WIDTH].strip(b"\0") or cells.translate(None, b"\0" + _PADDING):
         raise RecordsError("a column empty on the first data line is filled later")
-    return RecordSet(**{name: None if kind == "S1" else read_only(table[name].copy())
+    return RecordSet(**{name: None if kind == empty else read_only(table[name].copy())
                         for name, kind in dtype})
 
 
@@ -356,13 +362,14 @@ def _read_lines(path, data: bytes) -> RecordSet:
     the first line at fault and, within it, the first field."""
     if not data:
         raise RecordsError(f"{path}: empty file")
-    lines = data.split(b"\n")
-    if tuple(f.strip() for f in lines[0].split(b",")) != tuple(_HEADER.split(b",")):
+    lines = io.BytesIO(data)
+    if not _is_header(next(lines)):
         raise RecordsError(f"{path}:1: header must be {','.join(RECORD_CSV_HEADER)}")
 
-    values = {name: [] for name in RECORD_CSV_HEADER}
+    values = {name: array("d" if name == "score" else "b") for name in RECORD_CSV_HEADER}
     filled = None
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
+        line = line.removesuffix(b"\n")
         if line in (b"", b"\r"):
             continue
         fields = [f.strip(_PADDING) for f in line.split(b",")]
@@ -385,7 +392,7 @@ def _read_lines(path, data: bytes) -> RecordSet:
             except ValueError:
                 raise RecordsError(f"{path}:{lineno}: bad value in column {name}: "
                                    f"{_show(text)}") from None
-            if _violations(name, value):
+            if not (0.0 <= value <= 1.0 if name == "score" else value in _LABEL_VALUES[name]):
                 raise RecordsError(f"{path}:{lineno}: {name} {_RULES[name]}, got {_show(text)}")
             if name == "yhat" and filled["score"] and _inconsistent(values["score"][-1], value):
                 raise RecordsError(f"{path}:{lineno}: {_CONSISTENCY_RULE}")

@@ -2,7 +2,7 @@
 compare the package against them.
 
 ``read_records_csv`` is a reader for the record CSV format built on the csv
-module.  The package's reader hands a file in the writer's form to
+module.  The package's reader hands a file of plain numbers and padding to
 ``np.loadtxt`` and reads any other file by splitting its bytes into lines and
 fields; this one leaves lines, quoting and fields to the csv module.  It
 accepts what the package's reader accepts, except that it also reads quoted

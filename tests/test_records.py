@@ -548,7 +548,8 @@ def record_csv_files(draw, hostile=False):
 
     With ``hostile``, half the files have no padding, as the writer's output
     has none, the anomaly may also be a field from _HOSTILE or padding in an
-    empty column, and half the files join two lines with a lone CR."""
+    empty column, half the files have a blank line before the first row, and
+    half join two lines with a lone CR."""
     pads = _PADS if not hostile or draw(st.booleans()) else st.just("")
     n = draw(st.integers(1, 12))
     present = {name: draw(st.integers(0, 15)) > 0 if name in ("y", "a")
@@ -583,6 +584,8 @@ def record_csv_files(draw, hostile=False):
             rows[k][name] = draw(st.sampled_from(odd + (_HOSTILE if hostile else ())))
 
     lines = [draw(st.sampled_from(("y,a,a_c,score,yhat", " y , a ,a_c,score,yhat\t")))]
+    if hostile:
+        lines.extend([""] * draw(st.integers(0, 1)))
     for k, row in enumerate(rows):
         fields = [draw(pads) + row[name] + draw(pads) for name in RECORD_CSV_HEADER]
         if cut is not None and cut[0] == k:
@@ -818,17 +821,36 @@ def test_csv_in_the_writers_form_is_read_by_numpy(tmp_path, line_reads, sampled_
     _assert_reads_back(rs, back)
 
 
+@pytest.mark.parametrize("text", [
+    " y , a , a_c , score , yhat\t\n1,0,,0.75,1\n-1,1,,0.25,-1\n",
+    CSV_HEADER + "\n\n1,0,,0.75,1\n\n-1,1,,0.25,-1",
+    (CSV_HEADER + "\n1,0,,0.75,1\n-1,1,,0.25,-1\n").replace("\n", "\r\n"),
+    "y, a, a_c, score, yhat\n1, 0, , 0.75, 1\n-1, 1, , 0.25, -1\n",
+    CSV_HEADER + "1,0,\t\v\f,0.75,1\n-1,1,   ,0.25,-1\r\n",
+    CSV_HEADER + "\t1 ,0\f,,\v0.75,1 \n-1,1,,0.25,-1\n",
+], ids=["padded-header", "blank-lines-first", "CRLF-blank-line", "comma-space",
+        "empty-column-padded", "padded-fields"])
+def test_csv_padding_and_blank_lines_are_read_by_numpy(tmp_path, line_reads, text):
+    path = tmp_path / "records.csv"
+    path.write_bytes(text.encode())
+    back = read_records_csv(path)
+    assert not line_reads
+    assert back.y.tolist() == [1, -1] and back.a.tolist() == [0, 1] and back.a_c is None
+    assert back.score.tolist() == [0.75, 0.25] and back.yhat.tolist() == [1, -1]
+
+
 @pytest.mark.parametrize("second_line, accepted", [
     ("-1,1,,0.25\r,-1", True),
     ("-1,1,,0.25,-1\r1,0,,0.75,1", False),
-    ("-1,1, ,0.25,-1", True),
+    ("-1,1, \t  ,0.25,-1", True),
+    ("-1,1,    1,0.25,-1", False),
     ("-1,1,,0.25,-1\x1c", False),
     ("-1.0,1,,0.25,-1", False),
     ("-1,1,,0.25,-1,", False),
-], ids=["lone-CR-in-a-field", "lone-CR-between-rows", "padded-empty-column", "1-x1c",
-        "label-1.0", "6-fields"])
-def test_csv_outside_the_writers_form_is_read_line_by_line(tmp_path, line_reads,
-                                                           second_line, accepted):
+], ids=["lone-CR-in-a-field", "lone-CR-between-rows", "empty-column-padded-to-the-cut",
+        "value-past-the-cut", "1-x1c", "label-1.0", "6-fields"])
+def test_csv_outside_the_numpy_form_is_read_line_by_line(tmp_path, line_reads,
+                                                         second_line, accepted):
     path = tmp_path / "records.csv"
     path.write_bytes((CSV_HEADER + "1,0,,0.75,1\n" + second_line + "\n").encode())
     if accepted:
