@@ -1,24 +1,29 @@
 """Exact solver for the 4-variable postprocessing LP.
 
-The program minimizes a linear objective over the box [0, 1]^4 subject to two
+The program minimizes a linear objective over the box [0, 1]^4 subject to
 homogeneous equality constraints, one per label class, each expressing that the
-two attribute groups receive the same probability of a positive output.  The
-problem is fixed-size, so the solver enumerates every candidate vertex of the
-feasible polytope exactly instead of delegating to a general-purpose LP
-library: box corners, all systems with two coordinates fixed at a bound, and
-all systems with three coordinates fixed at a bound.
+two attribute groups receive the same probability of a positive output.
+
+Near-equal rates follow one rule: two label classes whose rate pairs lie within
+``RATE_TIE_TOL`` of each other in both coordinates give one constraint, and
+otherwise they give two (see ``EoProgram``).  The problem is fixed-size, so the
+solver enumerates every candidate vertex exactly instead of delegating to a
+general-purpose LP library: the box corners, and every point with
+``4 - len(rows)`` coordinates fixed at a bound and the rest solved from the rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 from .errors import DegenerateProgramError, RangeError
 
 BOUND_TOL = 1e-12
-RESIDUAL_TOL = 1e-9
+RATE_TIE_TOL = 1e-9
+RESIDUAL_TOL = 1e-12
 SINGULAR_TOL = 1e-12
 TIE_TOL = 1e-12
 
@@ -33,40 +38,52 @@ class EoProgram:
     ``objective`` is indexed over (prediction, attribute) cells in the
     package-wide order (see ``model.CELLS``).  ``rates[0]`` is the pair
     (h0, h1) of the two groups' positive-prediction rates for label +1,
-    ``rates[1]`` the pair for label -1.  Each pair gives the constraint row
-    ``(h0, -h1, 1-h0, -(1-h1))`` in ``rows``, which reads "group-0 positive
-    rate equals group-1 positive rate".
+    ``rates[1]`` the pair for label -1.  A pair gives the constraint row
+    ``(h0, -h1, 1-h0, -(1-h1))``, which reads "group-0 positive rate equals
+    group-1 positive rate".
+
+    ``rows`` holds the label +1 row alone when the pairs are within
+    ``RATE_TIE_TOL`` in both coordinates.  Otherwise it holds that row and a
+    second one: the label -1 row when the pairs are at least 5e-3 apart, and
+    for closer pairs the difference row ``(d0, -d1, -d0, d1)``, with
+    ``d = rates[1] - rates[0]`` scaled to a largest entry of 1, which spans
+    the same constraints without cancellation between two nearly parallel rows.
     """
 
     objective: tuple[float, float, float, float]
     rates: tuple[tuple[float, float], tuple[float, float]]
-    rows: tuple[tuple[float, float, float, float], tuple[float, float, float, float]] = field(init=False)
+    rows: tuple[tuple[float, float, float, float], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         objective = tuple(float(v) for v in self.objective)
-        if len(objective) != 4:
-            raise RangeError("objective must have four coefficients")
+        if len(objective) != 4 or not all(math.isfinite(v) for v in objective):
+            raise RangeError(f"objective {objective} must be four finite coefficients")
         rates = tuple(tuple(float(v) for v in pair) for pair in self.rates)
         if len(rates) != 2 or any(len(pair) != 2 for pair in rates):
             raise RangeError("rates must be two (h0, h1) pairs")
         for pair in rates:
             if not all(0.0 <= h <= 1.0 for h in pair):
                 raise RangeError(f"rate pair {pair} outside [0, 1]")
+        (a0, a1), (b0, b1) = rates
+        d0, d1 = b0 - a0, b1 - a1
+        gap = max(abs(d0), abs(d1))
+        rows = [(a0, -a1, 1.0 - a0, -(1.0 - a1))]
+        if gap >= 5e-3:  # accurate at this gap, and keeps the pinned output digests
+            rows.append((b0, -b1, 1.0 - b0, -(1.0 - b1)))
+        elif gap > RATE_TIE_TOL:
+            d0, d1 = d0 / gap, d1 / gap
+            rows.append((d0, -d1, -d0, d1))
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "rows", tuple((h0, -h1, 1.0 - h0, -(1.0 - h1)) for h0, h1 in rates))
+        object.__setattr__(self, "rows", tuple(rows))
 
     def value(self, p: Sequence[float]) -> float:
         c = self.objective
         return c[0] * p[0] + c[1] * p[1] + c[2] * p[2] + c[3] * p[3]
 
     def residual(self, p: Sequence[float]) -> float:
-        """Largest absolute violation of the two equality constraints."""
-        worst = 0.0
-        for row in self.rows:
-            r = row[0] * p[0] + row[1] * p[1] + row[2] * p[2] + row[3] * p[3]
-            worst = max(worst, abs(r))
-        return worst
+        """Largest absolute violation of the equality constraints in ``rows``."""
+        return max(abs(r[0] * p[0] + r[1] * p[1] + r[2] * p[2] + r[3] * p[3]) for r in self.rows)
 
 
 @dataclass(frozen=True)
@@ -90,51 +107,30 @@ def _snap(p: Sequence[float]) -> tuple[float, ...] | None:
 
 
 def _candidates(program: EoProgram):
-    """Deterministically ordered candidate points covering every vertex."""
-    m0, m1 = program.rows
-    cands = []
-
-    # All box corners; includes the two constant classifiers, which are
-    # feasible for every program (each row's entries sum to zero).
-    for bits in range(16):
-        cands.append(tuple(float((bits >> k) & 1) for k in range(4)))
-
-    # Two coordinates fixed at a bound, the other two solved from the rows.
-    for fixed in combinations(range(4), 2):
+    """Deterministically ordered candidate points covering every vertex: the
+    box corners, which include the two constant classifiers (feasible for every
+    program, as each row's entries sum to zero), then every point with
+    ``4 - len(rows)`` coordinates at a bound and the rest solved from the rows
+    by a 1x1 division or by Cramer's rule."""
+    rows = program.rows
+    cands = [tuple(float((bits >> k) & 1) for k in range(4)) for bits in range(16)]
+    for fixed in combinations(range(4), 4 - len(rows)):
         free = tuple(k for k in range(4) if k not in fixed)
-        k, l = free
-        det = m0[k] * m1[l] - m0[l] * m1[k]
+        a = [[row[k] for k in free] for row in rows]
+        det = a[0][0] if len(rows) == 1 else a[0][0] * a[1][1] - a[0][1] * a[1][0]
         if abs(det) < SINGULAR_TOL:
             continue
-        i, j = fixed
-        for bi in (0.0, 1.0):
-            for bj in (0.0, 1.0):
-                r0 = -(m0[i] * bi + m0[j] * bj)
-                r1 = -(m1[i] * bi + m1[j] * bj)
-                pk = (r0 * m1[l] - m0[l] * r1) / det
-                pl = (m0[k] * r1 - r0 * m1[k]) / det
-                p = [0.0, 0.0, 0.0, 0.0]
-                p[i], p[j], p[k], p[l] = bi, bj, pk, pl
-                cands.append(tuple(p))
-
-    # Three coordinates fixed, one solved from the better-conditioned row.
-    # Covers degenerate programs where every 2x2 subsystem is singular.
-    for free_idx in range(4):
-        fixed = tuple(k for k in range(4) if k != free_idx)
-        a0, a1 = m0[free_idx], m1[free_idx]
-        if max(abs(a0), abs(a1)) < SINGULAR_TOL:
-            continue
-        for bits in range(8):
-            b = tuple(float((bits >> i) & 1) for i in range(3))
-            r0 = -(m0[fixed[0]] * b[0] + m0[fixed[1]] * b[1] + m0[fixed[2]] * b[2])
-            r1 = -(m1[fixed[0]] * b[0] + m1[fixed[1]] * b[1] + m1[fixed[2]] * b[2])
-            val = r0 / a0 if abs(a0) >= abs(a1) else r1 / a1
+        for bounds in product((0.0, 1.0), repeat=len(fixed)):
+            r = [-sum(row[i] * b for i, b in zip(fixed, bounds)) for row in rows]
+            if len(rows) == 1:
+                solved = (r[0] / det,)
+            else:
+                solved = ((r[0] * a[1][1] - a[0][1] * r[1]) / det,
+                          (a[0][0] * r[1] - r[0] * a[1][0]) / det)
             p = [0.0, 0.0, 0.0, 0.0]
-            for i in range(3):
-                p[fixed[i]] = b[i]
-            p[free_idx] = val
+            for k, v in zip(fixed + free, bounds + solved):
+                p[k] = v
             cands.append(tuple(p))
-
     return cands
 
 

@@ -131,8 +131,8 @@ def independence_measure(table) -> float:
     t = np.asarray(table, dtype=float)
     if t.shape != (2, 2, 2, 2):
         raise RangeError(f"table must be (2, 2, 2, 2), got {t.shape}")
-    if (t < 0).any():
-        raise RangeError("table cells must be nonnegative")
+    if not (np.isfinite(t) & (t >= 0)).all():
+        raise RangeError("table cells must be finite and nonnegative")
     worst = 0.0
     for yi, y in enumerate(Y_VALUES):
         for a in A_VALUES:

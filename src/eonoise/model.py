@@ -14,7 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Mapping
 
 from .errors import NormalizationError, RangeError, ZeroCellError
@@ -47,7 +47,7 @@ NORMALIZATION_TOL = 1e-12
 GIVEN_PREDICTOR_P = (1.0, 1.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProblemInstance:
     """Joint distribution of (label, attribute) plus the given classifier.
 
@@ -62,6 +62,8 @@ class ProblemInstance:
     beta1: float
     alpha2: float
     beta2: float
+    # the four rates in CELLS order, built once for rate() and joint()
+    _rates: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base", tuple(float(b) for b in self.base))
@@ -77,7 +79,6 @@ class ProblemInstance:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise RangeError(f"{name} = {v} outside [0, 1]")
-        # the four rates in CELLS order, built once for rate() and joint()
         object.__setattr__(self, "_rates", (self.alpha1, self.beta1, self.alpha2, self.beta2))
 
     def cell(self, y: int, a: int) -> float:
@@ -104,7 +105,7 @@ class ProblemInstance:
         return self.base[i] * (1.0 - r if pred_neg else r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerturbationSpec:
     """Conditional flip probabilities of the attribute seen in training.
 

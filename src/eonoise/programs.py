@@ -90,8 +90,8 @@ def program_from_table(table) -> EoProgram:
     t = np.asarray(table, dtype=float)
     if t.shape != (2, 2, 2):
         raise RangeError(f"table must be (2, 2, 2), got {t.shape}")
-    if (t < 0).any():
-        raise RangeError("table cells must be nonnegative")
+    if not (np.isfinite(t) & (t >= 0)).all():
+        raise RangeError("table cells must be finite and nonnegative")
     total = t.sum()
     if total <= 0:
         raise EmptyCellError("table carries no mass")

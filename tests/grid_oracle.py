@@ -2,8 +2,10 @@
 
 Scans the full step-1/200 grid over [0, 1]^4, keeps points whose two
 constraint residuals are at most 2e-3 in absolute value, and returns the
-smallest objective among them.  Completely independent of the
-vertex-enumeration solver: no linear system is ever solved.
+smallest objective among them.  The two raw rows are built from
+``program.rates``, one per label class, not read from ``program.rows``.
+Completely independent of the vertex-enumeration solver: no linear system
+is ever solved.
 
 A grid point is a (group-0, group-1) combination, each group living on a
 201 x 201 subgrid.  Both sides are bucketed by their first-row rate with
@@ -29,7 +31,7 @@ def _group_values(row0, row1, objective, idx):
 
 
 def grid_minimum(program) -> float:
-    m0, m1 = program.rows
+    m0, m1 = [(h0, -h1, 1.0 - h0, -(1.0 - h1)) for h0, h1 in program.rates]
     c = program.objective
 
     # group 0 holds coordinates 0 and 2 (positive row signs); group 1 holds

@@ -10,6 +10,7 @@ from eonoise import (
     EmptyCellError,
     PerturbationSpec,
     ProblemInstance,
+    RangeError,
     bias_derived,
     bias_given,
     bias_shrink_factor,
@@ -243,6 +244,16 @@ def test_independence_measure_empty_cell():
     table = np.ones((2, 2, 2, 2))
     table[1, 0] = 0.0
     with pytest.raises(EmptyCellError):
+        independence_measure(table)
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+def test_independence_measure_rejects_bad_cell(bad):
+    # a non-finite cell gives nan gaps, which max() drops, so the measure
+    # would read 0.0
+    table = np.ones((2, 2, 2, 2))
+    table[0, 1, 1, 0] = bad
+    with pytest.raises(RangeError, match="finite and nonnegative"):
         independence_measure(table)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from eonoise import (
     EmptyCellError,
     PerturbationSpec,
     ProblemInstance,
+    RangeError,
     bias_derived,
     bias_given,
     derive_predictor,
@@ -221,3 +224,13 @@ def test_program_from_table_empty_cell():
     table[0, 1] = 0.0
     with pytest.raises(EmptyCellError):
         program_from_table(table)
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+def test_program_from_table_rejects_bad_cell(bad):
+    table = np.ones((2, 2, 2))
+    table[1, 0, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic on the cell
+        with pytest.raises(RangeError, match="finite and nonnegative"):
+            program_from_table(table)
