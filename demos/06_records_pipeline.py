@@ -33,15 +33,15 @@ est = estimate_instance(train)
 print(f"estimated rates: alpha1={est.instance.alpha1:.3f} beta1={est.instance.beta1:.3f} "
       f"alpha2={est.instance.alpha2:.3f} beta2={est.instance.beta2:.3f}")
 
-given = DerivedPredictor(GIVEN_PREDICTOR_P, "clean")
+given = DerivedPredictor(GIVEN_PREDICTOR_P)
 print("\nscenario                      bias(+1)  error   independence")
-for scenario in (RecordScenario.independent_flip(0.25),
-                 RecordScenario.score_band(0.2),
-                 RecordScenario.independent_flip_on_errors(0.25),
-                 RecordScenario.score_band_on_errors(0.2)):
+for scenario in (RecordScenario("independent-flip", 0.25),
+                 RecordScenario("score-band", 0.2),
+                 RecordScenario("independent-flip-on-errors", 0.25),
+                 RecordScenario("score-band-on-errors", 0.2)):
     corrupted = apply_scenario(train, scenario, seed=11)
     tables = estimate_corrupted_tables(corrupted)
-    pred = DerivedPredictor(solve(program_from_table(tables.joint)).p_star, "corrupted")
+    pred = solve(program_from_table(tables.joint))
     metrics = evaluate_predictor_on_records(test, pred)
     measure = independence_measure(tables.fourway)
     print(f"{scenario.kind:28s}  {metrics.bias_pos:.4f}    {metrics.error:.4f}  {measure:.4f}")

@@ -142,7 +142,7 @@ def load_sweep_config(path, out_override=None) -> SweepConfig:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    values = parse_config_text(text, source=str(path))
+    values = parse_config_text(text, str(path))
 
     merged: dict[str, str | float] = {}
     preset = values.pop("preset", None)
@@ -284,9 +284,8 @@ def run_dataset(records, scenario_kind: str, levels, seed: int) -> list[list[str
     scenarios = [RecordScenario(scenario_kind, level) for level in levels]
     train, test = split(records, (0.5, 0.5), seed)
 
-    true_pred = DerivedPredictor(
-        p=solve(program_from_table(clean_counts(train))).p_star, source="clean")
-    given_pred = DerivedPredictor(p=GIVEN_PREDICTOR_P, source="clean")
+    true_pred = solve(program_from_table(clean_counts(train)))
+    given_pred = DerivedPredictor(GIVEN_PREDICTOR_P)
 
     given_metrics = evaluate_predictor_on_records(test, given_pred)
     true_metrics = evaluate_predictor_on_records(test, true_pred)
@@ -295,8 +294,7 @@ def run_dataset(records, scenario_kind: str, levels, seed: int) -> list[list[str
     for scenario in scenarios:
         corrupted = apply_scenario(train, scenario, seed)
         tables = estimate_corrupted_tables(corrupted)
-        corr_pred = DerivedPredictor(
-            p=solve(program_from_table(tables.joint)).p_star, source="corrupted")
+        corr_pred = solve(program_from_table(tables.joint))
         corr_metrics = evaluate_predictor_on_records(test, corr_pred)
         measure = independence_measure(tables.fourway)
         rows.append([
@@ -364,6 +362,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    for flag, value in (("--flip", args.flip), ("--gamma", args.gamma)):
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{flag} {value} outside [0, 1]")
     given, corrupted, ok = run_counterexample(args.mode, flip=args.flip, gamma=args.gamma)
     print(f"mode = {args.mode}")
     print(f"bias_pos_given = {_fmt(given)}")

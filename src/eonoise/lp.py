@@ -20,8 +20,8 @@ from itertools import combinations, product
 from typing import Sequence
 
 from .errors import DegenerateProgramError, RangeError
+from .model import DerivedPredictor, snap_probabilities
 
-BOUND_TOL = 1e-12
 RATE_TIE_TOL = 1e-9
 RESIDUAL_TOL = 1e-12
 SINGULAR_TOL = 1e-12
@@ -86,26 +86,6 @@ class EoProgram:
         return max(abs(r[0] * p[0] + r[1] * p[1] + r[2] * p[2] + r[3] * p[3]) for r in self.rows)
 
 
-@dataclass(frozen=True)
-class LpSolution:
-    p_star: tuple[float, float, float, float]
-    objective_value: float
-
-
-def _snap(p: Sequence[float]) -> tuple[float, ...] | None:
-    """Clamp values within BOUND_TOL of a bound onto it; None if out of box."""
-    out = []
-    for v in p:
-        if abs(v) <= BOUND_TOL:
-            v = 0.0
-        elif abs(v - 1.0) <= BOUND_TOL:
-            v = 1.0
-        if not 0.0 <= v <= 1.0:
-            return None
-        out.append(float(v))
-    return tuple(out)
-
-
 def _candidates(program: EoProgram):
     """Deterministically ordered candidate points covering every vertex: the
     box corners, which include the two constant classifiers (feasible for every
@@ -152,12 +132,12 @@ def _pick(ties: Sequence[tuple[float, ...]], prior_pos: float, prior_neg: float)
     return min(ties)
 
 
-def solve_with_ties(program: EoProgram) -> tuple[LpSolution, int]:
+def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:
     """Solve the program; also report how many distinct optima tied."""
     feasible = []
     seen = set()
     for raw in _candidates(program):
-        p = _snap(raw)
+        p = snap_probabilities(raw)
         if p is None or program.residual(p) > RESIDUAL_TOL:
             continue
         key = tuple(round(v, 12) for v in p)
@@ -178,17 +158,17 @@ def solve_with_ties(program: EoProgram) -> tuple[LpSolution, int]:
     csum = sum(program.objective)
     prior_pos = (1.0 - csum) / 2.0
     prior_neg = (1.0 + csum) / 2.0
-    chosen = _pick(ties, prior_pos, prior_neg)
-    return LpSolution(chosen, program.value(chosen)), len(ties)
+    return DerivedPredictor(_pick(ties, prior_pos, prior_neg)), len(ties)
 
 
-def solve(program: EoProgram) -> LpSolution:
-    """Global minimizer at a vertex of the feasible polytope.
+def solve(program: EoProgram) -> DerivedPredictor:
+    """Predictor whose ``p`` is a global minimizer at a vertex of the
+    feasible polytope; its optimal value is ``program.value(pred.p)``.
 
     Objective ties within ``TIE_TOL`` are resolved by preferring the
     constant-ones classifier, then constant-zeros, then the lexicographically
     smallest vertex.
     """
-    solution, _ = solve_with_ties(program)
-    return solution
+    predictor, _ = solve_with_ties(program)
+    return predictor
 

@@ -15,7 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Mapping
+from typing import Literal, Mapping, Sequence
 
 from .errors import NormalizationError, RangeError, ZeroCellError
 
@@ -42,6 +42,7 @@ GENERAL_KEYS = tuple((y, a, yt) for (y, a) in CELLS for yt in Y_VALUES)
 GENERAL_INDEX = _CheckedIndex((key, i) for i, key in enumerate(GENERAL_KEYS))
 
 NORMALIZATION_TOL = 1e-12
+BOUND_TOL = 1e-12
 
 #: Probability vector that reproduces the given classifier unchanged.
 GIVEN_PREDICTOR_P = (1.0, 1.0, 0.0, 0.0)
@@ -67,6 +68,8 @@ class ProblemInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base", tuple(float(b) for b in self.base))
+        if len(self.base) != 4:
+            raise RangeError(f"base needs 4 cell probabilities, got {len(self.base)}")
         for name in ("alpha1", "beta1", "alpha2", "beta2"):
             object.__setattr__(self, name, float(getattr(self, name)))
         for (y, a), b in zip(CELLS, self.base):
@@ -180,27 +183,36 @@ def lift_perturbation(spec: PerturbationSpec) -> PerturbationSpec:
     )
 
 
+def snap_probabilities(p: Sequence[float]) -> tuple[float, float, float, float] | None:
+    """``p`` as four floats, each within BOUND_TOL of 0 or 1 set to that
+    bound; None unless ``p`` has four entries that then all lie in [0, 1]."""
+    if len(p) != 4:
+        return None
+    out = []
+    for v in p:
+        v = float(v)
+        if abs(v) <= BOUND_TOL:
+            v = 0.0
+        elif abs(v - 1.0) <= BOUND_TOL:
+            v = 1.0
+        if not 0.0 <= v <= 1.0:
+            return None
+        out.append(v)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class DerivedPredictor:
     """Randomized postprocessing rule: predict +1 with probability
     ``p[(prediction, attribute)]`` when the given classifier says
-    ``prediction`` and the true attribute is ``attribute``.
+    ``prediction`` and the true attribute is ``attribute``.  ``p`` is
+    snapped by ``snap_probabilities``.
     """
 
     p: tuple[float, float, float, float]
-    source: Literal["clean", "corrupted"]
 
     def __post_init__(self) -> None:
-        vals = []
-        for v in self.p:
-            v = float(v)
-            if abs(v) <= 1e-12:
-                v = 0.0
-            elif abs(v - 1.0) <= 1e-12:
-                v = 1.0
-            if not 0.0 <= v <= 1.0:
-                raise RangeError(f"predictor probability {v} outside [0, 1]")
-            vals.append(v)
-        object.__setattr__(self, "p", tuple(vals))
-        if self.source not in ("clean", "corrupted"):
-            raise RangeError(f"unknown predictor source {self.source!r}")
+        p = snap_probabilities(self.p)
+        if p is None:
+            raise RangeError(f"predictor probabilities {self.p!r} must be four values in [0, 1]")
+        object.__setattr__(self, "p", p)

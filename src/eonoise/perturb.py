@@ -86,22 +86,6 @@ class RecordScenario:
             raise RangeError(f"flip probability {level} outside [0, 1]")
         object.__setattr__(self, "level", level)
 
-    @classmethod
-    def independent_flip(cls, gamma: float) -> "RecordScenario":
-        return cls("independent-flip", gamma)
-
-    @classmethod
-    def score_band(cls, r: float) -> "RecordScenario":
-        return cls("score-band", r)
-
-    @classmethod
-    def independent_flip_on_errors(cls, gamma: float) -> "RecordScenario":
-        return cls("independent-flip-on-errors", gamma)
-
-    @classmethod
-    def score_band_on_errors(cls, r: float) -> "RecordScenario":
-        return cls("score-band-on-errors", r)
-
     @property
     def uses_score(self) -> bool:
         return self.kind.startswith("score-band")

@@ -105,9 +105,7 @@ def derive_predictor(inst: ProblemInstance,
     nonzero spec is given, on the true attribute otherwise."""
     if spec is None or spec.is_zero:
         program = build_clean_program(inst)
-        source = "clean"
     else:
         program = build_corrupted_program(inst, spec)
-        source = "corrupted"
-    solution, _ = solve_with_ties(program)
-    return DerivedPredictor(p=solution.p_star, source=source)
+    predictor, _ = solve_with_ties(program)
+    return predictor

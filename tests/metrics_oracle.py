@@ -74,8 +74,7 @@ def balanced_uniform_predictor(inst: ProblemInstance, gamma: float) -> DerivedPr
             raise PreconditionError(f"closed form produced probability {value}")
         probs.append(min(1.0, max(0.0, value)))
 
-    source = "clean" if gamma == 0.0 else "corrupted"
-    predictor = DerivedPredictor(p=tuple(probs), source=source)
+    predictor = DerivedPredictor(p=tuple(probs))
 
     if gamma == 0.0:
         program = build_clean_program(inst)

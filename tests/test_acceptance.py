@@ -169,7 +169,7 @@ def test_criterion_6_oracle_equivalence():
         rng = np.random.default_rng(60606)
         for _ in range(500):
             program = random_program(rng)
-            assert solve(program).objective_value <= grid_minimum(program) + 5e-3
+            assert program.value(solve(program).p) <= grid_minimum(program) + 5e-3
 
 
 def test_criterion_7_interpolation_shape():

@@ -142,7 +142,7 @@ def test_sweep_leaves_bound_empty_at_flip_rate_one(tmp_path, schedule, empty):
 def test_sweep_exits_4_when_a_bias_breaks_its_bound(tmp_path, monkeypatch, capsys):
     # The given classifier keeps its own bias, which the bound shrinks.
     monkeypatch.setattr(eonoise.cli, "derive_predictor",
-                        lambda inst, spec: DerivedPredictor(GIVEN_PREDICTOR_P, "clean"))
+                        lambda inst, spec: DerivedPredictor(GIVEN_PREDICTOR_P))
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 4
     assert not out.exists()
@@ -183,6 +183,19 @@ def test_counterexample_modes(capsys):
     assert "PASS" in out
     assert main(["reproduce-lemma1", "a_violated", "--flip", "0"]) == 0
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["a_violated", "--flip", "1.5"], "--flip"),
+    (["a_violated", "--flip", "-0.1"], "--flip"),
+    (["a_violated", "--flip", "nan"], "--flip"),
+    (["b_violated", "--gamma", "nan"], "--gamma"),
+    (["b_violated", "--gamma", "1.01"], "--gamma"),
+])
+def test_counterexample_flag_outside_unit_interval_is_a_config_error(argv, flag, capsys):
+    assert main(["reproduce-lemma1", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and "outside [0, 1]" in err
 
 
 def test_parse_grid():

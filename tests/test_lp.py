@@ -38,9 +38,10 @@ def test_invalid_program_rejected(objective, rates):
 
 
 def test_zero_objective_returns_constant():
-    sol = solve(_program(((0.7, 0.3), (0.2, 0.6))))
-    assert sol.p_star == (1.0,) * 4  # zero objective ties everything; equal priors pick ones
-    assert sol.objective_value == 0.0
+    prog = _program(((0.7, 0.3), (0.2, 0.6)))
+    pred = solve(prog)
+    assert pred.p == (1.0,) * 4  # zero objective ties everything; equal priors pick ones
+    assert prog.value(pred.p) == 0.0
 
 
 def test_constant_points_always_feasible():
@@ -51,8 +52,8 @@ def test_constant_points_always_feasible():
 
 def test_counterexample_program_vertex():
     prog = build_corrupted_program(counterexample_instance(), counterexample_spec())
-    sol = solve(prog)
-    p10, p11, pm10, pm11 = sol.p_star
+    pred = solve(prog)
+    p10, p11, pm10, pm11 = pred.p
     assert 0.82 <= p10 <= 0.84
     assert p11 == 1.0 and pm10 == 0.0 and pm11 == 0.0
 
@@ -61,16 +62,16 @@ def test_feasibility_on_random_programs():
     rng = np.random.default_rng(11)
     for _ in range(200):
         prog = random_program(rng)
-        sol = solve(prog)
-        assert prog.residual(sol.p_star) <= 1e-9
-        assert all(0.0 <= v <= 1.0 for v in sol.p_star)
+        pred = solve(prog)
+        assert prog.residual(pred.p) <= 1e-9
+        assert all(0.0 <= v <= 1.0 for v in pred.p)
 
 
 def test_objective_matches_grid_oracle_spot_check():
     rng = np.random.default_rng(23)
     for _ in range(25):
         prog = random_program(rng)
-        assert solve(prog).objective_value <= grid_minimum(prog) + 5e-3
+        assert prog.value(solve(prog).p) <= grid_minimum(prog) + 5e-3
 
 
 _RATE = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0))
@@ -113,9 +114,9 @@ def test_solve_matches_exact_oracle(objective, rates):
     # the exact rational optimum under the same near-equal rule: the optimal
     # values agree even where the optimum is not unique
     prog = EoProgram(objective=objective, rates=rates)
-    sol = solve(prog)
-    assert abs(sol.objective_value - float(exact_minimum(prog))) <= 1e-9
-    assert prog.residual(sol.p_star) <= RESIDUAL_TOL
+    pred = solve(prog)
+    assert abs(prog.value(pred.p) - float(exact_minimum(prog))) <= 1e-9
+    assert prog.residual(pred.p) <= RESIDUAL_TOL
 
 
 def test_degenerate_identical_rows_still_solved():
@@ -125,9 +126,9 @@ def test_degenerate_identical_rows_still_solved():
     inst = random_instance(np.random.default_rng(3))
     inst = type(inst)(base=inst.base, alpha1=0.3, beta1=0.7, alpha2=0.3, beta2=0.7)
     prog = build_clean_program(inst)
-    sol = solve(prog)
-    assert prog.residual(sol.p_star) <= 1e-9
-    assert sol.objective_value <= grid_minimum(prog) + 5e-3
+    pred = solve(prog)
+    assert prog.residual(pred.p) <= 1e-9
+    assert prog.value(pred.p) <= grid_minimum(prog) + 5e-3
 
 
 def test_translation_structure():
@@ -135,20 +136,20 @@ def test_translation_structure():
     for _ in range(50):
         inst = random_instance(rng)
         prog = build_clean_program(inst)
-        sol = solve(prog)
+        pred = solve(prog)
         csum = sum(prog.objective)
-        room = min(1.0 - max(sol.p_star), min(sol.p_star))
+        room = min(1.0 - max(pred.p), min(pred.p))
         shift = 0.5 * room
-        translated = tuple(v + shift for v in sol.p_star)
+        translated = tuple(v + shift for v in pred.p)
         # rows annihilate the all-ones direction, so translates stay feasible
-        assert abs(prog.residual(translated) - prog.residual(sol.p_star)) <= 1e-9
-        assert prog.value(translated) - sol.objective_value == pytest.approx(csum * shift, abs=1e-12)
+        assert abs(prog.residual(translated) - prog.residual(pred.p)) <= 1e-9
+        assert prog.value(translated) - prog.value(pred.p) == pytest.approx(csum * shift, abs=1e-12)
 
     balanced = type(inst)(base=(0.25,) * 4, alpha1=0.9, beta1=0.55, alpha2=0.35, beta2=0.2)
     prog = build_corrupted_program(balanced, PerturbationSpec.uniform(0.2))
-    sol = solve(prog)
-    translated = tuple(v + 0.5 * (1.0 - max(sol.p_star)) for v in sol.p_star)
-    assert prog.value(translated) == pytest.approx(sol.objective_value, abs=1e-12)
+    pred = solve(prog)
+    translated = tuple(v + 0.5 * (1.0 - max(pred.p)) for v in pred.p)
+    assert prog.value(translated) == pytest.approx(prog.value(pred.p), abs=1e-12)
 
 
 def test_bitwise_determinism():
@@ -157,8 +158,8 @@ def test_bitwise_determinism():
         prog = random_program(rng)
         first = solve(prog)
         second = solve(prog)
-        assert first.p_star == second.p_star
-        assert first.objective_value == second.objective_value
+        assert first.p == second.p
+        assert prog.value(first.p) == prog.value(second.p)
 
 
 ONES, ZEROS = (1.0,) * 4, (0.0,) * 4

@@ -38,8 +38,8 @@ from support import (
 )
 
 
-def _predictor(p, source="corrupted"):
-    return DerivedPredictor(p=tuple(p), source=source)
+def _predictor(p):
+    return DerivedPredictor(p=tuple(p))
 
 
 # ---------------------------------------------------------------- bias/error

@@ -31,6 +31,13 @@ def test_zero_cell_rejected():
         ProblemInstance(base=(0.5, 0.5, 0.0, 0.0), alpha1=0.5, beta1=0.5, alpha2=0.5, beta2=0.5)
 
 
+@pytest.mark.parametrize("base", [(0.5, 0.25, 0.25), (0.25, 0.25, 0.25, 0.25, 0.0)],
+                         ids=["three-cells", "five-cells"])
+def test_base_of_wrong_length_rejected(base):
+    with pytest.raises(RangeError, match="base needs 4"):
+        ProblemInstance(base=base, alpha1=0.5, beta1=0.5, alpha2=0.5, beta2=0.5)
+
+
 def test_unnormalized_base_rejected():
     with pytest.raises(NormalizationError):
         ProblemInstance(base=(0.3, 0.3, 0.3, 0.3), alpha1=0.5, beta1=0.5, alpha2=0.5, beta2=0.5)
@@ -101,7 +108,7 @@ def test_spec_validation():
 
 
 _INST = ProblemInstance(base=BALANCED, alpha1=0.9, beta1=0.8, alpha2=0.4, beta2=0.1)
-_PRED = DerivedPredictor(p=(1.0, 0.5, 0.25, 0.0), source="clean")
+_PRED = DerivedPredictor(p=(1.0, 0.5, 0.25, 0.0))
 _RESTRICTED = PerturbationSpec.restricted(0.1, 0.2, 0.3, 0.4)
 
 
@@ -135,10 +142,11 @@ def test_restricted_rate_lookup_requires_restricted():
 
 def test_predictor_validation_and_snapping():
     with pytest.raises(RangeError):
-        DerivedPredictor(p=(1.1, 0.0, 0.0, 0.0), source="clean")
-    snapped = DerivedPredictor(p=(1.0 + 5e-13, -5e-13, 0.5, 0.5), source="corrupted")
+        DerivedPredictor(p=(1.1, 0.0, 0.0, 0.0))
+    snapped = DerivedPredictor(p=(1.0 + 5e-13, -5e-13, 0.5, 0.5))
     assert snapped.p == (1.0, 0.0, 0.5, 0.5)
     assert snapped.p[0] == 1.0
     assert snapped.p[3] == 0.5
-    with pytest.raises(RangeError):
-        DerivedPredictor(p=(0.5,) * 4, source="mystery")
+    for p in ((1.0, 1.0, 0.0), (1.0, 1.0, 0.0, 0.0, 0.0)):
+        with pytest.raises(RangeError):
+            DerivedPredictor(p=p)

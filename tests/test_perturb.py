@@ -46,20 +46,20 @@ def _records(n=12, seed=0, with_score=True):
 
 def test_zero_flip_is_identity():
     rs = _records(200, seed=1)
-    out = apply_scenario(rs, RecordScenario.independent_flip(0.0), seed=9)
+    out = apply_scenario(rs, RecordScenario("independent-flip", 0.0), seed=9)
     assert (out.a_c == rs.a).all()
 
 
 def test_full_band_flips_everything():
     rs = _records(200, seed=2)
-    out = apply_scenario(rs, RecordScenario.score_band(0.5), seed=0)
+    out = apply_scenario(rs, RecordScenario("score-band", 0.5), seed=0)
     assert (out.a_c == 1 - rs.a).all()
 
 
 def test_flip_count_concentrates():
     n, gamma = 20_000, 0.3
     rs = _records(n, seed=3)
-    out = apply_scenario(rs, RecordScenario.independent_flip(gamma), seed=4)
+    out = apply_scenario(rs, RecordScenario("independent-flip", gamma), seed=4)
     flips = int((out.a_c != rs.a).sum())
     margin = 4.0 * np.sqrt(n * gamma * (1 - gamma))
     assert abs(flips - n * gamma) <= margin
@@ -71,14 +71,14 @@ def test_band_boundary_inclusive():
     score = np.array([0.25, 0.75, 0.2499999, 0.7500001])
     yhat = np.where(score > 0.5, 1, -1)
     rs = RecordSet(y=y, a=a, score=score, yhat=yhat)
-    out = apply_scenario(rs, RecordScenario.score_band(0.25), seed=0)
+    out = apply_scenario(rs, RecordScenario("score-band", 0.25), seed=0)
     assert list(out.a_c) == [1, 1, 0, 0]
 
 
 def test_on_errors_variants_spare_correct_records():
     rs = _records(5000, seed=5)
-    for scenario in (RecordScenario.independent_flip_on_errors(0.8),
-                     RecordScenario.score_band_on_errors(0.4)):
+    for scenario in (RecordScenario("independent-flip-on-errors", 0.8),
+                     RecordScenario("score-band-on-errors", 0.4)):
         out = apply_scenario(rs, scenario, seed=6)
         correct = rs.yhat == rs.y
         assert (out.a_c[correct] == rs.a[correct]).all()
@@ -88,7 +88,7 @@ def test_on_errors_variants_spare_correct_records():
 
 def test_scenario_determinism():
     rs = _records(1000, seed=7)
-    scenario = RecordScenario.independent_flip(0.4)
+    scenario = RecordScenario("independent-flip", 0.4)
     first = apply_scenario(rs, scenario, seed=8)
     second = apply_scenario(rs, scenario, seed=8)
     assert (first.a_c == second.a_c).all()
@@ -98,7 +98,7 @@ def test_scenario_determinism():
 
 def test_metadata_recorded():
     rs = _records(10, seed=10)
-    out = apply_scenario(rs, RecordScenario.independent_flip(0.2), seed=11)
+    out = apply_scenario(rs, RecordScenario("independent-flip", 0.2), seed=11)
     assert out.meta["scenario"] == "independent-flip"
     assert out.meta["level"] == 0.2
     assert out.meta["seed"] == 11
@@ -108,16 +108,16 @@ def test_metadata_recorded():
 def test_missing_columns_rejected():
     rs = _records(10, seed=12, with_score=False)
     with pytest.raises(MissingColumnError):
-        apply_scenario(rs, RecordScenario.score_band(0.2), seed=0)
+        apply_scenario(rs, RecordScenario("score-band", 0.2), seed=0)
     no_yhat = RecordSet(y=rs.y, a=rs.a)
     with pytest.raises(MissingColumnError):
-        apply_scenario(no_yhat, RecordScenario.independent_flip_on_errors(0.2), seed=0)
+        apply_scenario(no_yhat, RecordScenario("independent-flip-on-errors", 0.2), seed=0)
 
 
 def test_scenario_level_ranges():
     with pytest.raises(RangeError):
-        RecordScenario.independent_flip(1.2)
+        RecordScenario("independent-flip", 1.2)
     with pytest.raises(RangeError):
-        RecordScenario.score_band(0.6)
+        RecordScenario("score-band", 0.6)
     with pytest.raises(RangeError):
         RecordScenario("banded", 0.1)

@@ -15,6 +15,7 @@ from eonoise import (
     error_given,
     program_from_table,
 )
+from eonoise import programs
 from eonoise.model import lift_perturbation
 from eonoise.programs import build_clean_program, build_corrupted_joint, build_corrupted_program
 from programs_oracle import restricted_corrupted_program
@@ -139,7 +140,6 @@ def test_balanced_uniform_constraint_rates():
 
 def test_counterexample_predictor():
     pred = derive_predictor(counterexample_instance(), counterexample_spec())
-    assert pred.source == "corrupted"
     assert 0.82 <= pred.p[0] <= 0.84
     assert pred.p[1] == 1.0
     assert pred.p[2] == 0.0 and pred.p[3] == 0.0
@@ -182,23 +182,33 @@ def test_unbiased_informative_classifier_kept():
     inst = ProblemInstance(base=(0.3, 0.2, 0.3, 0.2), alpha1=0.9, beta1=0.9,
                            alpha2=0.4, beta2=0.4)
     pred = derive_predictor(inst)
-    assert pred.source == "clean"
     assert bias_derived(inst, pred, 1) == pytest.approx(bias_given(inst, 1), abs=1e-9)
     assert error_derived(inst, pred) == pytest.approx(error_given(inst), abs=1e-9)
 
 
-def test_zero_spec_equivalent_to_no_spec():
+def test_zero_spec_equivalent_to_no_spec(monkeypatch):
+    corrupted_builds = []
+
+    def spy(inst, spec):
+        corrupted_builds.append(spec)
+        return build_corrupted_program(inst, spec)
+
+    monkeypatch.setattr(programs, "build_corrupted_program", spy)
     rng = np.random.default_rng(9)
     for _ in range(20):
         inst = random_instance(rng)
         none_pred = derive_predictor(inst, None)
         zero_pred = derive_predictor(inst, PerturbationSpec.uniform(0.0))
-        assert none_pred.source == zero_pred.source == "clean"
+        assert none_pred.p == zero_pred.p
         for y in (1, -1):
             assert bias_derived(inst, none_pred, y) == pytest.approx(
                 bias_derived(inst, zero_pred, y), abs=1e-12)
         assert error_derived(inst, none_pred) == pytest.approx(
             error_derived(inst, zero_pred), abs=1e-12)
+    # a zero spec is trained on the true attribute; the spy sees nonzero specs
+    assert corrupted_builds == []
+    derive_predictor(inst, PerturbationSpec.uniform(0.1))
+    assert corrupted_builds == [PerturbationSpec.uniform(0.1)]
 
 
 def test_half_noise_returns_given_classifier_metrics():

@@ -150,7 +150,7 @@ def test_package_record_sets_are_read_only_and_shared(tmp_path, monkeypatch):
     for part in parts:
         _assert_read_only(part)
     assert stored_as_is()
-    corrupted = apply_scenario(parts[0], RecordScenario.independent_flip(0.3), seed=1)
+    corrupted = apply_scenario(parts[0], RecordScenario("independent-flip", 0.3), seed=1)
     _assert_read_only(corrupted)
     assert stored_as_is()
     # apply_scenario hands the kept columns over without a copy
@@ -275,7 +275,7 @@ def test_counterexample_independence_estimate_matches_population():
 def test_evaluate_identity_predictor_reproduces_given_metrics():
     inst = fig1_top_left()
     rs = sample_records(inst, 20_000, seed=4)
-    metrics = evaluate_predictor_on_records(rs, DerivedPredictor(GIVEN_PREDICTOR_P, "clean"))
+    metrics = evaluate_predictor_on_records(rs, DerivedPredictor(GIVEN_PREDICTOR_P))
     rate = {}
     for y in (1, -1):
         for a in (0, 1):
@@ -289,7 +289,7 @@ def test_evaluate_identity_predictor_reproduces_given_metrics():
 def test_evaluate_constant_predictor():
     inst = fig1_top_left()
     rs = sample_records(inst, 10_000, seed=5)
-    metrics = evaluate_predictor_on_records(rs, DerivedPredictor((1.0,) * 4, "clean"))
+    metrics = evaluate_predictor_on_records(rs, DerivedPredictor((1.0,) * 4))
     assert metrics.error == pytest.approx(float((rs.y == -1).mean()), abs=1e-15)
     assert metrics.bias_pos == 0.0 and metrics.bias_neg == 0.0
 
@@ -297,7 +297,7 @@ def test_evaluate_constant_predictor():
 def test_sampled_evaluation_agrees_with_expectation():
     inst = fig1_top_left()
     rs = sample_records(inst, 5000, seed=6)
-    pred = DerivedPredictor((0.9, 0.7, 0.2, 0.4), "corrupted")
+    pred = DerivedPredictor((0.9, 0.7, 0.2, 0.4))
     exact = evaluate_predictor_on_records(rs, pred)
     mean, samples = evaluate_predictor_sampled(rs, pred, seed=7, repetitions=100)
     se = samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
@@ -308,7 +308,7 @@ def test_sampled_evaluation_agrees_with_expectation():
 def _random_predictor(rng):
     p = rng.random(4)
     p[rng.random(4) < 0.3] = rng.choice((0.0, 1.0))
-    return DerivedPredictor(tuple(p.tolist()), "corrupted")
+    return DerivedPredictor(tuple(p.tolist()))
 
 
 def _hex(metrics):
@@ -340,7 +340,7 @@ def test_indexed_evaluation_matches_mask_oracle_on_sampled_records():
     rs = sample_records(fig1_top_left(), 30_000, seed=18, with_scores=True)
     _, test = split(rs, (0.5, 0.5), seed=3)
     rng = np.random.default_rng(19)
-    preds = [DerivedPredictor(GIVEN_PREDICTOR_P, "clean")] + [_random_predictor(rng) for _ in range(12)]
+    preds = [DerivedPredictor(GIVEN_PREDICTOR_P)] + [_random_predictor(rng) for _ in range(12)]
     for pred in preds:
         assert _hex(evaluate_predictor_on_records(test, pred)) == _hex(oracle_evaluate(test, pred))
 
@@ -406,7 +406,7 @@ def test_estimators_permutation_invariant():
 def test_estimate_then_formula_consistency():
     rs = sample_records(fig1_top_left(), 3000, seed=14)
     est = estimate_instance(rs)
-    metrics = evaluate_predictor_on_records(rs, DerivedPredictor(GIVEN_PREDICTOR_P, "clean"))
+    metrics = evaluate_predictor_on_records(rs, DerivedPredictor(GIVEN_PREDICTOR_P))
     assert error_given(est.instance) == pytest.approx(metrics.error, abs=1e-12)
 
 

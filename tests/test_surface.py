@@ -1,6 +1,7 @@
 """The names that code outside the package reaches for: the benchmark's
-tracer and worker, and the demos.  A deleted or renamed name fails here
-instead of in a benchmark run or a demo.  The public ``__all__`` holds only
+tracer and worker, the demos and the README's quick start.  A deleted or
+renamed name fails here instead of in a benchmark run, a demo or a reader's
+terminal.  The public ``__all__`` holds only
 names something uses: the CLI, a demo, the README or the benchmark worker,
 or, for an exception, the package itself by raising it.  Also the package's
 promise that its checks still run under ``python -O``."""
@@ -94,6 +95,14 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert not list(tmpdir.iterdir()), "the demo left files in its temp dir"
+
+
+def test_readme_quick_start_runs(capsys):
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"^```python\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    assert block, "README.md has no python block"
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_package_sources_found():
