@@ -362,10 +362,11 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    for flag, value in (("--flip", args.flip), ("--gamma", args.gamma)):
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{flag} {value} outside [0, 1]")
-    given, corrupted, ok = run_counterexample(args.mode, flip=args.flip, gamma=args.gamma)
+    name = "flip" if args.mode == "a_violated" else "gamma"
+    value = getattr(args, name)
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"--{name} {value} outside [0, 1]")
+    given, corrupted, ok = run_counterexample(args.mode, **{name: value})
     print(f"mode = {args.mode}")
     print(f"bias_pos_given = {_fmt(given)}")
     print(f"bias_pos_corrupted = {_fmt(corrupted)}")
@@ -378,12 +379,13 @@ def _cmd_estimate(args) -> int:
     records = read_records_csv(args.records)
     est = estimate_instance(records)
     inst = est.instance
+    # repr is the shortest text that reads back as the same float
     lines = [
-        f"base = {_fmt(inst.base[0])}, {_fmt(inst.base[1])}, {_fmt(inst.base[2])}, {_fmt(inst.base[3])}",
-        f"alpha1 = {_fmt(inst.alpha1)}",
-        f"beta1 = {_fmt(inst.beta1)}",
-        f"alpha2 = {_fmt(inst.alpha2)}",
-        f"beta2 = {_fmt(inst.beta2)}",
+        f"base = {', '.join(map(repr, inst.base))}",
+        f"alpha1 = {inst.alpha1!r}",
+        f"beta1 = {inst.beta1!r}",
+        f"alpha2 = {inst.alpha2!r}",
+        f"beta2 = {inst.beta2!r}",
         f"# cell counts (y=+1 a=0, y=+1 a=1, y=-1 a=0, y=-1 a=1): "
         f"{est.counts[0]}, {est.counts[1]}, {est.counts[2]}, {est.counts[3]}",
     ]
@@ -440,12 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce-lemma1",
                        help="settings where corrupted training raises the bias")
-    p.add_argument("mode", choices=LEMMA1_MODES)
-    p.add_argument("--flip", type=float, default=0.15,
-                   help="prediction-dependent flip probability for a_violated")
-    p.add_argument("--gamma", type=float, default=0.7,
-                   help="uniform flip probability for b_violated")
     p.set_defaults(func=_cmd_counterexample)
+    modes = p.add_subparsers(dest="mode", required=True)
+    m = modes.add_parser("a_violated", help="prediction-dependent flips")
+    m.add_argument("--flip", type=float, default=0.15, help="prediction-dependent flip probability")
+    m = modes.add_parser("b_violated", help="flip rates summing past one")
+    m.add_argument("--gamma", type=float, default=0.7, help="uniform flip probability")
 
     p = sub.add_parser("estimate", help="estimate instance parameters from records")
     p.add_argument("records")

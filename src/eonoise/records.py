@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import io
-import math
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import MissingColumnError, RangeError, RecordsError, ZeroCellError
+from .metrics import bias_derived, error_derived
 from .model import CELLS, DerivedPredictor, PerturbationSpec, ProblemInstance, lift_perturbation
 
 RECORD_CSV_HEADER = ("y", "a", "a_c", "score", "yhat")
@@ -54,9 +53,7 @@ class RecordSet:
     Every column is stored read-only.  A column is stored as is only when it
     owns its memory and, if the caller passed it in, is already read-only;
     anything else (a writeable array, a view, a memmap) is copied first, so
-    a later write by the caller changes neither the validated columns nor
-    the index that evaluate_predictor_on_records derives from them on first
-    use.
+    a later write by the caller does not change the validated columns.
     """
 
     y: np.ndarray
@@ -98,12 +95,6 @@ class RecordSet:
     def n(self) -> int:
         return int(self.y.shape[0])
 
-    @cached_property
-    def _eval_index(self) -> "_EvalIndex":
-        slot = (_yi(self.yhat) * 2 + self.a).astype(np.uint8)
-        cells = tuple(slot[(self.y == y) & (self.a == a)] for (y, a) in CELLS)
-        return _EvalIndex(cells, slot + (self.y == 1).astype(np.uint8) * 4)
-
     def subset(self, idx) -> "RecordSet":
         take = lambda col: None if col is None else read_only(col[idx])
         return RecordSet(y=take(self.y), a=take(self.a), a_c=take(self.a_c),
@@ -130,14 +121,6 @@ class CorruptedTables(NamedTuple):
     fourway: np.ndarray
 
 
-class _EvalIndex(NamedTuple):
-    #: Per (y, a) cell in CELLS order, the (prediction, attribute) slot of
-    #: each of its records into a predictor's p, in record order.
-    cells: tuple[np.ndarray, ...]
-    #: Per record, its slot plus 4 where y = +1: an index into concat(p, 1 - p).
-    keys: np.ndarray
-
-
 class EvalMetrics(NamedTuple):
     bias_pos: float
     bias_neg: float
@@ -146,14 +129,18 @@ class EvalMetrics(NamedTuple):
 
 def _yi(values: np.ndarray) -> np.ndarray:
     """Axis index for -1/+1 columns: 0 for +1, 1 for -1."""
-    return (values == -1).astype(np.intp)
+    return (values == -1).view(np.uint8)
 
 
-def _counts(shape: tuple[int, ...], *indices: np.ndarray) -> np.ndarray:
-    """Float counts of the records in each cell of a table of ``shape``,
-    given one index column per axis."""
-    flat = np.ravel_multi_index(indices, shape)
-    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape).astype(float)
+def _counts(*indices: np.ndarray) -> np.ndarray:
+    """Float counts of the records in each cell of a table with one binary
+    axis per 0/1 index column, in the order given."""
+    flat = indices[0].astype(np.uint8)
+    for col in indices[1:]:
+        flat <<= 1
+        flat |= col.view(np.uint8)
+    k = len(indices)
+    return np.bincount(flat, minlength=1 << k).reshape((2,) * k).astype(float)
 
 
 def clean_counts(records: RecordSet) -> np.ndarray:
@@ -161,7 +148,7 @@ def clean_counts(records: RecordSet) -> np.ndarray:
     like the joint program_from_table takes."""
     if records.yhat is None:
         raise MissingColumnError("estimation needs a yhat column")
-    return _counts((2, 2, 2), _yi(records.y), records.a, _yi(records.yhat))
+    return _counts(_yi(records.y), records.a, _yi(records.yhat))
 
 
 def _require_records(table: np.ndarray, attribute: str) -> None:
@@ -199,7 +186,7 @@ def estimate_corrupted_tables(records: RecordSet) -> CorruptedTables:
     if records.a_c is None:
         raise MissingColumnError("estimation needs an a_c column")
 
-    fourway = _counts((2, 2, 2, 2), _yi(records.y), records.a, _yi(records.yhat), records.a_c)
+    fourway = _counts(_yi(records.y), records.a, _yi(records.yhat), records.a_c)
     joint = np.ascontiguousarray(fourway.sum(axis=1).transpose(0, 2, 1))
     _require_records(joint, "corrupted attribute")
     joint /= records.n
@@ -209,26 +196,12 @@ def estimate_corrupted_tables(records: RecordSet) -> CorruptedTables:
 
 def evaluate_predictor_on_records(records: RecordSet,
                                   predictor: DerivedPredictor) -> EvalMetrics:
-    """Empirical bias and error using the exact expectation over the
-    predictor's internal randomization: each record contributes
-    p[(yhat, a)] to the positive rate of its (y, a) cell instead of a
-    sampled coin flip."""
-    if records.yhat is None:
-        raise MissingColumnError("evaluation needs a yhat column")
-    index = records._eval_index
-    p = np.asarray(predictor.p, dtype=float)
-
-    rate = {}
-    for (y, a), slots in zip(CELLS, index.cells):
-        if not slots.size:
-            raise ZeroCellError(f"no records with Y={y}, A={a}")
-        rate[(y, a)] = float(p[slots].mean())
-    error = float(np.concatenate((p, 1.0 - p))[index.keys].mean())
-    return EvalMetrics(
-        bias_pos=abs(rate[(1, 0)] - rate[(1, 1)]),
-        bias_neg=abs(rate[(-1, 0)] - rate[(-1, 1)]),
-        error=error,
-    )
+    """Bias and error on the records' empirical distribution: the formulas
+    of bias_derived and error_derived at the estimated instance, which take
+    the exact expectation over the predictor's internal randomization."""
+    inst = estimate_instance(records).instance
+    return EvalMetrics(bias_derived(inst, predictor, 1), bias_derived(inst, predictor, -1),
+                       error_derived(inst, predictor))
 
 
 def split(records: RecordSet, fractions: Sequence[float], seed: int) -> list[RecordSet]:

@@ -9,9 +9,12 @@ accepts what the package's reader accepts, except that it also reads quoted
 fields, non-ASCII digits and Unicode whitespace; its error messages do not
 name physical lines.
 
-``evaluate_predictor_on_records`` is the package's exact evaluation written
-with one boolean mask per (y, a) cell, rebuilt on every call; the package
-derives a per-record index once per record set and reuses it.
+``evaluate_predictor_on_records`` evaluates a derived predictor on the
+records directly: each record contributes p[(yhat, a)] to the positive rate
+of its (y, a) cell, and one boolean mask per cell takes the means.  The
+package instead applies ``bias_derived`` and ``error_derived`` to the
+instance ``estimate_instance`` reads from the records.  Both equal the
+exact rational values of ``evaluate_predictor_exact`` up to rounding.
 
 ``write_records_csv`` writes the record CSV format one field at a time,
 with ``str`` for labels and ``format(v, ".12g")`` for scores; the package
@@ -28,6 +31,7 @@ records once per table and reads the cells and the joint from it.
 
 import csv
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -115,6 +119,29 @@ def evaluate_predictor_on_records(records: RecordSet, predictor) -> EvalMetrics:
         bias_neg=abs(rate[(-1, 0)] - rate[(-1, 1)]),
         error=error,
     )
+
+
+def evaluate_predictor_exact(records: RecordSet, predictor) -> tuple[Fraction, Fraction, Fraction]:
+    """bias_pos, bias_neg and error as exact rationals: a cell's positive
+    rate is its count-weighted mix of the predictor's (exactly converted)
+    probabilities over the given predictions."""
+    if records.yhat is None:
+        raise MissingColumnError("evaluation needs a yhat column")
+    # p is ordered like CELLS with the given prediction in place of the label
+    p = dict(zip(CELLS, map(Fraction, predictor.p)))
+    rate = {}
+    wrong = Fraction(0)
+    for (y, a) in CELLS:
+        mask = (records.y == y) & (records.a == a)
+        n = int(mask.sum())
+        if n == 0:
+            raise ZeroCellError(f"no records with Y={y}, A={a}")
+        pos = int((records.yhat[mask] == 1).sum())
+        mass = pos * p[(1, a)] + (n - pos) * p[(-1, a)]
+        rate[(y, a)] = mass / n
+        wrong += n - mass if y == 1 else mass
+    return (abs(rate[(1, 0)] - rate[(1, 1)]), abs(rate[(-1, 0)] - rate[(-1, 1)]),
+            wrong / records.n)
 
 
 def evaluate_predictor_sampled(records: RecordSet, predictor, seed: int,

@@ -16,7 +16,7 @@ from eonoise.cli import (
     run_sweep,
 )
 from eonoise.errors import ConfigError, MissingColumnError
-from eonoise.records import RecordSet
+from eonoise.records import RecordSet, estimate_instance, read_records_csv
 from support import fig1_top_left
 
 TOP_LEFT_CONFIG = """
@@ -198,6 +198,18 @@ def test_counterexample_flag_outside_unit_interval_is_a_config_error(argv, flag,
     assert err.startswith(f"error: {flag} ") and "outside [0, 1]" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["a_violated", "--gamma", "0.3"], "--gamma"),
+    (["b_violated", "--flip", "0.9"], "--flip"),
+])
+def test_counterexample_rejects_the_other_modes_flag(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce-lemma1", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and flag in err
+
+
 def test_parse_grid():
     assert parse_grid("0.5") == [0.5]
     assert parse_grid("0:0.2:0.1") == pytest.approx([0.0, 0.1, 0.2])
@@ -354,3 +366,21 @@ def test_estimate_subcommand_feeds_sweep(tmp_path, capsys):
     assert config.instance.alpha1 == pytest.approx(0.9, abs=0.02)
     rows = run_sweep(config)
     assert len(rows) == 3
+
+
+def test_estimate_output_reads_back_as_the_estimated_instance(tmp_path, capsys):
+    # cell counts (1, 1, 1, 3): base 1/6, 1/6, 1/6, 1/2, whose 12-digit
+    # forms sum to 1.000000000001, past the config's normalization check
+    records_path = tmp_path / "records.csv"
+    records_path.write_text("y,a,a_c,score,yhat\n1,0,,,1\n1,1,,,-1\n-1,0,,,-1\n"
+                            "-1,1,,,1\n-1,1,,,-1\n-1,1,,,-1\n")
+    est_path = tmp_path / "estimate.cfg"
+    assert main(["estimate", str(records_path), "--out", str(est_path)]) == 0
+    assert "# cell counts (y=+1 a=0, y=+1 a=1, y=-1 a=0, y=-1 a=1): 1, 1, 1, 3" in est_path.read_text()
+
+    cfg = _write_config(tmp_path, est_path.read_text() + "schedule = equal\ngrid_start = 0\n"
+                        "grid_stop = 0.2\ngrid_step = 0.1\nout = " + str(tmp_path / "sweep.csv") + "\n",
+                        name="from_est.cfg")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    want = estimate_instance(read_records_csv(records_path)).instance
+    assert load_sweep_config(cfg).instance == want

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from eonoise import (
     RecordsError,
     ZeroCellError,
     apply_scenario,
+    bias_derived,
+    error_derived,
     error_given,
     estimate_corrupted_tables,
     estimate_instance,
@@ -30,6 +33,7 @@ from eonoise.cli import main
 from eonoise.records import RECORD_CSV_HEADER, RecordSet, clean_counts, read_records_csv
 from records_oracle import estimate_corrupted_tables as oracle_corrupted_tables
 from records_oracle import estimate_instance as oracle_estimate_instance
+from records_oracle import evaluate_predictor_exact
 from records_oracle import evaluate_predictor_on_records as oracle_evaluate
 from records_oracle import evaluate_predictor_sampled
 from records_oracle import read_records_csv as oracle_read_records_csv
@@ -315,8 +319,9 @@ def _hex(metrics):
     return [float.hex(v) for v in metrics]
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_indexed_evaluation_matches_mask_oracle_bit_for_bit(seed):
+def _evaluation_cases(seed):
+    """Record sets of 8, 300 or 20,011 rows from a random cell mix, their
+    split halves and a resample, four random predictors each."""
     rng = np.random.default_rng(seed)
     n = int(rng.choice((8, 300, 20_011)))
     cell = rng.choice(4, size=n, p=rng.dirichlet(np.ones(4)) * 0.9 + 0.025)
@@ -325,24 +330,52 @@ def test_indexed_evaluation_matches_mask_oracle_bit_for_bit(seed):
     train, test = split(rs, (0.5, 0.5), seed)
     picked = rs.subset(rng.integers(0, n, size=n))
     for part in (rs, train, test, picked):
-        for _ in range(4):  # repeated calls reuse the index with another predictor
-            pred = _random_predictor(rng)
-            try:
-                want = oracle_evaluate(part, pred)
-            except ZeroCellError as exc:
-                with pytest.raises(ZeroCellError, match=str(exc)):
-                    evaluate_predictor_on_records(part, pred)
-                continue
-            assert _hex(evaluate_predictor_on_records(part, pred)) == _hex(want)
+        for _ in range(4):
+            yield part, _random_predictor(rng)
 
 
-def test_indexed_evaluation_matches_mask_oracle_on_sampled_records():
+def _sampled_evaluation_cases():
     rs = sample_records(fig1_top_left(), 30_000, seed=18, with_scores=True)
     _, test = split(rs, (0.5, 0.5), seed=3)
     rng = np.random.default_rng(19)
     preds = [DerivedPredictor(GIVEN_PREDICTOR_P)] + [_random_predictor(rng) for _ in range(12)]
-    for pred in preds:
-        assert _hex(evaluate_predictor_on_records(test, pred)) == _hex(oracle_evaluate(test, pred))
+    return [(test, pred) for pred in preds]
+
+
+def _off_exact(metrics, exact):
+    return max(abs(Fraction(v) - e) for v, e in zip(metrics, exact))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_evaluation_matches_exact_oracle(seed):
+    for part, pred in _evaluation_cases(seed):
+        try:
+            want = oracle_evaluate(part, pred)
+        except ZeroCellError as exc:
+            with pytest.raises(ZeroCellError, match=str(exc)):
+                evaluate_predictor_on_records(part, pred)
+            continue
+        exact = evaluate_predictor_exact(part, pred)
+        assert _off_exact(evaluate_predictor_on_records(part, pred), exact) <= 1e-15
+        assert _off_exact(want, exact) <= 1e-15
+
+
+def test_evaluation_matches_exact_oracle_on_sampled_records():
+    for test, pred in _sampled_evaluation_cases():
+        exact = evaluate_predictor_exact(test, pred)
+        assert _off_exact(evaluate_predictor_on_records(test, pred), exact) <= 1e-15
+        assert _off_exact(oracle_evaluate(test, pred), exact) <= 1e-15
+
+
+def test_evaluation_is_the_analytic_formulas_at_the_estimated_instance():
+    cases = [case for seed in range(6) for case in _evaluation_cases(seed)]
+    for part, pred in cases + _sampled_evaluation_cases():
+        try:
+            est = estimate_instance(part).instance
+        except ZeroCellError:
+            continue
+        want = (bias_derived(est, pred, 1), bias_derived(est, pred, -1), error_derived(est, pred))
+        assert _hex(evaluate_predictor_on_records(part, pred)) == _hex(want)
 
 
 def test_evaluation_empty_cell_raises_on_every_call():
@@ -351,7 +384,7 @@ def test_evaluation_empty_cell_raises_on_every_call():
     for _ in range(3):
         with pytest.raises(ZeroCellError, match="Y=1, A=1"):
             evaluate_predictor_on_records(rs, _random_predictor(rng))
-    with pytest.raises(MissingColumnError):
+    with pytest.raises(MissingColumnError, match="yhat"):
         evaluate_predictor_on_records(RecordSet(y=[1, -1], a=[0, 1]), _random_predictor(rng))
 
 

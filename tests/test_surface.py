@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -30,19 +31,44 @@ EXCEPTIONS = [name for name in eonoise.__all__
               and issubclass(getattr(eonoise, name), BaseException)]
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+def _load_perfbench(name):
+    # worker.py imports its sibling modules by their bare names
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                      ROOT / "perfbench" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
     return module
 
 
-@pytest.mark.parametrize("module, attr", _load_tracer().TARGETS)
+@pytest.mark.parametrize("module, attr", _load_perfbench("tracer").TARGETS)
 def test_tracer_targets_resolve(module, attr):
     obj = importlib.import_module(f"eonoise.{module}")
     for part in attr.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+@pytest.mark.parametrize("workload", ["sweep-presets", "dataset-1e6"])
+def test_traced_pass_makes_the_expected_calls(workload, tmp_path):
+    # the call counts a traced benchmark run checks, here on one seed-0 pass
+    worker = _load_perfbench("worker")
+    worker.SETUPS[workload](eonoise, tmp_path, 0)
+    work_pass = worker.PASSES[workload](eonoise, tmp_path, 0)
+    tracer = _load_perfbench("tracer").Tracer()
+    tracer.pass_id = 0
+    tracer.install()
+    try:
+        ops = work_pass.run(time.perf_counter)
+    finally:
+        tracer.uninstall()
+    assert all(ok for _, _, ok in ops)
+    stats = tracer.per_pass()[0]
+    for name, want in worker.EXPECTED_CALLS[workload].items():
+        assert stats[name] == want, name
 
 
 @pytest.mark.parametrize("name", ["PRESETS", "SWEEP_COLUMNS", "DATASET_COLUMNS", "main"])
