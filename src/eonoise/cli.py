@@ -18,6 +18,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import (
     ConfigError,
     DegenerateProgramError,
@@ -30,19 +32,21 @@ from .errors import (
 )
 from .metrics import (
     bias_derived,
+    bias_derived_grid,
     bias_given,
     bias_shrink_factor,
     check_classifier_informative,
-    check_flip_budget,
-    corrupted_bias_bound,
+    check_flip_budget_grid,
+    corrupted_bias_bound_grid,
     error_derived,
+    error_derived_grid,
     error_given,
     independence_measure,
 )
-from .model import GIVEN_PREDICTOR_P, DerivedPredictor, PerturbationSpec, ProblemInstance
-from .perturb import GammaSchedule, RecordScenario, SCENARIO_KINDS, apply_scenario, schedule_eval
-from .programs import derive_predictor, program_from_table
-from .lp import solve
+from .model import GIVEN_PREDICTOR_P, Y_VALUES, DerivedPredictor, PerturbationSpec, ProblemInstance
+from .perturb import GammaSchedule, RecordScenario, SCENARIO_KINDS, apply_scenario
+from .programs import derive_predictor, grid_programs, program_from_table
+from .lp import RESIDUAL_TOL, solve, solve_with_ties
 from .records import (
     clean_counts,
     estimate_corrupted_tables,
@@ -139,9 +143,14 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 def load_sweep_config(path, out_override=None) -> SweepConfig:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not valid UTF-8") from None
     values = parse_config_text(text, str(path))
 
     merged: dict[str, str | float] = {}
@@ -183,6 +192,11 @@ def load_sweep_config(path, out_override=None) -> SweepConfig:
         raise
     except ValueError as exc:
         raise ConfigError(f"invalid instance/schedule parameters: {exc}") from None
+    for y in Y_VALUES:
+        share = instance.attr_given_label(y)
+        if not 0.0 < share < 1.0:
+            raise ConfigError(f"key 'base': P[A=1 | Y={y:+d}] = {share!r} is not strictly "
+                              "between 0 and 1, where the bias bound is defined")
 
     grid = (number("grid_start", need("grid_start")),
             number("grid_stop", need("grid_stop")),
@@ -228,45 +242,61 @@ def grid_points(start: float, stop: float, step: float) -> list[float]:
     return points
 
 
-def run_sweep(config: SweepConfig) -> list[list[str]]:
-    """One formatted row per grid point, in grid order."""
-    inst = config.instance
-    given = (bias_given(inst, 1), bias_given(inst, -1), error_given(inst))
-    error_true = error_derived(inst, derive_predictor(inst, None))
-    a2 = check_classifier_informative(inst)
+#: Row text of the 16 sweep values, keyed by whether bound_pos and bound_neg
+#: are defined: an undefined bound is formatted with ``%.0s``, which consumes
+#: its NaN and writes nothing.
+_SWEEP_TEMPLATES = {(pos, neg): "%.12g," * 10 + ("%.12g," if pos else "%.0s,")
+                    + ("%.12g," if neg else "%.0s,") + "%d,%d,%d,%d"
+                    for pos in (True, False) for neg in (True, False)}
 
-    rows = []
-    for g10 in grid_points(*config.grid):
-        spec = schedule_eval(config.schedule, g10)
-        predictor = derive_predictor(inst, spec)
-        err_corr = error_derived(inst, predictor)
-        biases = (bias_derived(inst, predictor, 1), bias_derived(inst, predictor, -1))
-        # The bound is undefined when a flip rate of the label's class is 1,
-        # outside bias_shrink_factor's domain [0, 1); its field is left empty.
-        # Where it is defined, the derived predictor must keep to it.
-        bounds = []
-        for y, bias in zip((1, -1), biases):
-            if spec.gamma(y, 0) < 1.0 and spec.gamma(y, 1) < 1.0:
-                bound = corrupted_bias_bound(inst, spec, y)
-                if bias > bound + 1e-9:
-                    raise DegenerateProgramError(
-                        f"at gamma10 = {_fmt(g10)}, the label {y:+d} bias {_fmt(bias)} "
-                        f"exceeds its bound {_fmt(bound)}")
-                bounds.append(_fmt(bound))
-            else:
-                bounds.append("")
-        row = [
-            _fmt(g10), _fmt(spec.gamma(1, 1)), _fmt(spec.gamma(-1, 0)), _fmt(spec.gamma(-1, 1)),
-            _fmt(biases[0]), _fmt(biases[1]), _fmt(err_corr),
-            _fmt(given[0]), _fmt(given[1]), _fmt(given[2]),
-            bounds[0], bounds[1],
-            str(int(check_flip_budget(spec, 1))),
-            str(int(check_flip_budget(spec, -1))),
-            str(int(a2)),
-            str(int(err_corr <= error_true + 1e-12)),
-        ]
-        rows.append(row)
-    return rows
+
+def _check_feasible(program, predictor: DerivedPredictor, where: str) -> None:
+    """Raise DegenerateProgramError unless the solver's ``p`` satisfies the
+    program's constraints."""
+    residual = program.residual(predictor.p)
+    if residual > RESIDUAL_TOL:
+        raise DegenerateProgramError(
+            f"{where}, the solver's p = {predictor.p} violates a constraint by {residual:.3g}")
+
+
+def run_sweep(config: SweepConfig) -> list[list[str]]:
+    """One formatted row per grid point, in grid order.  Every step but the
+    LP runs once over the whole grid as float64 arrays; each row's program
+    is solved exactly on its own."""
+    inst = config.instance
+    gamma10 = np.array(grid_points(*config.grid))
+    flips = config.schedule.grid_rates(gamma10)
+    error_true = error_derived(inst, derive_predictor(inst, None))
+
+    solutions = []
+    for g10, program in zip(gamma10.tolist(), grid_programs(inst, flips)):
+        predictor, _ = solve_with_ties(program)
+        _check_feasible(program, predictor, f"at gamma10 = {_fmt(g10)}")
+        solutions.append(predictor.p)
+    p = np.array(solutions).reshape(-1, 4)
+
+    err_corr = error_derived_grid(inst, p)
+    biases = [bias_derived_grid(inst, p, y) for y in Y_VALUES]
+    # The bound is NaN where a flip rate of the label's class is 1, outside
+    # bias_shrink_factor's domain [0, 1); its field is left empty.  Where it
+    # is defined, the derived predictor must keep to it.
+    bounds = [corrupted_bias_bound_grid(inst, flips, y) for y in Y_VALUES]
+    broken = [bias > bound + 1e-9 for bias, bound in zip(biases, bounds)]
+    if (broken[0] | broken[1]).any():
+        row = int(np.argmax(broken[0] | broken[1]))  # the first row at fault
+        k = 0 if broken[0][row] else 1
+        raise DegenerateProgramError(
+            f"at gamma10 = {_fmt(gamma10[row])}, the label {Y_VALUES[k]:+d} bias "
+            f"{_fmt(biases[k][row])} exceeds its bound {_fmt(bounds[k][row])}")
+
+    columns = [gamma10, *flips[1:], *biases, err_corr,
+               bias_given(inst, 1), bias_given(inst, -1), error_given(inst), *bounds,
+               *(check_flip_budget_grid(flips, y) for y in Y_VALUES),
+               check_classifier_informative(inst), err_corr <= error_true + 1e-12]
+    table = np.column_stack(np.broadcast_arrays(*columns)).tolist()
+    defined = zip((~np.isnan(bounds[0])).tolist(), (~np.isnan(bounds[1])).tolist())
+    return [(_SWEEP_TEMPLATES[key] % tuple(values)).split(",")
+            for key, values in zip(defined, table)]
 
 
 def write_csv(path, columns, rows) -> None:
@@ -284,7 +314,9 @@ def run_dataset(records, scenario_kind: str, levels, seed: int) -> list[list[str
     scenarios = [RecordScenario(scenario_kind, level) for level in levels]
     train, test = split(records, (0.5, 0.5), seed)
 
-    true_pred = solve(program_from_table(clean_counts(train)))
+    clean_program = program_from_table(clean_counts(train))
+    true_pred = solve(clean_program)
+    _check_feasible(clean_program, true_pred, "at the true attribute")
     given_pred = DerivedPredictor(GIVEN_PREDICTOR_P)
 
     given_metrics = evaluate_predictor_on_records(test, given_pred)
@@ -294,7 +326,9 @@ def run_dataset(records, scenario_kind: str, levels, seed: int) -> list[list[str
     for scenario in scenarios:
         corrupted = apply_scenario(train, scenario, seed)
         tables = estimate_corrupted_tables(corrupted)
-        corr_pred = solve(program_from_table(tables.joint))
+        program = program_from_table(tables.joint)
+        corr_pred = solve(program)
+        _check_feasible(program, corr_pred, f"at level {_fmt(scenario.level)}")
         corr_metrics = evaluate_predictor_on_records(test, corr_pred)
         measure = independence_measure(tables.fourway)
         rows.append([

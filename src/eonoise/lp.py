@@ -29,6 +29,8 @@ TIE_TOL = 1e-12
 
 _ONES = (1.0, 1.0, 1.0, 1.0)
 _ZEROS = (0.0, 0.0, 0.0, 0.0)
+#: The 16 corners of the box [0, 1]^4, bit k of the index giving coordinate k.
+_CORNERS = tuple(tuple(float((bits >> k) & 1) for k in range(4)) for bits in range(16))
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ def _candidates(program: EoProgram):
     ``4 - len(rows)`` coordinates at a bound and the rest solved from the rows
     by a 1x1 division or by Cramer's rule."""
     rows = program.rows
-    cands = [tuple(float((bits >> k) & 1) for k in range(4)) for bits in range(16)]
+    cands = list(_CORNERS)
     for fixed in combinations(range(4), 4 - len(rows)):
         free = tuple(k for k in range(4) if k not in fixed)
         a = [[row[k] for k in free] for row in rows]

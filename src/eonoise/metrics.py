@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, EmptyCellError, RangeError
-from .model import A_VALUES, DerivedPredictor, PerturbationSpec, ProblemInstance, Y_VALUES
+from .model import A_VALUES, CELL_INDEX, DerivedPredictor, PerturbationSpec, ProblemInstance, Y_VALUES
 
 INDEPENDENCE_TOL = 1e-12
 
@@ -31,8 +31,17 @@ def bias_derived(inst: ProblemInstance, predictor: DerivedPredictor, y: int) -> 
     given classifier's rate for that cell, which yields
     |h0*(p[+1,0]-p[-1,0]) - h1*(p[+1,1]-p[-1,1]) + p[-1,0] - p[-1,1]|.
     """
+    return _bias(inst, y, *predictor.p)
+
+
+def bias_derived_grid(inst: ProblemInstance, p: np.ndarray, y: int) -> np.ndarray:
+    """``bias_derived`` at every row of an (N, 4) float64 array of predictor
+    probabilities."""
+    return _bias(inst, y, *p.T)
+
+
+def _bias(inst, y, p10, p11, pm10, pm11):
     h0, h1 = inst.rate(y, 0), inst.rate(y, 1)
-    p10, p11, pm10, pm11 = predictor.p
     return abs(h0 * (p10 - pm10) - h1 * (p11 - pm11) + pm10 - pm11)
 
 
@@ -49,7 +58,16 @@ def error_given(inst: ProblemInstance) -> float:
 
 def error_derived(inst: ProblemInstance, predictor: DerivedPredictor) -> float:
     """P[derived output != Y], linear in the randomization probabilities."""
-    p10, p11, pm10, pm11 = predictor.p
+    return _error(inst, *predictor.p)
+
+
+def error_derived_grid(inst: ProblemInstance, p: np.ndarray) -> np.ndarray:
+    """``error_derived`` at every row of an (N, 4) float64 array of predictor
+    probabilities."""
+    return _error(inst, *p.T)
+
+
+def _error(inst, p10, p11, pm10, pm11):
     c10 = inst.alpha2 * inst.cell(-1, 0) - inst.alpha1 * inst.cell(1, 0)
     c11 = inst.beta2 * inst.cell(-1, 1) - inst.beta1 * inst.cell(1, 1)
     cm10 = inst.cell(-1, 0) - inst.cell(1, 0) - c10
@@ -71,6 +89,11 @@ def bias_shrink_factor(gamma1: float, gamma2: float, p: float) -> float:
         raise DomainError(
             f"({gamma1}, {gamma2}, {p}) outside [0,1) x [0,1) x (0,1)"
         )
+    return _shrink(gamma1, gamma2, p)
+
+
+def _shrink(gamma1, gamma2, p):
+    """``bias_shrink_factor`` without its domain check, on floats or arrays."""
     first = gamma1 * p / (gamma1 * p + (1.0 - gamma2) * (1.0 - p))
     second = (1.0 - gamma1) * p / ((1.0 - gamma1) * p + gamma2 * (1.0 - p))
     return first - second + 1.0
@@ -91,6 +114,23 @@ def corrupted_bias_bound(inst: ProblemInstance, spec: PerturbationSpec, y: int) 
     return bias_given(inst, y) * bias_shrink_factor(g1, g0, inst.attr_given_label(y))
 
 
+def corrupted_bias_bound_grid(inst: ProblemInstance, flips, y: int) -> np.ndarray:
+    """``corrupted_bias_bound`` at every row of four float64 arrays of
+    prediction-independent flip rates in ``CELLS`` order; NaN in a row where
+    a flip rate of label ``y`` is 1, outside the bound's domain."""
+    g0, g1 = flips[CELL_INDEX[(y, 0)]], flips[CELL_INDEX[(y, 1)]]
+    p = inst.attr_given_label(y)
+    defined = (g0 < 1.0) & (g1 < 1.0)
+    if defined.any() and not 0.0 < p < 1.0:
+        row = int(np.argmax(defined))
+        raise DomainError(
+            f"({float(g1[row])}, {float(g0[row])}, {p}) outside [0,1) x [0,1) x (0,1)"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows outside the domain
+        bound = bias_given(inst, y) * _shrink(g1, g0, p)
+    return np.where(defined, bound, np.nan)
+
+
 def check_flip_independence(spec: PerturbationSpec) -> tuple[bool, float]:
     """Whether flip rates ignore the prediction, with the largest gap found.
 
@@ -109,8 +149,17 @@ def check_flip_budget(spec: PerturbationSpec, y: int) -> bool:
     rate strictly below one."""
     if spec.kind != "restricted":
         raise DomainError("flip budget is defined for prediction-independent flips only")
-    g0, g1 = spec.gamma(y, 0), spec.gamma(y, 1)
-    return g0 + g1 <= 1.0 and g0 < 1.0 and g1 < 1.0
+    return _within_budget(spec.gamma(y, 0), spec.gamma(y, 1))
+
+
+def check_flip_budget_grid(flips, y: int) -> np.ndarray:
+    """``check_flip_budget`` at every row of four float64 arrays of flip
+    rates in ``CELLS`` order."""
+    return _within_budget(flips[CELL_INDEX[(y, 0)]], flips[CELL_INDEX[(y, 1)]])
+
+
+def _within_budget(g0, g1):
+    return (g0 + g1 <= 1.0) & (g0 < 1.0) & (g1 < 1.0)
 
 
 def check_classifier_informative(inst: ProblemInstance) -> bool:

@@ -46,13 +46,26 @@ class GammaSchedule:
         g = float(gamma10)
         if not 0.0 <= g <= 1.0:
             raise RangeError(f"driving flip rate {g} outside [0, 1]")
+        return self._expand(g, min)
+
+    def grid_rates(self, gamma10: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``rates`` at every driving rate of a float64 grid, as four arrays."""
+        g = np.asarray(gamma10, dtype=float)
+        outside = ~((0.0 <= g) & (g <= 1.0))
+        if outside.any():
+            raise RangeError(f"driving flip rate {float(g[outside][0])} outside [0, 1]")
+        return self._expand(g, np.minimum)
+
+    def _expand(self, g, minimum):
+        """The four rates at driving rate ``g``, a float or an array;
+        ``minimum`` is ``min`` or ``np.minimum`` to match."""
         if self.kind == "equal":
             return (g, g, g, g)
         if self.kind == "halves":
             return (g, g, g / 2.0, g / 2.0)
         if self.kind == "power-halving":
             return (g, g / 2.0, g / 4.0, g / 8.0)
-        r = min(2.0 * g, 0.8)
+        r = minimum(2.0 * g, 0.8)
         return (g, g, r, r)
 
 

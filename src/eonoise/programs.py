@@ -15,12 +15,15 @@ standing for the value +1 on the label and prediction axes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .errors import EmptyCellError, RangeError
 from .lp import EoProgram, solve_with_ties
 from .model import (
     A_VALUES,
+    CELLS,
     DerivedPredictor,
     PerturbationSpec,
     ProblemInstance,
@@ -28,35 +31,51 @@ from .model import (
 )
 
 
-def _program(joint, rates) -> EoProgram:
-    """LP from a joint and positive rates, both nested lists of floats
-    indexed like the (2, 2, 2) joint and its first two axes."""
-    objective = tuple(joint[1][a][yti] - joint[0][a][yti] for yti in (0, 1) for a in A_VALUES)
-    return EoProgram(objective=objective, rates=rates)
+def _objective(joint) -> tuple:
+    """Objective coefficients of a nested joint of floats or arrays, indexed
+    (label, attribute, prediction)."""
+    return tuple(joint[1][a][yti] - joint[0][a][yti] for yti in (0, 1) for a in A_VALUES)
+
+
+def _masses(joint) -> list:
+    """P[Y=y, attribute=a] of a nested joint of floats or arrays."""
+    return [[pos + neg for pos, neg in by_attr] for by_attr in joint]
+
+
+def _positive_rates(joint, masses) -> list:
+    """P[prediction=+1 | Y=y, attribute=a] of a nested joint of floats or
+    arrays, given its ``_masses``."""
+    return [[pos / mass for (pos, _), mass in zip(by_attr, by_mass)]
+            for by_attr, by_mass in zip(joint, masses)]
 
 
 def _rates(joint) -> list[list[float]]:
     """P[prediction=+1 | Y=y, attribute=a] of a nested-list joint."""
-    rates = []
-    for y, by_attr in zip(Y_VALUES, joint):
-        row = []
-        for a, (pos, neg) in zip(A_VALUES, by_attr):
-            mass = pos + neg
+    masses = _masses(joint)
+    for y, by_mass in zip(Y_VALUES, masses):
+        for a, mass in zip(A_VALUES, by_mass):
             if mass <= 0.0:
                 raise EmptyCellError(f"no mass at (Y={y}, training attribute={a})")
-            row.append(pos / mass)
-        rates.append(row)
-    return rates
+    return _positive_rates(joint, masses)
 
 
 def _clean_joint(inst: ProblemInstance) -> list[list[list[float]]]:
     return [[[inst.joint(y, a, yt) for yt in Y_VALUES] for a in A_VALUES] for y in Y_VALUES]
 
 
+def _corrupt(clean, flips) -> list:
+    """``build_corrupted_joint``'s sum from a nested clean joint and nested
+    flip rates of floats or arrays, both indexed (label, attribute,
+    prediction)."""
+    return [[[(1.0 - f[0][t]) * c[0][t] + f[1][t] * c[1][t] for t in (0, 1)],
+             [f[0][t] * c[0][t] + (1.0 - f[1][t]) * c[1][t] for t in (0, 1)]]
+            for c, f in zip(clean, flips)]
+
+
 def build_clean_program(inst: ProblemInstance) -> EoProgram:
     """LP that the postprocessing method solves with the true attribute."""
     rates = [[inst.rate(y, a) for a in A_VALUES] for y in Y_VALUES]
-    return _program(_clean_joint(inst), rates)
+    return EoProgram(objective=_objective(_clean_joint(inst)), rates=rates)
 
 
 def build_corrupted_joint(inst: ProblemInstance, spec: PerturbationSpec) -> np.ndarray:
@@ -66,22 +85,39 @@ def build_corrupted_joint(inst: ProblemInstance, spec: PerturbationSpec) -> np.n
     P[Y=y, corrupted=a', prediction=yt] = sum over a of
     P[corrupted=a' | y, a, yt] * P[Y=y, A=a, prediction=yt].
     """
-    clean = _clean_joint(inst)
-    joint = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
-    for yi, y in enumerate(Y_VALUES):
-        for a in A_VALUES:
-            for yti, yt in enumerate(Y_VALUES):
-                flip = spec.gamma_given_pred(y, a, yt)
-                mass = clean[yi][a][yti]
-                joint[yi][a][yti] += (1.0 - flip) * mass
-                joint[yi][1 - a][yti] += flip * mass
-    return np.array(joint)
+    flips = [[[spec.gamma_given_pred(y, a, yt) for yt in Y_VALUES] for a in A_VALUES]
+             for y in Y_VALUES]
+    return np.array(_corrupt(_clean_joint(inst), flips))
 
 
 def build_corrupted_program(inst: ProblemInstance, spec: PerturbationSpec) -> EoProgram:
     """LP with the attribute replaced by its corrupted version everywhere."""
     joint = build_corrupted_joint(inst, spec).tolist()
-    return _program(joint, _rates(joint))
+    return EoProgram(objective=_objective(joint), rates=_rates(joint))
+
+
+def grid_programs(inst: ProblemInstance, flips) -> Iterator[EoProgram]:
+    """One program per grid row, in order, from four float64 arrays of
+    prediction-independent flip rates in ``CELLS`` order: the clean program
+    where all four rates are 0, as ``derive_predictor`` builds it, and the
+    corrupted program elsewhere.  Every row's cells are checked when the
+    first program is asked for; the programs are then built one at a time,
+    so a caller that solves each in turn holds one at once."""
+    g10, g11, gm10, gm11 = flips
+    zero = (g10 == 0.0) & (g11 == 0.0) & (gm10 == 0.0) & (gm11 == 0.0)
+    joint = _corrupt(_clean_joint(inst), [[[g10, g10], [g11, g11]], [[gm10, gm10], [gm11, gm11]]])
+    masses = _masses(joint)
+    empty = (np.stack([*masses[0], *masses[1]], axis=1) <= 0.0) & ~zero[:, None]
+    if empty.any():
+        row = int(np.argmax(empty.any(axis=1)))
+        y, a = CELLS[int(np.argmax(empty[row]))]
+        raise EmptyCellError(f"no mass at (Y={y}, training attribute={a})")
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero-flip rows may have empty cells
+        (h0, h1), (k0, k1) = _positive_rates(joint, masses)
+    table = np.stack([*_objective(joint), h0, h1, k0, k1], axis=1).tolist()
+    clean = build_clean_program(inst)
+    for z, c in zip(zero.tolist(), table):
+        yield clean if z else EoProgram(objective=c[:4], rates=(c[4:6], c[6:]))
 
 
 def program_from_table(table) -> EoProgram:
@@ -96,7 +132,7 @@ def program_from_table(table) -> EoProgram:
     if total <= 0:
         raise EmptyCellError("table carries no mass")
     joint = (t / total).tolist()
-    return _program(joint, _rates(joint))
+    return EoProgram(objective=_objective(joint), rates=_rates(joint))
 
 
 def derive_predictor(inst: ProblemInstance,

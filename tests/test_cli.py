@@ -1,11 +1,24 @@
-import pytest
+import math
 
-from eonoise import GIVEN_PREDICTOR_P, DerivedPredictor, sample_records, write_records_csv
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from eonoise import (
+    GIVEN_PREDICTOR_P,
+    DerivedPredictor,
+    EoNoiseError,
+    ProblemInstance,
+    sample_records,
+    solve,
+    write_records_csv,
+)
 import eonoise.cli
 from eonoise.cli import (
     DATASET_COLUMNS,
     MAX_GRID_POINTS,
     SWEEP_COLUMNS,
+    SweepConfig,
     grid_points,
     load_sweep_config,
     main,
@@ -16,7 +29,9 @@ from eonoise.cli import (
     run_sweep,
 )
 from eonoise.errors import ConfigError, MissingColumnError
+from eonoise.perturb import SCHEDULE_KINDS, GammaSchedule
 from eonoise.records import RecordSet, estimate_instance, read_records_csv
+import sweep_oracle
 from support import fig1_top_left
 
 TOP_LEFT_CONFIG = """
@@ -140,14 +155,101 @@ def test_sweep_leaves_bound_empty_at_flip_rate_one(tmp_path, schedule, empty):
 
 
 def test_sweep_exits_4_when_a_bias_breaks_its_bound(tmp_path, monkeypatch, capsys):
-    # The given classifier keeps its own bias, which the bound shrinks.
-    monkeypatch.setattr(eonoise.cli, "derive_predictor",
-                        lambda inst, spec: DerivedPredictor(GIVEN_PREDICTOR_P))
+    # The given classifier keeps its own bias, which the bound shrinks.  It
+    # breaks the program's constraints too, so the feasibility check is
+    # turned off to reach the bound check.
+    monkeypatch.setattr(eonoise.cli, "solve_with_ties",
+                        lambda program: (DerivedPredictor(GIVEN_PREDICTOR_P), 1))
+    monkeypatch.setattr(eonoise.cli, "RESIDUAL_TOL", math.inf)
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 4
     assert not out.exists()
     err = capsys.readouterr().err
     assert "at gamma10 = 0, the label +1 bias " in err and "exceeds its bound" in err
+
+
+def test_sweep_exits_4_when_the_solver_breaks_a_constraint(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(eonoise.cli, "solve_with_ties",
+                        lambda program: (DerivedPredictor((1.0, 0.0, 0.0, 0.0)), 1))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "at gamma10 = 0, the solver's p = (1.0, 0.0, 0.0, 0.0) violates a constraint" in err
+
+
+@pytest.mark.parametrize("bad_call, where", [(0, "at the true attribute"), (1, "at level 0")])
+def test_dataset_exits_4_when_the_solver_breaks_a_constraint(tmp_path, monkeypatch, capsys,
+                                                            bad_call, where):
+    calls = []
+
+    def solve_badly(program):
+        calls.append(program)
+        return solve(program) if len(calls) <= bad_call else DerivedPredictor((1.0, 0.0, 0.0, 0.0))
+
+    monkeypatch.setattr(eonoise.cli, "solve", solve_badly)
+    records = tmp_path / "records.csv"
+    write_records_csv(records, sample_records(fig1_top_left(), 2000, seed=39))
+    out = tmp_path / "out.csv"
+    assert main(["dataset", str(records), "--scenario", "independent-flip",
+                 "--grid", "0:0.2:0.1", "--out", str(out)]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"{where}, the solver's p = (1.0, 0.0, 0.0, 0.0) violates a constraint" in err
+
+
+def test_sweep_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "sweep.cfg"
+    path.write_bytes(TOP_LEFT_CONFIG.encode() + b"\xff\n")
+    with pytest.raises(ConfigError, match=r"sweep\.cfg:7: not valid UTF-8"):
+        load_sweep_config(path)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert "sweep.cfg:7: not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base, label", [
+    ("1e-320 0.3333333333333333 0.3333333333333333 0.3333333333333334", "+1"),
+    ("0.3333333333333333 0.3333333333333334 1e-320 0.3333333333333333", "-1"),
+])
+def test_sweep_config_base_whose_group_share_rounds_to_one_exits_2(tmp_path, capsys, base, label):
+    path = _write_config(tmp_path, TOP_LEFT_CONFIG + f"base = {base}\n")
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"key 'base': P[A=1 | Y={label}] = 1.0 is not strictly between 0 and 1" in err
+    assert not out.exists()
+
+
+_RATES = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _sweep_configs(draw):
+    weights = draw(st.tuples(*[st.floats(0.01, 1.0)] * 4))
+    instance = ProblemInstance(base=tuple(w / sum(weights) for w in weights),
+                               alpha1=draw(_RATES), beta1=draw(_RATES),
+                               alpha2=draw(_RATES), beta2=draw(_RATES))
+    start = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    stop = draw(st.one_of(st.just(1.0), st.floats(start, 1.0)))
+    # at most 13 points: a step far below stop - start would never end
+    step = (stop - start) / draw(st.integers(1, 12)) if stop - start > 1e-3 else 1.0
+    return SweepConfig(instance=instance, schedule=GammaSchedule(draw(st.sampled_from(SCHEDULE_KINDS))),
+                       grid=(start, stop, step))
+
+
+def _outcome(run, config):
+    try:
+        return run(config)
+    except EoNoiseError as exc:
+        return type(exc), str(exc)
+
+
+@given(_sweep_configs())
+@example(SweepConfig(instance=fig1_top_left(), schedule=GammaSchedule("equal"),
+                     grid=(0.5, 0.2, 0.1)))  # no points
+@settings(max_examples=150, deadline=None)
+def test_sweep_rows_match_the_row_by_row_oracle(config):
+    assert _outcome(run_sweep, config) == _outcome(sweep_oracle.run_sweep, config)
 
 
 def test_main_exit_codes(tmp_path, capsys):

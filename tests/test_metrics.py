@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +27,13 @@ from eonoise import (
     sample_records,
 )
 from eonoise.lp import EoProgram
-from eonoise.metrics import check_classifier_informative
+from eonoise.metrics import (
+    bias_derived_grid,
+    check_classifier_informative,
+    check_flip_budget_grid,
+    corrupted_bias_bound_grid,
+    error_derived_grid,
+)
 import metrics_oracle
 from metrics_oracle import PreconditionError, balanced_uniform_predictor
 from support import (
@@ -315,3 +324,36 @@ def test_balanced_infeasible_closed_form_raises(monkeypatch):
     inst = ProblemInstance(base=BALANCED, alpha1=0.9, beta1=0.6, alpha2=0.4, beta2=0.1)
     with pytest.raises(DegenerateProgramError):
         balanced_uniform_predictor(inst, 0.2)
+
+
+def test_grid_metrics_match_the_scalar_functions_bit_for_bit():
+    rng = np.random.default_rng(72)
+    for _ in range(30):
+        inst = random_instance(rng)
+        p = np.where(rng.random((25, 4)) < 0.3, rng.choice([0.0, 1.0], size=(25, 4)),
+                     rng.random((25, 4)))
+        flips = np.where(rng.random((25, 4)) < 0.3, rng.choice([0.0, 0.5, 1.0], size=(25, 4)),
+                         rng.random((25, 4)))
+        predictors = [DerivedPredictor(tuple(row)) for row in p.tolist()]
+        specs = [PerturbationSpec.restricted(*row) for row in flips.tolist()]
+        columns = tuple(flips.T.copy())
+        assert error_derived_grid(inst, p).tolist() == [error_derived(inst, d) for d in predictors]
+        for y in (1, -1):
+            assert bias_derived_grid(inst, p, y).tolist() == [
+                bias_derived(inst, d, y) for d in predictors]
+            assert check_flip_budget_grid(columns, y).tolist() == [
+                check_flip_budget(s, y) for s in specs]
+            want = [corrupted_bias_bound(inst, s, y) if s.gamma(y, 0) < 1.0 and s.gamma(y, 1) < 1.0
+                    else None for s in specs]
+            got = corrupted_bias_bound_grid(inst, columns, y).tolist()
+            assert [None if math.isnan(b) else b for b in got] == want
+
+
+def test_grid_bound_checks_the_group_share():
+    inst = ProblemInstance(base=(1e-320, 0.3333333333333333, 0.3333333333333333,
+                                 0.3333333333333334), alpha1=0.9, beta1=0.8, alpha2=0.4, beta2=0.1)
+    flips = (np.array([1.0, 0.25]),) * 4
+    with pytest.raises(DomainError, match=re.escape("(0.25, 0.25, 1.0) outside")):
+        corrupted_bias_bound_grid(inst, flips, 1)
+    # no row inside the domain: nothing to check
+    assert math.isnan(corrupted_bias_bound_grid(inst, (np.ones(1),) * 4, 1)[0])

@@ -21,6 +21,14 @@ def test_power_halving_schedule():
     assert spec.rates == (0.4, 0.2, 0.1, 0.05)
 
 
+@pytest.mark.parametrize("kind", ["equal", "halves", "power-halving", "capped"])
+def test_grid_rates_match_the_scalar_rates(kind):
+    schedule = GammaSchedule(kind)
+    grid = np.array([0.0, 5e-324, 0.1, 0.3, 0.4, 0.5, 1.0])
+    columns = np.stack(schedule.grid_rates(grid), axis=1).tolist()
+    assert columns == [list(schedule.rates(g)) for g in grid.tolist()]
+
+
 def test_capped_schedule():
     spec = schedule_eval(GammaSchedule("capped"), 0.5)
     assert spec.rates == (0.5, 0.5, 0.8, 0.8)
@@ -31,6 +39,8 @@ def test_capped_schedule():
 def test_schedule_rejects_out_of_range():
     with pytest.raises(RangeError):
         schedule_eval(GammaSchedule("equal"), 1.2)
+    with pytest.raises(RangeError, match=r"driving flip rate 1\.2 outside \[0, 1\]"):
+        GammaSchedule("equal").grid_rates(np.array([0.5, 1.2, -0.1]))
     with pytest.raises(RangeError):
         GammaSchedule("quadratic")
 

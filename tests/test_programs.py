@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -244,3 +245,44 @@ def test_program_from_table_rejects_bad_cell(bad):
         warnings.simplefilter("error")  # rejected before any arithmetic on the cell
         with pytest.raises(RangeError, match="finite and nonnegative"):
             program_from_table(table)
+
+
+def _grid_flips(rng, n=40):
+    """Four flip-rate columns in CELLS order with 0, 1/2 and 1 mixed in, and
+    an all-zero first row."""
+    flips = np.where(rng.random((n, 4)) < 0.3, rng.choice([0.0, 0.5, 1.0], size=(n, 4)),
+                     rng.uniform(0.0, 0.97, size=(n, 4)))
+    flips[0] = 0.0
+    return tuple(flips.T.copy())
+
+
+def test_grid_programs_match_the_per_row_builders():
+    rng = np.random.default_rng(71)
+    for _ in range(30):
+        inst = random_instance(rng)
+        flips = _grid_flips(rng)
+        rows = np.stack(flips, axis=1).tolist()
+        try:
+            want = [build_clean_program(inst) if not any(row)
+                    else build_corrupted_program(inst, PerturbationSpec.restricted(*row))
+                    for row in rows]
+        except EmptyCellError as exc:
+            with pytest.raises(EmptyCellError, match=re.escape(str(exc))):
+                next(programs.grid_programs(inst, flips))
+            continue
+        assert list(programs.grid_programs(inst, flips)) == want
+
+
+def test_grid_programs_name_the_first_empty_cell_and_skip_zero_rows():
+    # a zero-flip row keeps the clean program, whose cells may be empty at
+    # this base; no other row may be, and nothing warns
+    tiny = ProblemInstance(base=(5e-324, 5e-324, 0.5, 0.5),
+                           alpha1=0.5, beta1=0.5, alpha2=0.5, beta2=0.5)
+    zero = np.zeros(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(programs.grid_programs(tiny, (zero,) * 4)) == [build_clean_program(tiny)] * 2
+    flips = tuple(np.array(column) for column in
+                  ([0.0, 0.2, 1.0, 0.0], [0.0, 0.2, 0.0, 1.0], [0.0] * 4, [0.0] * 4))
+    with pytest.raises(EmptyCellError, match=re.escape("no mass at (Y=1, training attribute=0)")):
+        next(programs.grid_programs(fig1_top_left(), flips))
