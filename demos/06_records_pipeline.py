@@ -26,7 +26,7 @@ from eonoise import (
 
 inst = ProblemInstance(base=(0.25,) * 4, alpha1=0.9, beta1=0.8, alpha2=0.4, beta2=0.1)
 records = sample_records(inst, 60_000, seed=7, with_scores=True)
-train, test = split(records, (0.5, 0.5), seed=7)
+train, test = split(records, seed=7)
 print(f"sampled {records.n} records; train {train.n} / test {test.n}")
 
 est = estimate_instance(train)

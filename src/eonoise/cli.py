@@ -46,7 +46,7 @@ from .metrics import (
 from .model import GIVEN_PREDICTOR_P, Y_VALUES, DerivedPredictor, PerturbationSpec, ProblemInstance
 from .perturb import GammaSchedule, RecordScenario, SCENARIO_KINDS, apply_scenario
 from .programs import derive_predictor, grid_programs, program_from_table
-from .lp import RESIDUAL_TOL, solve, solve_with_ties
+from .lp import RESIDUAL_TOL, solve
 from .records import (
     clean_counts,
     estimate_corrupted_tables,
@@ -251,8 +251,7 @@ _SWEEP_TEMPLATES = {(pos, neg): "%.12g," * 10 + ("%.12g," if pos else "%.0s,")
 
 
 def _check_feasible(program, predictor: DerivedPredictor, where: str) -> None:
-    """Raise DegenerateProgramError unless the solver's ``p`` satisfies the
-    program's constraints."""
+    """Raise DegenerateProgramError unless ``predictor.p`` satisfies the program's rows."""
     residual = program.residual(predictor.p)
     if residual > RESIDUAL_TOL:
         raise DegenerateProgramError(
@@ -270,7 +269,7 @@ def run_sweep(config: SweepConfig) -> list[list[str]]:
 
     solutions = []
     for g10, program in zip(gamma10.tolist(), grid_programs(inst, flips)):
-        predictor, _ = solve_with_ties(program)
+        predictor = solve(program)
         _check_feasible(program, predictor, f"at gamma10 = {_fmt(g10)}")
         solutions.append(predictor.p)
     p = np.array(solutions).reshape(-1, 4)
@@ -299,6 +298,17 @@ def run_sweep(config: SweepConfig) -> list[list[str]]:
             for key, values in zip(defined, table)]
 
 
+#: Row text of the dataset values, one field per DATASET_COLUMNS entry.
+_DATASET_TEMPLATE = ",".join(["%.12g"] * len(DATASET_COLUMNS))
+
+
+def _check_out(path) -> None:
+    """Raise ConfigError unless ``path`` names a file in an existing directory."""
+    path = Path(path)
+    if path.is_dir() or not path.parent.is_dir():
+        raise ConfigError(f"output path {path} is not a file in an existing directory")
+
+
 def write_csv(path, columns, rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
@@ -312,14 +322,12 @@ def run_dataset(records, scenario_kind: str, levels, seed: int) -> list[list[str
     if scenario_kind not in SCENARIO_KINDS:
         raise ConfigError(f"unknown scenario {scenario_kind!r}")
     scenarios = [RecordScenario(scenario_kind, level) for level in levels]
-    train, test = split(records, (0.5, 0.5), seed)
+    train, test = split(records, seed)
 
     clean_program = program_from_table(clean_counts(train))
     true_pred = solve(clean_program)
     _check_feasible(clean_program, true_pred, "at the true attribute")
-    given_pred = DerivedPredictor(GIVEN_PREDICTOR_P)
-
-    given_metrics = evaluate_predictor_on_records(test, given_pred)
+    given_metrics = evaluate_predictor_on_records(test, DerivedPredictor(GIVEN_PREDICTOR_P))
     true_metrics = evaluate_predictor_on_records(test, true_pred)
 
     rows = []
@@ -331,13 +339,8 @@ def run_dataset(records, scenario_kind: str, levels, seed: int) -> list[list[str
         _check_feasible(program, corr_pred, f"at level {_fmt(scenario.level)}")
         corr_metrics = evaluate_predictor_on_records(test, corr_pred)
         measure = independence_measure(tables.fourway)
-        rows.append([
-            _fmt(scenario.level),
-            _fmt(given_metrics.bias_pos), _fmt(given_metrics.bias_neg), _fmt(given_metrics.error),
-            _fmt(corr_metrics.bias_pos), _fmt(corr_metrics.bias_neg), _fmt(corr_metrics.error),
-            _fmt(true_metrics.bias_pos), _fmt(true_metrics.bias_neg), _fmt(true_metrics.error),
-            _fmt(measure),
-        ])
+        values = (scenario.level, *given_metrics, *corr_metrics, *true_metrics, measure)
+        rows.append((_DATASET_TEMPLATE % values).split(","))
     return rows
 
 
@@ -373,6 +376,7 @@ def _cmd_sweep(args) -> int:
     config = load_sweep_config(args.config, out_override=args.out)
     if config.out is None:
         raise ConfigError("no output path: pass --out or set 'out' in the config")
+    _check_out(config.out)
     rows = run_sweep(config)
     write_csv(config.out, SWEEP_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {config.out}")
@@ -382,6 +386,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_dataset(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    _check_out(args.out)
     records = read_records_csv(args.records)
     levels = parse_grid(args.grid)
     rows = run_dataset(records, args.scenario, levels, args.seed)
@@ -410,19 +415,16 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.out is not None:
+        _check_out(args.out)
     records = read_records_csv(args.records)
     est = estimate_instance(records)
     inst = est.instance
     # repr is the shortest text that reads back as the same float
-    lines = [
-        f"base = {', '.join(map(repr, inst.base))}",
-        f"alpha1 = {inst.alpha1!r}",
-        f"beta1 = {inst.beta1!r}",
-        f"alpha2 = {inst.alpha2!r}",
-        f"beta2 = {inst.beta2!r}",
-        f"# cell counts (y=+1 a=0, y=+1 a=1, y=-1 a=0, y=-1 a=1): "
-        f"{est.counts[0]}, {est.counts[1]}, {est.counts[2]}, {est.counts[3]}",
-    ]
+    lines = [f"base = {', '.join(map(repr, inst.base))}",
+             *(f"{name} = {getattr(inst, name)!r}" for name in ("alpha1", "beta1", "alpha2", "beta2")),
+             "# cell counts (y=+1 a=0, y=+1 a=1, y=-1 a=0, y=-1 a=1): "
+             + ", ".join(map(str, est.counts))]
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         Path(args.out).write_text(text)

@@ -20,10 +20,12 @@ from itertools import combinations, product
 from typing import Sequence
 
 from .errors import DegenerateProgramError, RangeError
-from .model import DerivedPredictor, snap_probabilities
+from .model import BOUND_TOL, DerivedPredictor, snap_probabilities
 
 RATE_TIE_TOL = 1e-9
-RESIDUAL_TOL = 1e-12
+#: Snapping four coordinates by at most BOUND_TOL each moves a row whose
+#: entries are at most 1 by at most this much.
+RESIDUAL_TOL = 4 * BOUND_TOL
 SINGULAR_TOL = 1e-12
 TIE_TOL = 1e-12
 
@@ -166,11 +168,8 @@ def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:
 def solve(program: EoProgram) -> DerivedPredictor:
     """Predictor whose ``p`` is a global minimizer at a vertex of the
     feasible polytope; its optimal value is ``program.value(pred.p)``.
-
-    Objective ties within ``TIE_TOL`` are resolved by preferring the
-    constant-ones classifier, then constant-zeros, then the lexicographically
-    smallest vertex.
-    """
+    Objective ties within ``TIE_TOL`` go to constant ones, then constant
+    zeros, then the lexicographically smallest vertex (see ``_pick``)."""
     predictor, _ = solve_with_ties(program)
     return predictor
 

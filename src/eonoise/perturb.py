@@ -42,14 +42,9 @@ class GammaSchedule:
         if self.kind not in SCHEDULE_KINDS:
             raise RangeError(f"unknown schedule kind {self.kind!r}")
 
-    def rates(self, gamma10: float) -> tuple[float, float, float, float]:
-        g = float(gamma10)
-        if not 0.0 <= g <= 1.0:
-            raise RangeError(f"driving flip rate {g} outside [0, 1]")
-        return self._expand(g, min)
-
     def grid_rates(self, gamma10: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``rates`` at every driving rate of a float64 grid, as four arrays."""
+        """``schedule_eval``'s rates at every driving rate of a float64 grid,
+        as four arrays."""
         g = np.asarray(gamma10, dtype=float)
         outside = ~((0.0 <= g) & (g <= 1.0))
         if outside.any():
@@ -71,7 +66,10 @@ class GammaSchedule:
 
 def schedule_eval(schedule: GammaSchedule, gamma10: float) -> PerturbationSpec:
     """Expand the driving rate into a restricted four-cell spec."""
-    return PerturbationSpec.restricted(*schedule.rates(gamma10))
+    g = float(gamma10)
+    if not 0.0 <= g <= 1.0:
+        raise RangeError(f"driving flip rate {g} outside [0, 1]")
+    return PerturbationSpec.restricted(*schedule._expand(g, min))
 
 
 @dataclass(frozen=True)

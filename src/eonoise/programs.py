@@ -20,7 +20,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import EmptyCellError, RangeError
-from .lp import EoProgram, solve_with_ties
+from .lp import EoProgram, solve
 from .model import (
     A_VALUES,
     CELLS,
@@ -139,9 +139,5 @@ def derive_predictor(inst: ProblemInstance,
                      spec: PerturbationSpec | None = None) -> DerivedPredictor:
     """Derived fair predictor; trained on the corrupted attribute when a
     nonzero spec is given, on the true attribute otherwise."""
-    if spec is None or spec.is_zero:
-        program = build_clean_program(inst)
-    else:
-        program = build_corrupted_program(inst, spec)
-    predictor, _ = solve_with_ties(program)
-    return predictor
+    clean = spec is None or spec.is_zero
+    return solve(build_clean_program(inst) if clean else build_corrupted_program(inst, spec))

@@ -5,11 +5,11 @@ from __future__ import annotations
 import io
 from array import array
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import MissingColumnError, RangeError, RecordsError, ZeroCellError
+from .errors import MissingColumnError, RecordsError, ZeroCellError
 from .metrics import bias_derived, error_derived
 from .model import CELLS, DerivedPredictor, PerturbationSpec, ProblemInstance, lift_perturbation
 
@@ -204,28 +204,12 @@ def evaluate_predictor_on_records(records: RecordSet,
                        error_derived(inst, predictor))
 
 
-def split(records: RecordSet, fractions: Sequence[float], seed: int) -> list[RecordSet]:
-    """Seeded uniform shuffle followed by contiguous slices.
-
-    Slice boundaries are cumulative floors of n * fraction; when the
-    fractions sum to one the last batch absorbs the remainder rows.
-    """
-    fracs = [float(f) for f in fractions]
-    if not fracs or any(f <= 0.0 for f in fracs):
-        raise RangeError("fractions must be positive")
-    total = sum(fracs)
-    if total > 1.0 + 1e-12:
-        raise RangeError(f"fractions sum to {total}, more than 1")
-
+def split(records: RecordSet, seed: int) -> tuple[RecordSet, RecordSet]:
+    """Seeded uniform shuffle cut into two halves: the first ``n // 2``
+    shuffled records, then the rest."""
     perm = np.random.default_rng(seed).permutation(records.n)
-    bounds = [0]
-    running = 0.0
-    for f in fracs:
-        running += f
-        bounds.append(int(np.floor(records.n * running + 1e-9)))
-    if total >= 1.0 - 1e-9:
-        bounds[-1] = records.n
-    return [records.subset(perm[bounds[i]:bounds[i + 1]]) for i in range(len(fracs))]
+    half = records.n // 2
+    return records.subset(perm[:half]), records.subset(perm[half:])
 
 
 def sample_records(inst: ProblemInstance, n: int, seed: int,

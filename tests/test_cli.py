@@ -158,8 +158,7 @@ def test_sweep_exits_4_when_a_bias_breaks_its_bound(tmp_path, monkeypatch, capsy
     # The given classifier keeps its own bias, which the bound shrinks.  It
     # breaks the program's constraints too, so the feasibility check is
     # turned off to reach the bound check.
-    monkeypatch.setattr(eonoise.cli, "solve_with_ties",
-                        lambda program: (DerivedPredictor(GIVEN_PREDICTOR_P), 1))
+    monkeypatch.setattr(eonoise.cli, "solve", lambda program: DerivedPredictor(GIVEN_PREDICTOR_P))
     monkeypatch.setattr(eonoise.cli, "RESIDUAL_TOL", math.inf)
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 4
@@ -169,8 +168,7 @@ def test_sweep_exits_4_when_a_bias_breaks_its_bound(tmp_path, monkeypatch, capsy
 
 
 def test_sweep_exits_4_when_the_solver_breaks_a_constraint(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(eonoise.cli, "solve_with_ties",
-                        lambda program: (DerivedPredictor((1.0, 0.0, 0.0, 0.0)), 1))
+    monkeypatch.setattr(eonoise.cli, "solve", lambda program: DerivedPredictor((1.0, 0.0, 0.0, 0.0)))
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 4
     assert not out.exists()
@@ -261,6 +259,55 @@ def test_main_exit_codes(tmp_path, capsys):
                  str(tmp_path / "y.csv")]) == 3
     assert main(["bound", "1.0", "0.2", "0.5"]) == 2
     capsys.readouterr()
+
+
+class _Worked(Exception):
+    """Raised by a spy in place of reading records or computing rows."""
+
+
+def _argv(command, tmp_path, out):
+    records = tmp_path / "records.csv"
+    write_records_csv(records, sample_records(fig1_top_left(), 200, seed=5))
+    config_out = _write_config(tmp_path, TOP_LEFT_CONFIG + f"out = {out}\n", "out.cfg")
+    return {
+        "sweep": ["sweep", "--config", str(_write_config(tmp_path)), "--out", str(out)],
+        "sweep-config-out": ["sweep", "--config", str(config_out)],
+        "dataset": ["dataset", str(records), "--scenario", "independent-flip",
+                    "--grid", "0:0.2:0.1", "--out", str(out)],
+        "estimate": ["estimate", str(records), "--out", str(out)],
+    }[command]
+
+
+_OUT_COMMANDS = ["sweep", "sweep-config-out", "dataset", "estimate"]
+
+
+def _spy_on_work(monkeypatch):
+    def worked(*args, **kwargs):
+        raise _Worked
+
+    for name in ("run_sweep", "read_records_csv", "run_dataset", "estimate_instance"):
+        monkeypatch.setattr(eonoise.cli, name, worked)
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("command", _OUT_COMMANDS)
+def test_unusable_out_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command, where):
+    out = tmp_path / "missing" / "out.csv" if where == "missing directory" else tmp_path
+    argv = _argv(command, tmp_path, out)
+    _spy_on_work(monkeypatch)
+    assert main(argv) == 2
+    assert not (tmp_path / "missing").exists()
+    err = capsys.readouterr().err
+    assert f"error: output path {out} is not a file in an existing directory" in err
+
+
+@pytest.mark.parametrize("command", _OUT_COMMANDS)
+def test_usable_out_reaches_the_work(tmp_path, monkeypatch, command):
+    # the spies above sit on the path a run takes, so their silence means no work
+    argv = _argv(command, tmp_path, tmp_path / "out.csv")
+    _spy_on_work(monkeypatch)
+    with pytest.raises(_Worked):
+        main(argv)
 
 
 def test_bound_subcommand_prints_value(capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eonoise import PerturbationSpec, RangeError, solve
+from eonoise import PerturbationSpec, ProblemInstance, RangeError, derive_predictor, solve
 from eonoise.lp import RESIDUAL_TOL, EoProgram, _pick, solve_with_ties
 from eonoise.programs import build_clean_program, build_corrupted_program
 from exact_oracle import exact_minimum
@@ -81,13 +81,15 @@ _PAIR = st.tuples(_RATE, _RATE)
 _DELTA = st.sampled_from((0.0, 1e-16, 1e-12, 1e-10, 5e-10, 1e-9, 1.5e-9, 2e-9, 1e-8,
                           1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 2e-3, 5e-3, 1e-2))
 _SHIFT = st.one_of(st.sampled_from((-1.0, 0.0, 1.0)), st.floats(-1.0, 1.0))
+# the box edges, and rates one snap away from them
+_FIRST_RATE = st.one_of(st.sampled_from((0.0, 1.0, 1e-12, 1.0 - 1e-12)), st.floats(0.01, 0.99))
 
 
 @st.composite
 def _near_equal_rates(draw):
-    first = draw(st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)))
+    first = draw(st.tuples(_FIRST_RATE, _FIRST_RATE))
     delta = draw(_DELTA)
-    second = tuple(h + delta * draw(_SHIFT) for h in first)
+    second = tuple(min(max(h + delta * draw(_SHIFT), 0.0), 1.0) for h in first)
     return first, second
 
 
@@ -115,6 +117,33 @@ def test_solve_matches_exact_oracle(objective, rates):
     # values agree even where the optimum is not unique
     prog = EoProgram(objective=objective, rates=rates)
     pred = solve(prog)
+    assert abs(prog.value(pred.p) - float(exact_minimum(prog))) <= 1e-9
+    assert prog.residual(pred.p) <= RESIDUAL_TOL
+
+
+# Each has its optimum at a vertex with a coordinate within BOUND_TOL of a
+# bound.  Snapping that coordinate moves the vertex's residual by up to
+# BOUND_TOL, and a residual bound of BOUND_TOL then dropped the vertex: the
+# first program returned (0, 0, 0, 0), 0.26 above its optimum, and the
+# derived predictor was 6.9e-7 above.
+def test_optimum_one_snap_from_a_bound_is_found():
+    prog = EoProgram(
+        objective=tuple(map(float.fromhex, ("-0x1.e7a7835f663bcp-2", "-0x1.ccb0176fe3534p-1",
+                                            "0x1.83e9e11e81feep-1", "0x1.eb5c145a97b08p-1"))),
+        rates=((float.fromhex("0x1.19799812dea11p-40"), 1.0),
+               (float.fromhex("0x1.32bbb9aa0ea16p-29"), float.fromhex("0x1.ffffffaad45c3p-1"))))
+    pred = solve(prog)
+    assert abs(prog.value(pred.p) - float(exact_minimum(prog))) <= 1e-9
+    assert prog.residual(pred.p) <= RESIDUAL_TOL
+
+
+def test_derived_predictor_at_a_rate_of_1e_12_is_optimal():
+    inst = ProblemInstance(base=(0.41946458770583434, 0.09406550861903301,
+                                 0.26313942077502733, 0.22333048290010524),
+                           alpha1=1e-12, beta1=1.0,
+                           alpha2=1.4155299899836112e-06, beta2=0.999994026130832)
+    prog = build_clean_program(inst)
+    pred = derive_predictor(inst)
     assert abs(prog.value(pred.p) - float(exact_minimum(prog))) <= 1e-9
     assert prog.residual(pred.p) <= RESIDUAL_TOL
 

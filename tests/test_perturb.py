@@ -26,7 +26,7 @@ def test_grid_rates_match_the_scalar_rates(kind):
     schedule = GammaSchedule(kind)
     grid = np.array([0.0, 5e-324, 0.1, 0.3, 0.4, 0.5, 1.0])
     columns = np.stack(schedule.grid_rates(grid), axis=1).tolist()
-    assert columns == [list(schedule.rates(g)) for g in grid.tolist()]
+    assert columns == [list(schedule_eval(schedule, g).rates) for g in grid.tolist()]
 
 
 def test_capped_schedule():

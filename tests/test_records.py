@@ -12,7 +12,6 @@ from eonoise import (
     GIVEN_PREDICTOR_P,
     MissingColumnError,
     PerturbationSpec,
-    RangeError,
     RecordScenario,
     RecordsError,
     ZeroCellError,
@@ -150,7 +149,7 @@ def test_package_record_sets_are_read_only_and_shared(tmp_path, monkeypatch):
                         spec=PerturbationSpec.uniform(0.2))
     _assert_read_only(rs)
     assert stored_as_is()
-    parts = split(rs, (0.5, 0.5), seed=0)
+    parts = split(rs, seed=0)
     for part in parts:
         _assert_read_only(part)
     assert stored_as_is()
@@ -244,7 +243,7 @@ def test_estimators_match_mask_and_two_bincount_oracles(n, skew, seed, absent):
 def test_estimators_match_oracles_on_sampled_records():
     spec = PerturbationSpec.restricted(0.2, 0.3, 0.15, 0.25)
     rs = sample_records(fig1_top_left(), 200_000, seed=20, spec=spec)
-    for part in [rs] + split(rs, (0.5, 0.5), seed=4):
+    for part in [rs, *split(rs, seed=4)]:
         assert _outcome(estimate_instance, part) == _outcome(oracle_estimate_instance, part)
         assert _outcome(estimate_corrupted_tables, part) == _outcome(oracle_corrupted_tables, part)
 
@@ -327,7 +326,7 @@ def _evaluation_cases(seed):
     cell = rng.choice(4, size=n, p=rng.dirichlet(np.ones(4)) * 0.9 + 0.025)
     cell[:4] = range(4)  # no empty cell
     rs = RecordSet(y=np.where(cell < 2, 1, -1), a=cell % 2, yhat=rng.choice((-1, 1), size=n))
-    train, test = split(rs, (0.5, 0.5), seed)
+    train, test = split(rs, seed)
     picked = rs.subset(rng.integers(0, n, size=n))
     for part in (rs, train, test, picked):
         for _ in range(4):
@@ -336,7 +335,7 @@ def _evaluation_cases(seed):
 
 def _sampled_evaluation_cases():
     rs = sample_records(fig1_top_left(), 30_000, seed=18, with_scores=True)
-    _, test = split(rs, (0.5, 0.5), seed=3)
+    _, test = split(rs, seed=3)
     rng = np.random.default_rng(19)
     preds = [DerivedPredictor(GIVEN_PREDICTOR_P)] + [_random_predictor(rng) for _ in range(12)]
     return [(test, pred) for pred in preds]
@@ -389,40 +388,38 @@ def test_evaluation_empty_cell_raises_on_every_call():
 
 
 def test_split_sizes_and_determinism():
-    rs = sample_records(fig1_top_left(), 9, seed=8)
-    parts = split(rs, (1 / 3, 1 / 3, 1 / 3), seed=0)
-    assert [p.n for p in parts] == [3, 3, 3]
+    for n, sizes in [(1, [0, 1]), (7, [3, 4]), (10, [5, 5])]:
+        rs = sample_records(fig1_top_left(), n, seed=9, with_scores=True)
+        parts = split(rs, seed=1)
+        assert [p.n for p in parts] == sizes
+        again = split(rs, seed=1)
+        for lhs, rhs in zip(parts, again):
+            for name in ("y", "a", "score", "yhat"):
+                assert np.array_equal(getattr(lhs, name), getattr(rhs, name))
 
-    rs7 = sample_records(fig1_top_left(), 7, seed=9)
-    parts7 = split(rs7, (0.5, 0.5), seed=1)
-    assert [p.n for p in parts7] == [3, 4]
 
-    again = split(rs7, (0.5, 0.5), seed=1)
-    for lhs, rhs in zip(parts7, again):
-        assert (lhs.y == rhs.y).all() and (lhs.a == rhs.a).all()
+def test_split_halves_are_the_seeded_shuffle():
+    rs = sample_records(fig1_top_left(), 1001, seed=10, with_scores=True)
+    train, test = split(rs, seed=2)
+    perm = np.random.default_rng(2).permutation(rs.n)
+    assert np.array_equal(train.score, rs.score[perm[:500]])
+    assert np.array_equal(test.score, rs.score[perm[500:]])
+    assert not np.array_equal(split(rs, seed=3)[0].score, train.score)
 
 
 def test_split_partitions_rows():
     rs = sample_records(fig1_top_left(), 1000, seed=10, with_scores=True)
-    parts = split(rs, (0.3, 0.3, 0.4), seed=2)
+    parts = split(rs, seed=2)
     gathered = np.sort(np.concatenate([p.score for p in parts]))
     assert np.array_equal(gathered, np.sort(rs.score))
 
 
 def test_split_parts_own_their_meta():
     rs = sample_records(fig1_top_left(), 10, seed=11)
-    parts = split(rs, (0.5, 0.5), seed=0)
+    parts = split(rs, seed=0)
     assert all(p.meta == rs.meta and p.meta is not rs.meta for p in parts)
     parts[0].meta["note"] = "x"
     assert "note" not in rs.meta and "note" not in parts[1].meta
-
-
-def test_split_fraction_validation():
-    rs = sample_records(fig1_top_left(), 10, seed=11)
-    with pytest.raises(RangeError):
-        split(rs, (0.5, 0.6), seed=0)
-    with pytest.raises(RangeError):
-        split(rs, (0.5, -0.1), seed=0)
 
 
 def test_estimators_permutation_invariant():

@@ -1,7 +1,8 @@
 """The names that code outside the package reaches for: the benchmark's
 tracer and worker, the demos and the README's quick start.  A deleted or
 renamed name fails here instead of in a benchmark run, a demo or a reader's
-terminal.  The public ``__all__`` holds only
+terminal, and a command line in the README that the parser no longer
+accepts fails here too.  The public ``__all__`` holds only
 names something uses: the CLI, a demo, the README or the benchmark worker,
 or, for an exception, the package itself by raising it.  Also the package's
 promise that its checks still run under ``python -O``."""
@@ -11,6 +12,7 @@ import importlib
 import importlib.util
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -129,6 +131,43 @@ def test_readme_quick_start_runs(capsys):
     assert block, "README.md has no python block"
     exec(compile(block.group(1), "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of every ``eonoise ...`` line in the README's sh blocks,
+    with continuation lines joined and comments dropped."""
+    text = (ROOT / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.MULTILINE | re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["eonoise"]:
+                commands.append(words[1:])
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_shows_every_subcommand():
+    assert {argv[0] for argv in README_COMMANDS} == {
+        "sweep", "dataset", "bound", "reproduce-lemma1", "estimate"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_parses(argv, capsys):
+    try:
+        eonoise.cli.build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"README's 'eonoise {shlex.join(argv)}' does not parse: "
+                    f"{capsys.readouterr().err}")
+
+
+def test_only_lp_names_solve_with_ties():
+    # every other module solves through lp.solve, the one solver entry point
+    users = [source.name for source in SOURCES if source.name != "lp.py"
+             and re.search(r"\bsolve_with_ties\b", source.read_text())]
+    assert not users, f"{users} name solve_with_ties; call lp.solve instead"
 
 
 def test_package_sources_found():
