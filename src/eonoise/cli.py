@@ -20,16 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateProgramError,
-    DomainError,
-    EmptyCellError,
-    MissingColumnError,
-    RangeError,
-    RecordsError,
-    ZeroCellError,
-)
+from .errors import ConfigError, DegenerateProgramError, DomainError, EoNoiseError, RangeError
 from .metrics import (
     bias_derived,
     bias_derived_grid,
@@ -117,6 +108,11 @@ class SweepConfig:
     grid: tuple[float, float, float]  # start, stop, step
     out: Path | None = None
 
+    def __post_init__(self) -> None:
+        _check_grid(*self.grid, "the sweep grid {}:{}:{}".format(*self.grid))
+        if not (0.0 <= self.grid[0] and self.grid[1] <= 1.0):
+            raise ConfigError("grid must satisfy 0 <= start <= stop <= 1")
+
 
 _SWEEP_KEYS = ("preset", "alpha1", "beta1", "alpha2", "beta2", "base",
                "schedule", "grid_start", "grid_stop", "grid_step", "out")
@@ -201,10 +197,6 @@ def load_sweep_config(path, out_override=None) -> SweepConfig:
     grid = (number("grid_start", need("grid_start")),
             number("grid_stop", need("grid_stop")),
             number("grid_step", need("grid_step")))
-    _check_grid(*grid, "the sweep grid {}:{}:{}".format(*grid))
-    if not (0.0 <= grid[0] and grid[1] <= 1.0):
-        raise ConfigError("grid must satisfy 0 <= start <= stop <= 1")
-
     out = out_override if out_override is not None else merged.get("out")
     return SweepConfig(instance=instance, schedule=schedule, grid=grid,
                        out=None if out is None else Path(out))
@@ -316,12 +308,10 @@ def write_csv(path, columns, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def run_dataset(records, scenario_kind: str, levels, seed: int) -> list[list[str]]:
-    """Per level: corrupt the training half, estimate both predictors there,
-    evaluate everything on the held-out half with the true attribute."""
-    if scenario_kind not in SCENARIO_KINDS:
-        raise ConfigError(f"unknown scenario {scenario_kind!r}")
-    scenarios = [RecordScenario(scenario_kind, level) for level in levels]
+def run_dataset(records, scenarios, seed: int) -> list[list[str]]:
+    """Per RecordScenario: corrupt the training half, estimate both
+    predictors there, evaluate everything on the held-out half with the
+    true attribute."""
     train, test = split(records, seed)
 
     clean_program = program_from_table(clean_counts(train))
@@ -387,9 +377,12 @@ def _cmd_dataset(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     _check_out(args.out)
+    try:
+        scenarios = [RecordScenario(args.scenario, level) for level in parse_grid(args.grid)]
+    except RangeError as exc:
+        raise ConfigError(f"--grid {args.grid!r}: {exc}") from None
     records = read_records_csv(args.records)
-    levels = parse_grid(args.grid)
-    rows = run_dataset(records, args.scenario, levels, args.seed)
+    rows = run_dataset(records, scenarios, args.seed)
     write_csv(args.out, DATASET_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -444,8 +437,7 @@ def parse_grid(text: str) -> list[float]:
     except ValueError:
         raise ConfigError(f"grid {text!r} contains a non-numeric field") from None
     if len(numbers) == 1:
-        _check_grid(numbers[0], numbers[0], 1.0, f"grid {text!r}")  # a one-point grid
-        return numbers
+        numbers = [numbers[0], numbers[0], 1.0]  # the one-point grid v:v:1
     _check_grid(*numbers, f"grid {text!r}")
     return grid_points(*numbers)
 
@@ -493,21 +485,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit code per error class, first match wins: 2 for a bad argument or
+#: config, 4 for a failed internal invariant, 3 for any other data error.
+_EXIT_CODES = (((ConfigError, DomainError), 2), (DegenerateProgramError, 4),
+               ((EoNoiseError, OSError), 3))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RecordsError, ZeroCellError, EmptyCellError, MissingColumnError,
-            RangeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DegenerateProgramError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
+    except (EoNoiseError, OSError) as exc:
+        code = next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+        print(f"{'internal error' if code == 4 else 'error'}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

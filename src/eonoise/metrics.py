@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, EmptyCellError, RangeError
-from .model import A_VALUES, CELL_INDEX, DerivedPredictor, PerturbationSpec, ProblemInstance, Y_VALUES
+from .model import A_VALUES, CELL_INDEX, CELLS, DerivedPredictor, PerturbationSpec, ProblemInstance, Y_VALUES
 
 INDEPENDENCE_TOL = 1e-12
 
@@ -182,14 +182,10 @@ def independence_measure(table) -> float:
         raise RangeError(f"table must be (2, 2, 2, 2), got {t.shape}")
     if not (np.isfinite(t) & (t >= 0)).all():
         raise RangeError("table cells must be finite and nonnegative")
-    worst = 0.0
-    for yi, y in enumerate(Y_VALUES):
-        for a in A_VALUES:
-            cell = t[yi, a]
-            mass = cell.sum()
-            if mass <= 0.0:
-                raise EmptyCellError(f"no mass in conditioning cell (Y={y}, A={a})")
-            cond = cell / mass
-            product = np.outer(cond.sum(axis=1), cond.sum(axis=0))
-            worst = max(worst, float(np.abs(cond - product).max()))
-    return worst
+    mass = t.sum(axis=(2, 3), keepdims=True)
+    for (y, a), m in zip(CELLS, mass.ravel().tolist()):
+        if m <= 0.0:
+            raise EmptyCellError(f"no mass in conditioning cell (Y={y}, A={a})")
+    cond = t / mass
+    product = cond.sum(axis=3, keepdims=True) * cond.sum(axis=2, keepdims=True)
+    return float(np.abs(cond - product).max())

@@ -49,18 +49,17 @@ class GammaSchedule:
         outside = ~((0.0 <= g) & (g <= 1.0))
         if outside.any():
             raise RangeError(f"driving flip rate {float(g[outside][0])} outside [0, 1]")
-        return self._expand(g, np.minimum)
+        return self._expand(g)
 
-    def _expand(self, g, minimum):
-        """The four rates at driving rate ``g``, a float or an array;
-        ``minimum`` is ``min`` or ``np.minimum`` to match."""
+    def _expand(self, g):
+        """The four rates at driving rate ``g``, a float or an array."""
         if self.kind == "equal":
             return (g, g, g, g)
         if self.kind == "halves":
             return (g, g, g / 2.0, g / 2.0)
         if self.kind == "power-halving":
             return (g, g / 2.0, g / 4.0, g / 8.0)
-        r = minimum(2.0 * g, 0.8)
+        r = np.minimum(2.0 * g, 0.8)
         return (g, g, r, r)
 
 
@@ -69,7 +68,7 @@ def schedule_eval(schedule: GammaSchedule, gamma10: float) -> PerturbationSpec:
     g = float(gamma10)
     if not 0.0 <= g <= 1.0:
         raise RangeError(f"driving flip rate {g} outside [0, 1]")
-    return PerturbationSpec.restricted(*schedule._expand(g, min))
+    return PerturbationSpec.restricted(*schedule._expand(g))
 
 
 @dataclass(frozen=True)

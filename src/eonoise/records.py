@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import os
+import stat
 from array import array
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
@@ -272,17 +274,20 @@ def read_records_csv(path) -> RecordSet:
     on a line name its number in the file, blank lines included; in a file
     with several faults, the first line at fault is named.
 
-    A file whose rows hold only numbers, commas, padding and CRLF or LF line
-    ends is parsed by one np.loadtxt call, which reads it a second time from
-    ``path``.  Any other file, and any file that call or RecordSet rejects,
-    is read by _read_lines, which defines the format.
+    A regular file whose rows hold only numbers, commas, padding and CRLF or
+    LF line ends is parsed by one np.loadtxt call, which reads it a second
+    time from ``path``.  Any other file, and any file that call or RecordSet
+    rejects, is read by _read_lines, which defines the format.  A pipe or
+    FIFO cannot be read twice, so its bytes always go to _read_lines.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        return _load_numeric(path, data)
-    except ValueError:  # RecordsError included
-        pass
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    if regular:
+        try:
+            return _load_numeric(path, data)
+        except ValueError:  # RecordsError included
+            pass
     return _read_lines(path, data)
 
 

@@ -23,7 +23,7 @@ from eonoise import (
     solve,
 )
 from eonoise.cli import SWEEP_COLUMNS, SweepConfig, run_dataset, run_sweep
-from eonoise.perturb import GammaSchedule
+from eonoise.perturb import GammaSchedule, RecordScenario
 from grid_oracle import grid_minimum
 from metrics_oracle import balanced_uniform_predictor
 from support import (
@@ -195,7 +195,7 @@ def test_criterion_8_empirical_pipeline_consistency():
         inst = fig1_top_left()
         gamma = 0.25
         records = sample_records(inst, 100_000, seed=88)
-        rows = run_dataset(records, "independent-flip", [gamma], seed=88)
+        rows = run_dataset(records, [RecordScenario("independent-flip", gamma)], seed=88)
         row = dict(zip(
             ("level",
              "bias_pos_given", "bias_neg_given", "error_given",

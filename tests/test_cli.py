@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eonoise import (
@@ -28,8 +28,8 @@ from eonoise.cli import (
     run_dataset,
     run_sweep,
 )
-from eonoise.errors import ConfigError, MissingColumnError
-from eonoise.perturb import SCHEDULE_KINDS, GammaSchedule
+from eonoise.errors import ConfigError, MissingColumnError, NormalizationError
+from eonoise.perturb import SCHEDULE_KINDS, GammaSchedule, RecordScenario
 from eonoise.records import RecordSet, estimate_instance, read_records_csv
 import sweep_oracle
 from support import fig1_top_left
@@ -243,11 +243,25 @@ def _outcome(run, config):
 
 
 @given(_sweep_configs())
-@example(SweepConfig(instance=fig1_top_left(), schedule=GammaSchedule("equal"),
-                     grid=(0.5, 0.2, 0.1)))  # no points
 @settings(max_examples=150, deadline=None)
 def test_sweep_rows_match_the_row_by_row_oracle(config):
     assert _outcome(run_sweep, config) == _outcome(sweep_oracle.run_sweep, config)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ((0.5, 0.2, 0.1), "needs a positive step and stop >= start"),  # no points
+    ((0.0, 0.5, 0.0), "needs a positive step and stop >= start"),
+    ((0.0, 0.5, -0.1), "needs a positive step and stop >= start"),
+    ((0.0, 0.5, math.nan), "non-finite"),
+    ((-0.1, 0.5, 0.1), "0 <= start <= stop <= 1"),
+    ((0.0, 1.5, 0.1), "0 <= start <= stop <= 1"),
+], ids=["stop-below-start", "zero-step", "negative-step", "nan-step", "negative-start",
+        "stop-past-1"])
+def test_sweep_config_checks_its_grid_at_construction(no_grid_expansion, grid, message):
+    # grid_points, and so run_sweep, would never end on a zero step
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(SweepConfig(instance=fig1_top_left(), schedule=GammaSchedule("equal"),
+                              grid=grid))
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -417,14 +431,36 @@ def test_grid_points_stay_inside_start_stop():
 
 
 @pytest.mark.parametrize("text", ["0:1.5:0.5", "1.5"])
-def test_dataset_level_outside_the_scenario_range_exits_3(tmp_path, capsys, text):
+def test_dataset_level_outside_the_scenario_range_exits_2(tmp_path, monkeypatch, capsys, text):
     records = tmp_path / "records.csv"
     write_records_csv(records, sample_records(fig1_top_left(), 200, seed=36))
     out = tmp_path / "out.csv"
+    _spy_on_work(monkeypatch)
     assert main(["dataset", str(records), "--scenario", "independent-flip",
-                 f"--grid={text}", "--out", str(out)]) == 3
-    assert "flip probability 1.5 outside [0, 1]" in capsys.readouterr().err
+                 f"--grid={text}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: --grid '{text}': ")
+    assert "flip probability 1.5 outside [0, 1]" in err
     assert not out.exists()
+
+
+def test_dataset_bad_grid_exits_2_before_the_missing_records(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["dataset", str(tmp_path / "missing.csv"), "--scenario", "independent-flip",
+                 "--grid", "a:b:c", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "grid 'a:b:c'" in err
+    assert not out.exists()
+
+
+def test_an_error_outside_the_cli_classes_exits_3(monkeypatch, capsys):
+    def unnormalized(*args):
+        raise NormalizationError("base probabilities sum to 0.9")
+
+    monkeypatch.setattr(eonoise.cli, "bias_shrink_factor", unnormalized)
+    assert main(["bound", "0.2", "0.3", "0.5"]) == 3
+    assert capsys.readouterr().err == "error: base probabilities sum to 0.9\n"
 
 
 def test_dataset_rejects_a_negative_seed(tmp_path, capsys):
@@ -453,7 +489,7 @@ def test_sweep_config_grid_messages(tmp_path, grid, message):
 def test_dataset_without_predictions_fails_at_the_clean_table():
     rs = sample_records(fig1_top_left(), 200, seed=38)
     with pytest.raises(MissingColumnError, match="estimation needs a yhat column"):
-        run_dataset(RecordSet(y=rs.y, a=rs.a), "independent-flip", [0.1], seed=0)
+        run_dataset(RecordSet(y=rs.y, a=rs.a), [RecordScenario("independent-flip", 0.1)], seed=0)
 
 
 def test_grid_point_cap_is_exact():
@@ -468,7 +504,7 @@ def _dataset_rowmap(row):
 
 def test_dataset_zero_flip_matches_true(tmp_path):
     rs = sample_records(fig1_top_left(), 20_000, seed=30)
-    rows = run_dataset(rs, "independent-flip", [0.0], seed=5)
+    rows = run_dataset(rs, [RecordScenario("independent-flip", 0.0)], seed=5)
     row = _dataset_rowmap(rows[0])
     assert row["bias_pos_corr"] == row["bias_pos_true"]
     assert row["error_corr"] == row["error_true"]
@@ -477,15 +513,16 @@ def test_dataset_zero_flip_matches_true(tmp_path):
 
 def test_dataset_on_errors_scenario_breaks_independence(tmp_path):
     rs = sample_records(fig1_top_left(), 20_000, seed=31)
-    rows = run_dataset(rs, "independent-flip-on-errors", [0.4], seed=6)
+    rows = run_dataset(rs, [RecordScenario("independent-flip-on-errors", 0.4)], seed=6)
     row = _dataset_rowmap(rows[0])
     assert float(row["independence_measure"]) > 0.05
 
 
 def test_dataset_rows_deterministic():
     rs = sample_records(fig1_top_left(), 10_000, seed=34)
-    first = run_dataset(rs, "independent-flip", [0.1, 0.3], seed=2)
-    second = run_dataset(rs, "independent-flip", [0.1, 0.3], seed=2)
+    scenarios = [RecordScenario("independent-flip", level) for level in (0.1, 0.3)]
+    first = run_dataset(rs, scenarios, seed=2)
+    second = run_dataset(rs, scenarios, seed=2)
     assert first == second
 
 

@@ -1,4 +1,5 @@
 import itertools
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -891,3 +892,45 @@ def test_csv_outside_the_numpy_form_is_read_line_by_line(tmp_path, line_reads,
         with pytest.raises(RecordsError, match=f"{path}:3: "):
             read_records_csv(path)
     assert line_reads == [path]
+
+
+@pytest.fixture
+def piped():
+    """Puts bytes into a pipe and returns the /dev/fd path of its read end."""
+    ends = []
+
+    def pipe(data: bytes) -> str:
+        r, w = os.pipe()
+        ends.append(r)
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)  # under the pipe's 64 KiB buffer, so it never blocks
+        return f"/dev/fd/{r}"
+
+    yield pipe
+    for fd in ends:
+        os.close(fd)
+
+
+def _piped_sample(tmp_path):
+    rs = sample_records(fig1_top_left(), 300, seed=39,
+                        spec=PerturbationSpec.uniform(0.2), with_scores=True)
+    path = tmp_path / "records.csv"
+    write_records_csv(path, rs)
+    return rs, path
+
+
+def test_csv_on_a_pipe_is_read_line_by_line_and_returns_every_row(tmp_path, line_reads, piped):
+    # np.loadtxt would read the path a second time and find the pipe empty
+    rs, path = _piped_sample(tmp_path)
+    fd_path = piped(path.read_bytes())
+    back = read_records_csv(fd_path)
+    assert line_reads == [fd_path]
+    _assert_reads_back(rs, back)
+
+
+def test_estimate_reads_the_same_records_from_a_pipe(tmp_path, capsys, piped):
+    _, path = _piped_sample(tmp_path)
+    assert main(["estimate", str(path)]) == 0
+    by_path = capsys.readouterr().out
+    assert main(["estimate", piped(path.read_bytes())]) == 0
+    assert capsys.readouterr().out == by_path
