@@ -209,13 +209,13 @@ _GRID_SLACK = 1e-12
 
 
 def _check_grid(start: float, stop: float, step: float, what: str) -> None:
-    """Reject a grid unless start, stop and step are finite, the step is
-    positive, stop is at least start and grid_points gives at most
+    """Reject a grid unless start, stop and step are finite, start + step
+    exceeds start, stop is at least start and grid_points gives at most
     MAX_GRID_POINTS points."""
     if not all(map(math.isfinite, (start, stop, step))):
         raise ConfigError(f"{what} contains a non-finite field")
-    if step <= 0 or stop < start:
-        raise ConfigError(f"{what} needs a positive step and stop >= start")
+    if start + step <= start or stop < start:  # a step too small to move start loops
+        raise ConfigError(f"{what} needs a positive step that moves start and stop >= start")
     if (stop + _GRID_SLACK - start) / step >= MAX_GRID_POINTS:
         raise ConfigError(f"{what} has more than {MAX_GRID_POINTS} points")
 
@@ -485,20 +485,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Exit code per error class, first match wins: 2 for a bad argument or
-#: config, 4 for a failed internal invariant, 3 for any other data error.
-_EXIT_CODES = (((ConfigError, DomainError), 2), (DegenerateProgramError, 4),
-               ((EoNoiseError, OSError), 3))
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (ConfigError, DomainError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except DegenerateProgramError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (EoNoiseError, OSError) as exc:
-        code = next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
-        print(f"{'internal error' if code == 4 else 'error'}: {exc}", file=sys.stderr)
-        return code
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

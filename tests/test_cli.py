@@ -249,9 +249,9 @@ def test_sweep_rows_match_the_row_by_row_oracle(config):
 
 
 @pytest.mark.parametrize("grid, message", [
-    ((0.5, 0.2, 0.1), "needs a positive step and stop >= start"),  # no points
-    ((0.0, 0.5, 0.0), "needs a positive step and stop >= start"),
-    ((0.0, 0.5, -0.1), "needs a positive step and stop >= start"),
+    ((0.5, 0.2, 0.1), "needs a positive step that moves start"),  # no points
+    ((0.0, 0.5, 0.0), "needs a positive step that moves start"),
+    ((0.0, 0.5, -0.1), "needs a positive step that moves start"),
     ((0.0, 0.5, math.nan), "non-finite"),
     ((-0.1, 0.5, 0.1), "0 <= start <= stop <= 1"),
     ((0.0, 1.5, 0.1), "0 <= start <= stop <= 1"),
@@ -394,8 +394,11 @@ def no_grid_expansion(monkeypatch):
     monkeypatch.setattr(eonoise.cli, "grid_points", refuse)
 
 
+# 1e300 + k * 1.0 == 1e300 for every k, so a step that does not move start
+# never reaches a point past stop
 @pytest.mark.parametrize("text", ["0:1:nan", "0:inf:0.1", "0:1:1e-300", "nan:1:0.1",
-                                  "-inf:0:0.1", "0:1:inf", "nan", "inf", "0:1:0.00001"])
+                                  "-inf:0:0.1", "0:1:inf", "nan", "inf", "0:1:0.00001",
+                                  "1e300", "1e300:1e300:1", "1e20"])
 def test_parse_grid_rejects_unbounded_grids(no_grid_expansion, tmp_path, capsys, text):
     with pytest.raises(ConfigError):
         parse_grid(text)
