@@ -7,9 +7,10 @@ two attribute groups receive the same probability of a positive output.
 Near-equal rates follow one rule: two label classes whose rate pairs lie within
 ``RATE_TIE_TOL`` of each other in both coordinates give one constraint, and
 otherwise they give two (see ``EoProgram``).  The problem is fixed-size, so the
-solver enumerates every candidate vertex exactly instead of delegating to a
-general-purpose LP library: the box corners, and every point with
-``4 - len(rows)`` coordinates fixed at a bound and the rest solved from the rows.
+solver enumerates every candidate vertex exactly, in one loop over index tables:
+the box corners, and every point with ``4 - len(rows)`` coordinates fixed at a
+bound and the rest solved from the rows.  ``tests/lp_oracle.py`` enumerates
+them with ``itertools`` and is the loop's bit-for-bit reference.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ _ONES = (1.0, 1.0, 1.0, 1.0)
 _ZEROS = (0.0, 0.0, 0.0, 0.0)
 #: The 16 corners of the box [0, 1]^4, bit k of the index giving coordinate k.
 _CORNERS = tuple(tuple(float((bits >> k) & 1) for k in range(4)) for bits in range(16))
+#: Index tables of ``_candidates``: fixed coordinates in ``combinations`` order,
+#: then the free ones; the bounds the fixed ones take, in ``product`` order.
+_FIX_ONE_ROW, _FIX_TWO_ROWS = (tuple(f + tuple(k for k in range(4) if k not in f)
+                                     for f in combinations(range(4), n)) for n in (3, 2))
+_BOUNDS_THREE, _BOUNDS_TWO = (tuple(product((0.0, 1.0), repeat=n)) for n in (3, 2))
 
 
 @dataclass(frozen=True)
@@ -87,34 +93,44 @@ class EoProgram:
 
     def residual(self, p: Sequence[float]) -> float:
         """Largest absolute violation of the equality constraints in ``rows``."""
-        return max(abs(r[0] * p[0] + r[1] * p[1] + r[2] * p[2] + r[3] * p[3]) for r in self.rows)
+        worst = 0.0
+        for r in self.rows:
+            v = abs(r[0] * p[0] + r[1] * p[1] + r[2] * p[2] + r[3] * p[3])
+            worst = v if v > worst else worst
+        return worst
 
 
-def _candidates(program: EoProgram):
+def _candidates(rows):
     """Deterministically ordered candidate points covering every vertex: the
     box corners, which include the two constant classifiers (feasible for every
     program, as each row's entries sum to zero), then every point with
     ``4 - len(rows)`` coordinates at a bound and the rest solved from the rows
-    by a 1x1 division or by Cramer's rule."""
-    rows = program.rows
+    by a 1x1 division or by Cramer's rule, in the order of the index tables.
+    The right-hand sides are summed left to right; snapping clears a zero's sign."""
     cands = list(_CORNERS)
-    for fixed in combinations(range(4), 4 - len(rows)):
-        free = tuple(k for k in range(4) if k not in fixed)
-        a = [[row[k] for k in free] for row in rows]
-        det = a[0][0] if len(rows) == 1 else a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    if len(rows) == 1:
+        (r,) = rows
+        for i0, i1, i2, f in _FIX_ONE_ROW:
+            det = r[f]
+            if abs(det) < SINGULAR_TOL:
+                continue
+            for b0, b1, b2 in _BOUNDS_THREE:
+                p = [0.0, 0.0, 0.0, 0.0]
+                p[i0], p[i1], p[i2], p[f] = b0, b1, b2, -(r[i0] * b0 + r[i1] * b1 + r[i2] * b2) / det
+                cands.append(p)
+        return cands
+    r, s = rows
+    for i0, i1, f0, f1 in _FIX_TWO_ROWS:
+        a00, a01, a10, a11 = r[f0], r[f1], s[f0], s[f1]
+        det = a00 * a11 - a01 * a10
         if abs(det) < SINGULAR_TOL:
             continue
-        for bounds in product((0.0, 1.0), repeat=len(fixed)):
-            r = [-sum(row[i] * b for i, b in zip(fixed, bounds)) for row in rows]
-            if len(rows) == 1:
-                solved = (r[0] / det,)
-            else:
-                solved = ((r[0] * a[1][1] - a[0][1] * r[1]) / det,
-                          (a[0][0] * r[1] - r[0] * a[1][0]) / det)
+        for b0, b1 in _BOUNDS_TWO:
+            c0, c1 = -(r[i0] * b0 + r[i1] * b1), -(s[i0] * b0 + s[i1] * b1)
             p = [0.0, 0.0, 0.0, 0.0]
-            for k, v in zip(fixed + free, bounds + solved):
-                p[k] = v
-            cands.append(tuple(p))
+            p[i0], p[i1] = b0, b1
+            p[f0], p[f1] = (c0 * a11 - a01 * c1) / det, (a00 * c1 - c0 * a10) / det
+            cands.append(p)
     return cands
 
 
@@ -140,11 +156,11 @@ def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:
     """Solve the program; also report how many distinct optima tied."""
     feasible = []
     seen = set()
-    for raw in _candidates(program):
+    for raw in _candidates(program.rows):
         p = snap_probabilities(raw)
         if p is None or program.residual(p) > RESIDUAL_TOL:
             continue
-        key = tuple(round(v, 12) for v in p)
+        key = (round(p[0], 12), round(p[1], 12), round(p[2], 12), round(p[3], 12))
         if key in seen:
             continue
         seen.add(key)

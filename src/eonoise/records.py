@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 import stat
 from array import array
 from dataclasses import dataclass, field
@@ -258,6 +259,7 @@ _HEADER = [name.encode() for name in RECORD_CSV_HEADER]
 #: field as int() or float() does or rejects it; elsewhere it accepts more,
 #: such as ``1\x1c``, and it splits a line at a lone CR.
 _NUMERIC_BYTES = b"0123456789+-.eE,\n\r \t\v\f"
+_LINE_CONTENT = re.compile(rb"[^\r\n][^\n]*")  # a line from its first byte not CR or LF
 #: The bytes int() and float() skip around a number; a field of them is empty.
 _PADDING = b" \t\v\f\r"
 #: np.loadtxt reads an empty column's fields as bytes of this width and cuts
@@ -299,12 +301,14 @@ def _load_numeric(path, data: bytes) -> RecordSet:
     """Parse the columns filled on the first data line as numbers and the
     others as text that must be padding alone; ValueError if the file is not
     of that form."""
-    header, _, body = data.partition(b"\n")
-    first = body.lstrip(b"\r\n").partition(b"\n")[0].split(b",")
-    if (not _is_header(header) or len(first) != 5 or body.count(b"\r") != body.count(b"\r\n")
-            or body.translate(None, _NUMERIC_BYTES)):
+    header = data[:end] if (end := data.find(b"\n")) >= 0 else data
+    start = len(header) + 1  # the body, checked in place: a copy would cost the file's size
+    line = _LINE_CONTENT.search(data, start)
+    first = (line.group() if line else b"").split(b",")
+    if (not _is_header(header) or len(first) != 5
+            or data.count(b"\r", start) != data.count(b"\r\n", start)
+            or data.translate(None, _NUMERIC_BYTES) != header.translate(None, _NUMERIC_BYTES)):
         raise ValueError("not a file of numbers")
-    del body  # a copy of the file, freed before np.loadtxt reads it again
     empty = f"S{_EMPTY_WIDTH}"
     dtype = [(name, empty if not field.strip(_PADDING) else "f8" if name == "score" else "i1")
              for name, field in zip(RECORD_CSV_HEADER, first)]

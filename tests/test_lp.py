@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from eonoise import PerturbationSpec, ProblemInstance, RangeError, derive_predictor, solve
 from eonoise.lp import RESIDUAL_TOL, EoProgram, _pick, solve_with_ties
 from eonoise.programs import build_clean_program, build_corrupted_program
+import lp_oracle
 from exact_oracle import exact_minimum
 from grid_oracle import grid_minimum
 from support import (
@@ -93,24 +94,37 @@ def _near_equal_rates(draw):
     return first, second
 
 
-# The examples were each off by 1.3e-9 to 0.89 under an earlier solver or
-# rule: rows 1e-8 to 1e-6 apart, pairs just under RATE_TIE_TOL, a corner
-# 8e-13 short of feasible next to a raw row 1e-3 away, and a gap that is
-# over 1e-9 exactly but not in floating point.
-@given(objective=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
-       rates=st.one_of(st.tuples(_PAIR, _PAIR), _near_equal_rates()))
-@example(objective=(1.0, 0.0, -1.0, 0.0), rates=((0.0, 2**-20), (2**-20, 2**-20)))
-@example(objective=(1.0, -0.8194853127860231, 0.6084624090470947, 0.5254216360336894),
-         rates=((0.690308818936938, 9.71000949003825e-10), (0.690308818936938, 0.0)))
-@example(objective=(-0.15096162171497207, 0.6537042493440761, -0.7523960777007088,
-                    -0.5535220707859709),
-         rates=((0.03749565844198488, 0.4336456836623859),
-                (0.03749564983909335, 0.4336456754766461)))
-@example(objective=(-0.9360660847827578, -0.087919617711254, 0.997176886217612, -1.0),
-         rates=((0.9999999999991739, 0.37259629156968554), (1.0, 0.37359629156968555)))
-@example(objective=(-1.0, 1.0, -0.18704624362715894, 0.23233149785599494),
-         rates=((0.9999999998786755, 1.0005176564465186e-09),
-                (0.9999999999995298, 5.176564465185579e-13)))
+_OBJECTIVE = st.tuples(*[st.floats(-1.0, 1.0)] * 4)
+_RATES = st.one_of(st.tuples(_PAIR, _PAIR), _near_equal_rates())
+
+# (objective, rates) pairs that were each off by 1.3e-9 to 0.89 under an
+# earlier solver or rule: rows 1e-8 to 1e-6 apart, pairs just under
+# RATE_TIE_TOL, a corner 8e-13 short of feasible next to a raw row 1e-3 away,
+# and a gap that is over 1e-9 exactly but not in floating point.
+_HARD_PROGRAMS = [
+    ((1.0, 0.0, -1.0, 0.0), ((0.0, 2**-20), (2**-20, 2**-20))),
+    ((1.0, -0.8194853127860231, 0.6084624090470947, 0.5254216360336894),
+     ((0.690308818936938, 9.71000949003825e-10), (0.690308818936938, 0.0))),
+    ((-0.15096162171497207, 0.6537042493440761, -0.7523960777007088, -0.5535220707859709),
+     ((0.03749565844198488, 0.4336456836623859), (0.03749564983909335, 0.4336456754766461))),
+    ((-0.9360660847827578, -0.087919617711254, 0.997176886217612, -1.0),
+     ((0.9999999999991739, 0.37259629156968554), (1.0, 0.37359629156968555))),
+    ((-1.0, 1.0, -0.18704624362715894, 0.23233149785599494),
+     ((0.9999999998786755, 1.0005176564465186e-09), (0.9999999999995298, 5.176564465185579e-13))),
+]
+
+
+def _with_examples(cases):
+    """Attach each tuple of arguments as an explicit Hypothesis example."""
+    def attach(test):
+        for args in cases:
+            test = example(*args)(test)
+        return test
+    return attach
+
+
+@given(objective=_OBJECTIVE, rates=_RATES)
+@_with_examples(_HARD_PROGRAMS)
 @settings(max_examples=400, deadline=None)
 def test_solve_matches_exact_oracle(objective, rates):
     # the exact rational optimum under the same near-equal rule: the optimal
@@ -126,26 +140,56 @@ def test_solve_matches_exact_oracle(objective, rates):
 # BOUND_TOL, and a residual bound of BOUND_TOL then dropped the vertex: the
 # first program returned (0, 0, 0, 0), 0.26 above its optimum, and the
 # derived predictor was 6.9e-7 above.
+_ONE_SNAP_FROM_A_BOUND = EoProgram(
+    objective=tuple(map(float.fromhex, ("-0x1.e7a7835f663bcp-2", "-0x1.ccb0176fe3534p-1",
+                                        "0x1.83e9e11e81feep-1", "0x1.eb5c145a97b08p-1"))),
+    rates=((float.fromhex("0x1.19799812dea11p-40"), 1.0),
+           (float.fromhex("0x1.32bbb9aa0ea16p-29"), float.fromhex("0x1.ffffffaad45c3p-1"))))
+
+
 def test_optimum_one_snap_from_a_bound_is_found():
-    prog = EoProgram(
-        objective=tuple(map(float.fromhex, ("-0x1.e7a7835f663bcp-2", "-0x1.ccb0176fe3534p-1",
-                                            "0x1.83e9e11e81feep-1", "0x1.eb5c145a97b08p-1"))),
-        rates=((float.fromhex("0x1.19799812dea11p-40"), 1.0),
-               (float.fromhex("0x1.32bbb9aa0ea16p-29"), float.fromhex("0x1.ffffffaad45c3p-1"))))
+    prog = _ONE_SNAP_FROM_A_BOUND
     pred = solve(prog)
     assert abs(prog.value(pred.p) - float(exact_minimum(prog))) <= 1e-9
     assert prog.residual(pred.p) <= RESIDUAL_TOL
 
 
+_RATE_1E_12 = ProblemInstance(base=(0.41946458770583434, 0.09406550861903301,
+                                    0.26313942077502733, 0.22333048290010524),
+                              alpha1=1e-12, beta1=1.0,
+                              alpha2=1.4155299899836112e-06, beta2=0.999994026130832)
+
+
 def test_derived_predictor_at_a_rate_of_1e_12_is_optimal():
-    inst = ProblemInstance(base=(0.41946458770583434, 0.09406550861903301,
-                                 0.26313942077502733, 0.22333048290010524),
-                           alpha1=1e-12, beta1=1.0,
-                           alpha2=1.4155299899836112e-06, beta2=0.999994026130832)
+    inst = _RATE_1E_12
     prog = build_clean_program(inst)
     pred = derive_predictor(inst)
     assert abs(prog.value(pred.p) - float(exact_minimum(prog))) <= 1e-9
     assert prog.residual(pred.p) <= RESIDUAL_TOL
+
+
+@st.composite
+def _uninformative_program(draw):
+    """A clean program whose classifier ignores the label (alpha1 == alpha2,
+    beta1 == beta2): one row, and often tied optima."""
+    base = draw(st.tuples(*[st.floats(0.01, 1.0)] * 4))
+    alpha, beta = draw(_PAIR)
+    return build_clean_program(ProblemInstance(base=tuple(b / sum(base) for b in base),
+                                               alpha1=alpha, beta1=beta, alpha2=alpha, beta2=beta))
+
+
+@given(prog=st.one_of(st.builds(EoProgram, objective=_OBJECTIVE, rates=_RATES),
+                      st.builds(EoProgram, objective=_OBJECTIVE, rates=_PAIR.map(lambda h: (h, h))),
+                      _uninformative_program()))
+@_with_examples([(EoProgram(objective, rates),) for objective, rates in _HARD_PROGRAMS]
+                + [(_ONE_SNAP_FROM_A_BOUND,), (build_clean_program(_RATE_1E_12),)])
+@settings(max_examples=400, deadline=None)
+def test_solver_matches_reference_bit_for_bit(prog):
+    # the unrolled loop against the itertools enumerator it replaced
+    pred, ties = solve_with_ties(prog)
+    ref, ref_ties = lp_oracle.solve_with_ties(prog)
+    assert pred.p == ref.p
+    assert ties == ref_ties
 
 
 def test_degenerate_identical_rows_still_solved():
@@ -214,5 +258,7 @@ def test_constant_tie_break_both_constants_uses_priors():
 
 
 def test_tie_count_reported():
-    _, ties = solve_with_ties(_program(((0.7, 0.3), (0.2, 0.6))))
-    assert ties > 1
+    # zero objective: both constants and the two other vertices tie
+    prog = _program(((0.7, 0.3), (0.2, 0.6)))
+    _, ties = solve_with_ties(prog)
+    assert ties == lp_oracle.solve_with_ties(prog)[1] == 4

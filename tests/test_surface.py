@@ -21,6 +21,8 @@ from pathlib import Path
 import pytest
 
 import eonoise.cli
+import lp_oracle
+from eonoise.programs import build_clean_program, build_corrupted_program
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -54,13 +56,14 @@ def test_tracer_targets_resolve(module, attr):
     assert callable(obj)
 
 
-@pytest.mark.parametrize("workload", ["sweep-presets", "dataset-1e6"])
+@pytest.mark.parametrize("workload", ["sweep-presets", "dataset-1e6", "derive-single"])
 def test_traced_pass_makes_the_expected_calls(workload, tmp_path):
     # the call counts a traced benchmark run checks, here on one seed-0 pass
     worker = _load_perfbench("worker")
     worker.SETUPS[workload](eonoise, tmp_path, 0)
     work_pass = worker.PASSES[workload](eonoise, tmp_path, 0)
-    tracer = _load_perfbench("tracer").Tracer()
+    tracing = _load_perfbench("tracer")
+    tracer = tracing.Tracer()
     tracer.pass_id = 0
     tracer.install()
     try:
@@ -71,6 +74,12 @@ def test_traced_pass_makes_the_expected_calls(workload, tmp_path):
     stats = tracer.per_pass()[0]
     for name, want in worker.EXPECTED_CALLS[workload].items():
         assert stats[name] == want, name
+    if workload == "derive-single":
+        # derive_predictor's programs: clean unless the spec flips something
+        programs = [build_clean_program(inst) if spec.is_zero else build_corrupted_program(inst, spec)
+                    for inst, spec in work_pass.pairs]
+        tied = sum(lp_oracle.solve_with_ties(program)[1] > 1 for program in programs)
+        assert stats[tracing.TIED_SOLVES] == tied
 
 
 @pytest.mark.parametrize("name", ["PRESETS", "SWEEP_COLUMNS", "DATASET_COLUMNS", "main"])
