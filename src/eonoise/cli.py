@@ -13,6 +13,7 @@ program (an internal invariant failed).
 from __future__ import annotations
 
 import argparse
+import codecs
 import math
 import sys
 from dataclasses import dataclass
@@ -22,15 +23,15 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateProgramError, DomainError, EoNoiseError, RangeError
 from .metrics import (
+    bias_at,
     bias_derived,
-    bias_derived_grid,
     bias_given,
     bias_shrink_factor,
     check_classifier_informative,
     check_flip_budget_grid,
     corrupted_bias_bound_grid,
+    error_at,
     error_derived,
-    error_derived_grid,
     error_given,
     independence_measure,
 )
@@ -109,6 +110,11 @@ class SweepConfig:
     out: Path | None = None
 
     def __post_init__(self) -> None:
+        for y in Y_VALUES:
+            share = self.instance.attr_given_label(y)
+            if not 0.0 < share < 1.0:
+                raise ConfigError(f"key 'base': P[A=1 | Y={y:+d}] = {share!r} is not strictly "
+                                  "between 0 and 1, where the bias bound is defined")
         _check_grid(*self.grid, "the sweep grid {}:{}:{}".format(*self.grid))
         if not (0.0 <= self.grid[0] and self.grid[1] <= 1.0):
             raise ConfigError("grid must satisfy 0 <= start <= stop <= 1")
@@ -137,11 +143,13 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return values
 
 
-def load_sweep_config(path, out_override=None) -> SweepConfig:
+def load_sweep_config(path) -> SweepConfig:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    # "utf-8-sig" would count error offsets from after the BOM
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -175,29 +183,16 @@ def load_sweep_config(path, out_override=None) -> SweepConfig:
             raise ConfigError("key 'base': expected four probabilities")
         base = tuple(number("base", p) for p in parts)
 
+    rates = {key: number(key, need(key)) for key in ("alpha1", "beta1", "alpha2", "beta2")}
+    kind = str(need("schedule"))
     try:
-        instance = ProblemInstance(
-            base=base,
-            alpha1=number("alpha1", need("alpha1")),
-            beta1=number("beta1", need("beta1")),
-            alpha2=number("alpha2", need("alpha2")),
-            beta2=number("beta2", need("beta2")),
-        )
-        schedule = GammaSchedule(str(need("schedule")))
-    except ConfigError:
-        raise
+        instance = ProblemInstance(base=base, **rates)
+        schedule = GammaSchedule(kind)
     except ValueError as exc:
         raise ConfigError(f"invalid instance/schedule parameters: {exc}") from None
-    for y in Y_VALUES:
-        share = instance.attr_given_label(y)
-        if not 0.0 < share < 1.0:
-            raise ConfigError(f"key 'base': P[A=1 | Y={y:+d}] = {share!r} is not strictly "
-                              "between 0 and 1, where the bias bound is defined")
 
-    grid = (number("grid_start", need("grid_start")),
-            number("grid_stop", need("grid_stop")),
-            number("grid_step", need("grid_step")))
-    out = out_override if out_override is not None else merged.get("out")
+    grid = tuple(number(key, need(key)) for key in ("grid_start", "grid_stop", "grid_step"))
+    out = merged.get("out")
     return SweepConfig(instance=instance, schedule=schedule, grid=grid,
                        out=None if out is None else Path(out))
 
@@ -266,8 +261,8 @@ def run_sweep(config: SweepConfig) -> list[list[str]]:
         solutions.append(predictor.p)
     p = np.array(solutions).reshape(-1, 4)
 
-    err_corr = error_derived_grid(inst, p)
-    biases = [bias_derived_grid(inst, p, y) for y in Y_VALUES]
+    err_corr = error_at(inst, *p.T)
+    biases = [bias_at(inst, y, *p.T) for y in Y_VALUES]
     # The bound is NaN where a flip rate of the label's class is 1, outside
     # bias_shrink_factor's domain [0, 1); its field is left empty.  Where it
     # is defined, the derived predictor must keep to it.
@@ -337,22 +332,23 @@ def run_dataset(records, scenarios, seed: int) -> list[list[str]]:
 LEMMA1_MODES = ("a_violated", "b_violated")
 
 
-def run_counterexample(mode: str, flip: float = 0.15, gamma: float = 0.7):
+def run_counterexample(mode: str, level: float):
     """Report for the two settings where corruption raises the bias.
 
-    ``a_violated`` corrupts only records the classifier got wrong
-    (prediction-dependent flips); ``b_violated`` uses flip rates summing past
+    ``a_violated`` flips, with probability ``level``, only records the
+    classifier got wrong (prediction-dependent flips); ``b_violated`` flips
+    every cell with probability ``level``, so above 1/2 the rates sum past
     one.  Returns (bias of the given classifier, bias of the corrupted-trained
     predictor, PASS flag) for the positive class.
     """
     if mode == "a_violated":
         inst = ProblemInstance(base=BALANCED_BASE, alpha1=0.65, beta1=0.6,
                                alpha2=0.0, beta2=0.0)
-        spec = PerturbationSpec.general({(1, 0, -1): flip})
+        spec = PerturbationSpec.general({(1, 0, -1): level})
     elif mode == "b_violated":
         inst = ProblemInstance(base=BALANCED_BASE, alpha1=0.9, beta1=0.8,
                                alpha2=0.4, beta2=0.1)
-        spec = PerturbationSpec.uniform(gamma)
+        spec = PerturbationSpec.uniform(level)
     else:
         raise ConfigError(f"mode must be one of {LEMMA1_MODES}, got {mode!r}")
 
@@ -363,13 +359,14 @@ def run_counterexample(mode: str, flip: float = 0.15, gamma: float = 0.7):
 
 
 def _cmd_sweep(args) -> int:
-    config = load_sweep_config(args.config, out_override=args.out)
-    if config.out is None:
+    config = load_sweep_config(args.config)
+    out = config.out if args.out is None else Path(args.out)
+    if out is None:
         raise ConfigError("no output path: pass --out or set 'out' in the config")
-    _check_out(config.out)
+    _check_out(out)
     rows = run_sweep(config)
-    write_csv(config.out, SWEEP_COLUMNS, rows)
-    print(f"wrote {len(rows)} rows to {config.out}")
+    write_csv(out, SWEEP_COLUMNS, rows)
+    print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
@@ -394,11 +391,10 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    name = "flip" if args.mode == "a_violated" else "gamma"
-    value = getattr(args, name)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"--{name} {value} outside [0, 1]")
-    given, corrupted, ok = run_counterexample(args.mode, **{name: value})
+    if not 0.0 <= args.level <= 1.0:
+        flag = "--flip" if args.mode == "a_violated" else "--gamma"
+        raise ConfigError(f"{flag} {args.level} outside [0, 1]")
+    given, corrupted, ok = run_counterexample(args.mode, args.level)
     print(f"mode = {args.mode}")
     print(f"bias_pos_given = {_fmt(given)}")
     print(f"bias_pos_corrupted = {_fmt(corrupted)}")
@@ -473,9 +469,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_counterexample)
     modes = p.add_subparsers(dest="mode", required=True)
     m = modes.add_parser("a_violated", help="prediction-dependent flips")
-    m.add_argument("--flip", type=float, default=0.15, help="prediction-dependent flip probability")
+    m.add_argument("--flip", dest="level", type=float, default=0.15,
+                   help="prediction-dependent flip probability")
     m = modes.add_parser("b_violated", help="flip rates summing past one")
-    m.add_argument("--gamma", type=float, default=0.7, help="uniform flip probability")
+    m.add_argument("--gamma", dest="level", type=float, default=0.7,
+                   help="uniform flip probability")
 
     p = sub.add_parser("estimate", help="estimate instance parameters from records")
     p.add_argument("records")

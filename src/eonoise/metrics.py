@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, EmptyCellError, RangeError
-from .model import A_VALUES, CELL_INDEX, CELLS, DerivedPredictor, PerturbationSpec, ProblemInstance, Y_VALUES
+from .model import (A_VALUES, CELL_INDEX, CELLS, GIVEN_PREDICTOR_P, DerivedPredictor,
+                    PerturbationSpec, ProblemInstance, Y_VALUES)
 
 INDEPENDENCE_TOL = 1e-12
 
@@ -21,32 +22,29 @@ INDEPENDENCE_TOL = 1e-12
 def bias_given(inst: ProblemInstance, y: int) -> float:
     """Group gap of the given classifier: |alpha1 - beta1| for label +1,
     |alpha2 - beta2| for label -1."""
-    return abs(inst.rate(y, 0) - inst.rate(y, 1))
+    return bias_at(inst, y, *GIVEN_PREDICTOR_P)
 
 
 def bias_derived(inst: ProblemInstance, predictor: DerivedPredictor, y: int) -> float:
-    """Group gap of the derived predictor evaluated with the true attribute.
+    """Group gap of the derived predictor evaluated with the true attribute."""
+    return bias_at(inst, y, *predictor.p)
+
+
+def bias_at(inst: ProblemInstance, y: int, p10, p11, pm10, pm11):
+    """Group gap for label ``y`` of the predictor with probabilities ``p``,
+    given as floats or as float64 arrays of one value per row.
 
     P[output=+1 | Y=y, A=a] mixes the randomization probabilities with the
     given classifier's rate for that cell, which yields
     |h0*(p[+1,0]-p[-1,0]) - h1*(p[+1,1]-p[-1,1]) + p[-1,0] - p[-1,1]|.
     """
-    return _bias(inst, y, *predictor.p)
-
-
-def bias_derived_grid(inst: ProblemInstance, p: np.ndarray, y: int) -> np.ndarray:
-    """``bias_derived`` at every row of an (N, 4) float64 array of predictor
-    probabilities."""
-    return _bias(inst, y, *p.T)
-
-
-def _bias(inst, y, p10, p11, pm10, pm11):
     h0, h1 = inst.rate(y, 0), inst.rate(y, 1)
     return abs(h0 * (p10 - pm10) - h1 * (p11 - pm11) + pm10 - pm11)
 
 
 def error_given(inst: ProblemInstance) -> float:
-    """P[given prediction != Y]."""
+    """P[given prediction != Y], by its own sum: ``error_at`` at
+    GIVEN_PREDICTOR_P rounds differently, 0.19999999999999998 for 0.2."""
     return (
         inst.label_prob(1)
         + inst.alpha2 * inst.cell(-1, 0)
@@ -57,17 +55,13 @@ def error_given(inst: ProblemInstance) -> float:
 
 
 def error_derived(inst: ProblemInstance, predictor: DerivedPredictor) -> float:
-    """P[derived output != Y], linear in the randomization probabilities."""
-    return _error(inst, *predictor.p)
+    """P[derived output != Y]."""
+    return error_at(inst, *predictor.p)
 
 
-def error_derived_grid(inst: ProblemInstance, p: np.ndarray) -> np.ndarray:
-    """``error_derived`` at every row of an (N, 4) float64 array of predictor
-    probabilities."""
-    return _error(inst, *p.T)
-
-
-def _error(inst, p10, p11, pm10, pm11):
+def error_at(inst: ProblemInstance, p10, p11, pm10, pm11):
+    """P[output != Y] of the predictor with probabilities ``p``, linear in
+    them, given as floats or as float64 arrays of one value per row."""
     c10 = inst.alpha2 * inst.cell(-1, 0) - inst.alpha1 * inst.cell(1, 0)
     c11 = inst.beta2 * inst.cell(-1, 1) - inst.beta1 * inst.cell(1, 1)
     cm10 = inst.cell(-1, 0) - inst.cell(1, 0) - c10

@@ -70,8 +70,6 @@ class ProblemInstance:
         object.__setattr__(self, "base", tuple(float(b) for b in self.base))
         if len(self.base) != 4:
             raise RangeError(f"base needs 4 cell probabilities, got {len(self.base)}")
-        for name in ("alpha1", "beta1", "alpha2", "beta2"):
-            object.__setattr__(self, name, float(getattr(self, name)))
         for (y, a), b in zip(CELLS, self.base):
             if not b > 0.0:
                 raise ZeroCellError(f"P[Y={y}, A={a}] = {b} must be strictly positive")
@@ -79,9 +77,10 @@ class ProblemInstance:
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise NormalizationError(f"base probabilities sum to {total!r}, not 1")
         for name in ("alpha1", "beta1", "alpha2", "beta2"):
-            v = getattr(self, name)
+            v = float(getattr(self, name))
             if not 0.0 <= v <= 1.0:
                 raise RangeError(f"{name} = {v} outside [0, 1]")
+            object.__setattr__(self, name, v)
         object.__setattr__(self, "_rates", (self.alpha1, self.beta1, self.alpha2, self.beta2))
 
     def cell(self, y: int, a: int) -> float:

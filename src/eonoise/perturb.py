@@ -42,17 +42,13 @@ class GammaSchedule:
         if self.kind not in SCHEDULE_KINDS:
             raise RangeError(f"unknown schedule kind {self.kind!r}")
 
-    def grid_rates(self, gamma10: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``schedule_eval``'s rates at every driving rate of a float64 grid,
-        as four arrays."""
+    def grid_rates(self, gamma10: np.ndarray | float) -> tuple[np.ndarray, ...]:
+        """The four rates in ``CELLS`` order at each driving rate of
+        ``gamma10``, a float64 grid or one rate, shaped like ``gamma10``."""
         g = np.asarray(gamma10, dtype=float)
         outside = ~((0.0 <= g) & (g <= 1.0))
         if outside.any():
             raise RangeError(f"driving flip rate {float(g[outside][0])} outside [0, 1]")
-        return self._expand(g)
-
-    def _expand(self, g):
-        """The four rates at driving rate ``g``, a float or an array."""
         if self.kind == "equal":
             return (g, g, g, g)
         if self.kind == "halves":
@@ -65,10 +61,7 @@ class GammaSchedule:
 
 def schedule_eval(schedule: GammaSchedule, gamma10: float) -> PerturbationSpec:
     """Expand the driving rate into a restricted four-cell spec."""
-    g = float(gamma10)
-    if not 0.0 <= g <= 1.0:
-        raise RangeError(f"driving flip rate {g} outside [0, 1]")
-    return PerturbationSpec.restricted(*schedule._expand(g))
+    return PerturbationSpec.restricted(*schedule.grid_rates(float(gamma10)))
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,7 @@ class EstimatedInstance(NamedTuple):
 
 
 class CorruptedTables(NamedTuple):
-    #: (2, 2, 2) frequencies over (label, corrupted attribute, prediction).
+    #: (2, 2, 2) counts over (label, corrupted attribute, prediction).
     joint: np.ndarray
     #: (2, 2, 2, 2) counts over (label, attribute, prediction, corrupted attribute).
     fourway: np.ndarray
@@ -148,10 +148,13 @@ def _counts(*indices: np.ndarray) -> np.ndarray:
 
 def clean_counts(records: RecordSet) -> np.ndarray:
     """(2, 2, 2) counts over (label, true attribute, prediction), laid out
-    like the joint program_from_table takes."""
+    like the joint program_from_table takes; ZeroCellError names the first
+    (y, a) cell, in CELLS order, that holds no records."""
     if records.yhat is None:
         raise MissingColumnError("estimation needs a yhat column")
-    return _counts(_yi(records.y), records.a, _yi(records.yhat))
+    table = _counts(_yi(records.y), records.a, _yi(records.yhat))
+    _require_records(table, "A")
+    return table
 
 
 def _require_records(table: np.ndarray, attribute: str) -> None:
@@ -163,13 +166,8 @@ def _require_records(table: np.ndarray, attribute: str) -> None:
 
 
 def estimate_instance(records: RecordSet) -> EstimatedInstance:
-    """Cell frequencies and within-cell positive-prediction rates.
-
-    Every (y, a) cell must contain at least one record; the error names the
-    first empty cell in CELLS order.
-    """
+    """Cell frequencies and within-cell positive-prediction rates."""
     table = clean_counts(records)
-    _require_records(table, "A")
     counts = tuple(int(c) for c in table.sum(axis=2).ravel().tolist())
     rates = [pos / c for pos, c in zip(table[..., 0].ravel().tolist(), counts)]
     inst = ProblemInstance(base=tuple(c / records.n for c in counts), alpha1=rates[0],
@@ -178,7 +176,7 @@ def estimate_instance(records: RecordSet) -> EstimatedInstance:
 
 
 def estimate_corrupted_tables(records: RecordSet) -> CorruptedTables:
-    """Empirical tables the corrupted training phase and the independence
+    """Count tables the corrupted training phase and the independence
     measure consume.
 
     The records are counted once, into the four-way table; the joint sums
@@ -192,7 +190,6 @@ def estimate_corrupted_tables(records: RecordSet) -> CorruptedTables:
     fourway = _counts(_yi(records.y), records.a, _yi(records.yhat), records.a_c)
     joint = np.ascontiguousarray(fourway.sum(axis=1).transpose(0, 2, 1))
     _require_records(joint, "corrupted attribute")
-    joint /= records.n
     _require_records(fourway, "A")
     return CorruptedTables(joint, fourway)
 

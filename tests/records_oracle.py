@@ -209,7 +209,6 @@ def estimate_corrupted_tables(records: RecordSet) -> CorruptedTables:
         for ac in A_VALUES:
             if joint[i, ac].sum() == 0:
                 raise ZeroCellError(f"no records with Y={y}, corrupted attribute={ac}")
-    joint /= records.n
 
     fourway = _bincount_table((2, 2, 2, 2), yi, records.a, yti, records.a_c)
     for i, y in enumerate(Y_VALUES):

@@ -1,5 +1,8 @@
+import codecs
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from eonoise import (
     ProblemInstance,
     sample_records,
     solve,
+    split,
     write_records_csv,
 )
 import eonoise.cli
@@ -216,6 +220,28 @@ def test_sweep_config_base_whose_group_share_rounds_to_one_exits_2(tmp_path, cap
     err = capsys.readouterr().err
     assert f"key 'base': P[A=1 | Y={label}] = 1.0 is not strictly between 0 and 1" in err
     assert not out.exists()
+    # a SweepConfig built in library code fails when it is built; the share
+    # cannot round to 0, as P[A=1 | Y=y] is at least P[Y=y, A=1] > 0
+    inst = ProblemInstance(base=tuple(map(float, base.split())), alpha1=0.9, beta1=0.8,
+                           alpha2=0.4, beta2=0.1)
+    with pytest.raises(ConfigError, match=re.escape(f"P[A=1 | Y={label}] = 1.0 is not strictly")):
+        SweepConfig(instance=inst, schedule=GammaSchedule("equal"), grid=(0.0, 0.5, 0.25))
+
+
+def test_sweep_config_with_a_utf8_bom(tmp_path, capsys):
+    text = "preset = fig1-top-left\ngrid_start = 0\ngrid_stop = 0.5\ngrid_step = 0.25\n"
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(text)
+    bom.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert load_sweep_config(bom) == load_sweep_config(plain)
+    assert main(["sweep", "--config", str(bom), "--out", str(tmp_path / "bom.csv")]) == 0
+    assert main(["sweep", "--config", str(plain), "--out", str(tmp_path / "plain.csv")]) == 0
+    assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    # the BOM is not counted into a later line's number
+    bom.write_bytes(codecs.BOM_UTF8 + b"preset = fig1-top-left\n\xff\n")
+    assert main(["sweep", "--config", str(bom), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err.endswith("bom.cfg:2: not valid UTF-8\n")
 
 
 _RATES = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
@@ -331,14 +357,14 @@ def test_bound_subcommand_prints_value(capsys):
 
 
 def test_counterexample_modes(capsys):
-    given, corrupted, ok = run_counterexample("a_violated")
+    given, corrupted, ok = run_counterexample("a_violated", 0.15)
     assert ok and 0.05 < corrupted < 0.07 and given == pytest.approx(0.05, abs=1e-12)
-    given, corrupted, ok = run_counterexample("b_violated")
+    given, corrupted, ok = run_counterexample("b_violated", 0.7)
     assert ok and corrupted > given
 
     # control: without the prediction-dependent flip the corrupted predictor
     # is the true-attribute one and has zero bias
-    given, corrupted, ok = run_counterexample("a_violated", flip=0.0)
+    given, corrupted, ok = run_counterexample("a_violated", 0.0)
     assert not ok and corrupted == pytest.approx(0.0, abs=1e-9)
 
     assert main(["reproduce-lemma1", "a_violated"]) == 0
@@ -487,6 +513,29 @@ def test_sweep_config_grid_messages(tmp_path, grid, message):
     path = _write_config(tmp_path, "preset = fig1-top-left\n" + grid)
     with pytest.raises(ConfigError, match=message):
         load_sweep_config(path)
+
+
+def test_dataset_names_the_empty_cell_of_the_training_half(tmp_path, capsys):
+    # the file's one record with Y=1, A=1 goes to the test half of the seed-0
+    # split, so estimate reads the file and dataset stops at the training half
+    rows = ["1,0,,,1", "1,0,,,-1", "-1,0,,,1", "-1,0,,,-1", "-1,1,,,1", "-1,1,,,-1"] * 4
+    rows.insert(int(np.random.default_rng(0).permutation(len(rows) + 1)[-1]), "1,1,,,1")
+    records = tmp_path / "records.csv"
+    records.write_text("y,a,a_c,score,yhat\n" + "\n".join(rows) + "\n")
+    _, test = split(read_records_csv(records), 0)
+    assert int(((test.y == 1) & (test.a == 1)).sum()) == 1
+    assert main(["estimate", str(records)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    argv = ["dataset", str(records), "--scenario", "independent-flip", "--grid", "0.1",
+            "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: no records with Y=1, A=1\n"
+    # one record: the training half is empty
+    records.write_text("y,a,a_c,score,yhat\n1,1,,,1\n")
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: no records with Y=1, A=0\n"
+    assert not out.exists()
 
 
 def test_dataset_without_predictions_fails_at_the_clean_table():

@@ -28,11 +28,11 @@ from eonoise import (
 )
 from eonoise.lp import EoProgram
 from eonoise.metrics import (
-    bias_derived_grid,
+    bias_at,
     check_classifier_informative,
     check_flip_budget_grid,
     corrupted_bias_bound_grid,
-    error_derived_grid,
+    error_at,
 )
 import metrics_oracle
 from metrics_oracle import PreconditionError, balanced_uniform_predictor
@@ -60,6 +60,19 @@ def test_bias_given_values():
     flat = ProblemInstance(base=BALANCED, alpha1=0.6, beta1=0.2, alpha2=0.3, beta2=0.3)
     assert bias_given(flat, -1) == 0.0
     assert bias_given(counterexample_instance(), 1) == pytest.approx(0.05, abs=1e-12)
+
+
+def test_bias_given_is_the_rate_gap_bit_for_bit():
+    # bias_given runs bias_at at GIVEN_PREDICTOR_P; multiplying by 1.0 and
+    # adding 0.0 must leave |h0 - h1| exactly as it is
+    rng = np.random.default_rng(63)
+    rates = np.where(rng.random((20_000, 4)) < 0.1, rng.choice([0.0, 1.0, 5e-324], size=(20_000, 4)),
+                     rng.random((20_000, 4)))
+    for row in rates.tolist():
+        inst = ProblemInstance(BALANCED, *row)
+        for y in (1, -1):
+            want = abs(inst.rate(y, 0) - inst.rate(y, 1))
+            assert float.hex(bias_given(inst, y)) == float.hex(want)
 
 
 def test_bias_derived_reduces_to_given_for_identity_predictor():
@@ -337,9 +350,9 @@ def test_grid_metrics_match_the_scalar_functions_bit_for_bit():
         predictors = [DerivedPredictor(tuple(row)) for row in p.tolist()]
         specs = [PerturbationSpec.restricted(*row) for row in flips.tolist()]
         columns = tuple(flips.T.copy())
-        assert error_derived_grid(inst, p).tolist() == [error_derived(inst, d) for d in predictors]
+        assert error_at(inst, *p.T).tolist() == [error_derived(inst, d) for d in predictors]
         for y in (1, -1):
-            assert bias_derived_grid(inst, p, y).tolist() == [
+            assert bias_at(inst, y, *p.T).tolist() == [
                 bias_derived(inst, d, y) for d in predictors]
             assert check_flip_budget_grid(columns, y).tolist() == [
                 check_flip_budget(s, y) for s in specs]

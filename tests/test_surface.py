@@ -22,7 +22,9 @@ import pytest
 
 import eonoise.cli
 import lp_oracle
+from eonoise import sample_records, write_records_csv
 from eonoise.programs import build_clean_program, build_corrupted_program
+from support import fig1_top_left
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -189,3 +191,42 @@ def test_no_bare_assert_in_package(source):
     tree = ast.parse(source.read_text(), filename=str(source))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{source.name}: assert on lines {lines}"
+
+
+#: Run under ``python -O``: each fault check of the command line, reached by
+#: a patched solver, must still exit 4.  Prints the three exit codes.
+_OPTIMIZED_RUN = """
+import math, sys
+from eonoise import GIVEN_PREDICTOR_P, DerivedPredictor, cli
+if sys.flags.optimize != 1:
+    raise SystemExit(f"sys.flags.optimize is {sys.flags.optimize}, not 1")
+config, records, out = sys.argv[1:]
+sweep = ["sweep", "--config", config, "--out", out]
+unfair, tol = (lambda program: DerivedPredictor((1.0, 0.0, 0.0, 0.0))), cli.RESIDUAL_TOL
+cli.solve = unfair
+codes = [cli.main(sweep)]
+cli.solve, cli.RESIDUAL_TOL = (lambda program: DerivedPredictor(GIVEN_PREDICTOR_P)), math.inf
+codes.append(cli.main(sweep))
+cli.solve, cli.RESIDUAL_TOL = unfair, tol
+codes.append(cli.main(["dataset", records, "--scenario", "independent-flip",
+                       "--grid", "0:0.2:0.1", "--out", out]))
+print(codes)
+"""
+
+
+def test_fault_checks_exit_4_under_python_O(tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("preset = fig1-top-left\ngrid_start = 0\ngrid_stop = 0.5\ngrid_step = 0.25\n")
+    records = tmp_path / "records.csv"
+    write_records_csv(records, sample_records(fig1_top_left(), 2000, seed=39))
+    out = tmp_path / "out.csv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_RUN, str(config), str(records),
+                           str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[4, 4, 4]\n"
+    infeasible, bound, dataset = done.stderr.splitlines()
+    assert infeasible.startswith("internal error: at gamma10 = 0, the solver's p")
+    assert bound.startswith("internal error: at gamma10 = 0, the label +1 bias")
+    assert dataset.startswith("internal error: at the true attribute, the solver's p")
+    assert not out.exists()
