@@ -9,14 +9,10 @@ README use; the rest lives in the submodules (``model``, ``lp``,
 from .errors import (
     ConfigError,
     DegenerateProgramError,
-    DomainError,
     EmptyCellError,
     EoNoiseError,
-    MissingColumnError,
-    NormalizationError,
     RangeError,
     RecordsError,
-    ZeroCellError,
 )
 from .model import GIVEN_PREDICTOR_P, DerivedPredictor, PerturbationSpec, ProblemInstance
 from .lp import solve
@@ -47,14 +43,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "DegenerateProgramError",
-    "DomainError",
     "EmptyCellError",
     "EoNoiseError",
-    "MissingColumnError",
-    "NormalizationError",
     "RangeError",
     "RecordsError",
-    "ZeroCellError",
     "DerivedPredictor",
     "GIVEN_PREDICTOR_P",
     "PerturbationSpec",

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateProgramError, DomainError, EoNoiseError, RangeError
+from .errors import ConfigError, DegenerateProgramError, EoNoiseError, RangeError
 from .metrics import (
     bias_at,
     bias_derived,
@@ -386,7 +386,11 @@ def _cmd_dataset(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    print(_fmt(bias_shrink_factor(args.gamma1, args.gamma2, args.p)))
+    try:
+        factor = bias_shrink_factor(args.gamma1, args.gamma2, args.p)
+    except RangeError as exc:  # the arguments are the command's own
+        raise ConfigError(str(exc)) from None
+    print(_fmt(factor))
     return 0
 
 
@@ -487,7 +491,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegenerateProgramError as exc:

@@ -5,16 +5,9 @@ class EoNoiseError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ZeroCellError(EoNoiseError, ValueError):
-    """A (label, attribute) cell has zero probability or zero count."""
-
-
-class NormalizationError(EoNoiseError, ValueError):
-    """A probability table does not sum to one."""
-
-
 class RangeError(EoNoiseError, ValueError):
-    """A numeric value lies outside its admissible range."""
+    """A value lies outside what a function admits: a rate outside [0, 1], a
+    base that does not sum to one, or arguments outside a quantity's domain."""
 
 
 class DegenerateProgramError(EoNoiseError, RuntimeError):
@@ -24,19 +17,11 @@ class DegenerateProgramError(EoNoiseError, RuntimeError):
 
 
 class EmptyCellError(EoNoiseError, ValueError):
-    """A conditioning cell of the corrupted distribution carries no mass."""
-
-
-class DomainError(EoNoiseError, ValueError):
-    """Arguments are outside the domain on which a quantity is defined."""
-
-
-class MissingColumnError(EoNoiseError, ValueError):
-    """A record-level operation needs a column the record set does not carry."""
+    """A (label, attribute) cell has no probability or no records."""
 
 
 class RecordsError(EoNoiseError, ValueError):
-    """A record set or record CSV file is malformed."""
+    """A record set or record CSV file is malformed or lacks a needed column."""
 
 
 class ConfigError(EoNoiseError, ValueError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, EmptyCellError, RangeError
+from .errors import EmptyCellError, RangeError
 from .model import (A_VALUES, CELL_INDEX, CELLS, GIVEN_PREDICTOR_P, DerivedPredictor,
                     PerturbationSpec, ProblemInstance, Y_VALUES)
 
@@ -80,7 +80,7 @@ def bias_shrink_factor(gamma1: float, gamma2: float, p: float) -> float:
     symmetric under relabeling the groups: F(g1, g2, p) = F(g2, g1, 1-p).
     """
     if not (0.0 <= gamma1 < 1.0 and 0.0 <= gamma2 < 1.0 and 0.0 < p < 1.0):
-        raise DomainError(
+        raise RangeError(
             f"({gamma1}, {gamma2}, {p}) outside [0,1) x [0,1) x (0,1)"
         )
     return _shrink(gamma1, gamma2, p)
@@ -89,7 +89,12 @@ def bias_shrink_factor(gamma1: float, gamma2: float, p: float) -> float:
 def _shrink(gamma1, gamma2, p):
     """``bias_shrink_factor`` without its domain check, on floats or arrays."""
     first = gamma1 * p / (gamma1 * p + (1.0 - gamma2) * (1.0 - p))
-    second = (1.0 - gamma1) * p / ((1.0 - gamma1) * p + gamma2 * (1.0 - p))
+    kept = (1.0 - gamma1) * p
+    below = kept + gamma2 * (1.0 - p)
+    # below is 0 only where kept underflows and gamma2 = 0, and the exact ratio
+    # is then 1; elsewhere zero is False, and adding it changes no bit
+    zero = below == 0.0
+    second = (kept + zero) / (below + zero)
     return first - second + 1.0
 
 
@@ -103,7 +108,7 @@ def corrupted_bias_bound(inst: ProblemInstance, spec: PerturbationSpec, y: int) 
     gamma_{y,0}, p)``, group 1's flip rate paired with group 1's share.
     """
     if spec.kind != "restricted":
-        raise DomainError("bias bound is defined for prediction-independent flips only")
+        raise RangeError("bias bound is defined for prediction-independent flips only")
     g0, g1 = spec.gamma(y, 0), spec.gamma(y, 1)
     return bias_given(inst, y) * bias_shrink_factor(g1, g0, inst.attr_given_label(y))
 
@@ -117,7 +122,7 @@ def corrupted_bias_bound_grid(inst: ProblemInstance, flips, y: int) -> np.ndarra
     defined = (g0 < 1.0) & (g1 < 1.0)
     if defined.any() and not 0.0 < p < 1.0:
         row = int(np.argmax(defined))
-        raise DomainError(
+        raise RangeError(
             f"({float(g1[row])}, {float(g0[row])}, {p}) outside [0,1) x [0,1) x (0,1)"
         )
     with np.errstate(divide="ignore", invalid="ignore"):  # rows outside the domain
@@ -142,7 +147,7 @@ def check_flip_budget(spec: PerturbationSpec, y: int) -> bool:
     """Whether the flip rates for label ``y`` sum to at most one, with each
     rate strictly below one."""
     if spec.kind != "restricted":
-        raise DomainError("flip budget is defined for prediction-independent flips only")
+        raise RangeError("flip budget is defined for prediction-independent flips only")
     return _within_budget(spec.gamma(y, 0), spec.gamma(y, 1))
 
 

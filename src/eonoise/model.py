@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal, Mapping, Sequence
 
-from .errors import NormalizationError, RangeError, ZeroCellError
+from .errors import EmptyCellError, RangeError
 
 Y_VALUES = (1, -1)
 A_VALUES = (0, 1)
@@ -72,10 +72,10 @@ class ProblemInstance:
             raise RangeError(f"base needs 4 cell probabilities, got {len(self.base)}")
         for (y, a), b in zip(CELLS, self.base):
             if not b > 0.0:
-                raise ZeroCellError(f"P[Y={y}, A={a}] = {b} must be strictly positive")
+                raise EmptyCellError(f"P[Y={y}, A={a}] = {b} must be strictly positive")
         total = sum(self.base)
         if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(f"base probabilities sum to {total!r}, not 1")
+            raise RangeError(f"base probabilities sum to {total!r}, not 1")
         for name in ("alpha1", "beta1", "alpha2", "beta2"):
             v = float(getattr(self, name))
             if not 0.0 <= v <= 1.0:

@@ -12,7 +12,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import MissingColumnError, RangeError
+from .errors import RangeError, RecordsError
 from .model import PerturbationSpec
 from .records import RNG_ALGORITHM, RecordSet, read_only
 
@@ -107,14 +107,14 @@ def apply_scenario(records: RecordSet, scenario: RecordScenario, seed: int) -> R
     """
     if scenario.uses_score:
         if records.score is None:
-            raise MissingColumnError("scenario needs a score column")
+            raise RecordsError("scenario needs a score column")
         flips = np.abs(records.score - 0.5) <= scenario.level
     else:
         rng = np.random.default_rng(seed)
         flips = rng.random(records.n) < scenario.level
     if scenario.only_errors:
         if records.yhat is None:
-            raise MissingColumnError("on-errors scenarios need a yhat column")
+            raise RecordsError("on-errors scenarios need a yhat column")
         flips = flips & (records.yhat != records.y)
 
     a_c = np.where(flips, 1 - records.a, records.a).astype(np.int8)

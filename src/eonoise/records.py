@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import io
 import os
 import re
@@ -12,7 +13,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import MissingColumnError, RecordsError, ZeroCellError
+from .errors import EmptyCellError, RecordsError
 from .metrics import bias_derived, error_derived
 from .model import CELLS, DerivedPredictor, PerturbationSpec, ProblemInstance, lift_perturbation
 
@@ -54,9 +55,9 @@ class RecordSet:
     the score exceeds 0.5.
 
     Every column is stored read-only.  A column is stored as is only when it
-    owns its memory and, if the caller passed it in, is already read-only;
-    anything else (a writeable array, a view, a memmap) is copied first, so
-    a later write by the caller does not change the validated columns.
+    owns its memory and is already read-only; anything else (a writeable
+    array, a view, a memmap) is copied first, so a later write by the caller
+    does not change the validated columns.
     """
 
     y: np.ndarray
@@ -86,7 +87,7 @@ class RecordSet:
                 raise RecordsError(f"{name} values {_RULES[name]}")
             if name != "score":
                 col = col.astype(np.int8, copy=False)
-            if not col.flags.owndata or (col is given and col.flags.writeable):
+            if not col.flags.owndata or col.flags.writeable:
                 col = col.copy()
             col.flags.writeable = False
             object.__setattr__(self, name, col)
@@ -148,10 +149,10 @@ def _counts(*indices: np.ndarray) -> np.ndarray:
 
 def clean_counts(records: RecordSet) -> np.ndarray:
     """(2, 2, 2) counts over (label, true attribute, prediction), laid out
-    like the joint program_from_table takes; ZeroCellError names the first
+    like the joint program_from_table takes; EmptyCellError names the first
     (y, a) cell, in CELLS order, that holds no records."""
     if records.yhat is None:
-        raise MissingColumnError("estimation needs a yhat column")
+        raise RecordsError("estimation needs a yhat column")
     table = _counts(_yi(records.y), records.a, _yi(records.yhat))
     _require_records(table, "A")
     return table
@@ -162,7 +163,7 @@ def _require_records(table: np.ndarray, attribute: str) -> None:
     order, that holds no records."""
     for (y, a), count in zip(CELLS, table.reshape(4, -1).sum(axis=1).tolist()):
         if count == 0:
-            raise ZeroCellError(f"no records with Y={y}, {attribute}={a}")
+            raise EmptyCellError(f"no records with Y={y}, {attribute}={a}")
 
 
 def estimate_instance(records: RecordSet) -> EstimatedInstance:
@@ -183,9 +184,9 @@ def estimate_corrupted_tables(records: RecordSet) -> CorruptedTables:
     out its true attribute, which is exact on whole counts.
     """
     if records.yhat is None:
-        raise MissingColumnError("estimation needs a yhat column")
+        raise RecordsError("estimation needs a yhat column")
     if records.a_c is None:
-        raise MissingColumnError("estimation needs an a_c column")
+        raise RecordsError("estimation needs an a_c column")
 
     fourway = _counts(_yi(records.y), records.a, _yi(records.yhat), records.a_c)
     joint = np.ascontiguousarray(fourway.sum(axis=1).transpose(0, 2, 1))
@@ -269,9 +270,10 @@ def read_records_csv(path) -> RecordSet:
     columns left empty uniformly.
 
     Fields are unquoted ASCII, padded with any of space, tab, VT, FF and CR.
-    Blank lines are skipped and CRLF line endings are accepted.  Errors found
-    on a line name its number in the file, blank lines included; in a file
-    with several faults, the first line at fault is named.
+    Blank lines and one leading UTF-8 BOM are skipped, and CRLF line endings
+    are accepted.  Errors found on a line name its number in the file, blank
+    lines included; in a file with several faults, the first line at fault
+    is named.
 
     A regular file whose rows hold only numbers, commas, padding and CRLF or
     LF line ends is parsed by one np.loadtxt call, which reads it a second
@@ -291,7 +293,7 @@ def read_records_csv(path) -> RecordSet:
 
 
 def _is_header(line: bytes) -> bool:
-    return [f.strip() for f in line.split(b",")] == _HEADER
+    return [f.strip() for f in line.removeprefix(codecs.BOM_UTF8).split(b",")] == _HEADER
 
 
 def _load_numeric(path, data: bytes) -> RecordSet:
@@ -310,7 +312,7 @@ def _load_numeric(path, data: bytes) -> RecordSet:
     dtype = [(name, empty if not field.strip(_PADDING) else "f8" if name == "score" else "i1")
              for name, field in zip(RECORD_CSV_HEADER, first)]
     table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
-                       encoding="ascii", ndmin=1)
+                       encoding="utf-8-sig", ndmin=1)
     cells = b"".join(table[name].tobytes() for name, kind in dtype if kind == empty)
     if cells[_EMPTY_WIDTH - 1::_EMPTY_WIDTH].strip(b"\0") or cells.translate(None, b"\0" + _PADDING):
         raise RecordsError("a column empty on the first data line is filled later")

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from eonoise import MissingColumnError, ProblemInstance, RecordsError, ZeroCellError
+from eonoise import EmptyCellError, ProblemInstance, RecordsError
 from eonoise.model import A_VALUES, CELLS, Y_VALUES
 from eonoise.records import (
     RECORD_CSV_HEADER,
@@ -103,7 +103,7 @@ def write_records_csv(path, records: RecordSet) -> None:
 
 def evaluate_predictor_on_records(records: RecordSet, predictor) -> EvalMetrics:
     if records.yhat is None:
-        raise MissingColumnError("evaluation needs a yhat column")
+        raise RecordsError("evaluation needs a yhat column")
     flat = (records.yhat == -1).astype(np.intp) * 2 + records.a.astype(np.intp)
     pvals = np.asarray(predictor.p)[flat]
 
@@ -111,7 +111,7 @@ def evaluate_predictor_on_records(records: RecordSet, predictor) -> EvalMetrics:
     for (y, a) in CELLS:
         mask = (records.y == y) & (records.a == a)
         if not mask.any():
-            raise ZeroCellError(f"no records with Y={y}, A={a}")
+            raise EmptyCellError(f"no records with Y={y}, A={a}")
         rate[(y, a)] = float(pvals[mask].mean())
     error = float(np.where(records.y == 1, 1.0 - pvals, pvals).mean())
     return EvalMetrics(
@@ -126,7 +126,7 @@ def evaluate_predictor_exact(records: RecordSet, predictor) -> tuple[Fraction, F
     rate is its count-weighted mix of the predictor's (exactly converted)
     probabilities over the given predictions."""
     if records.yhat is None:
-        raise MissingColumnError("evaluation needs a yhat column")
+        raise RecordsError("evaluation needs a yhat column")
     # p is ordered like CELLS with the given prediction in place of the label
     p = dict(zip(CELLS, map(Fraction, predictor.p)))
     rate = {}
@@ -135,7 +135,7 @@ def evaluate_predictor_exact(records: RecordSet, predictor) -> tuple[Fraction, F
         mask = (records.y == y) & (records.a == a)
         n = int(mask.sum())
         if n == 0:
-            raise ZeroCellError(f"no records with Y={y}, A={a}")
+            raise EmptyCellError(f"no records with Y={y}, A={a}")
         pos = int((records.yhat[mask] == 1).sum())
         mass = pos * p[(1, a)] + (n - pos) * p[(-1, a)]
         rate[(y, a)] = mass / n
@@ -149,7 +149,7 @@ def evaluate_predictor_sampled(records: RecordSet, predictor, seed: int,
     """Coin-flip evaluation, averaged over repetitions; returns the mean
     metrics and the (repetitions, 3) per-repetition samples."""
     if records.yhat is None:
-        raise MissingColumnError("evaluation needs a yhat column")
+        raise RecordsError("evaluation needs a yhat column")
     flat = (records.yhat == -1).astype(np.intp) * 2 + records.a.astype(np.intp)
     pvals = np.asarray(predictor.p)[flat]
     rng = np.random.default_rng(seed)
@@ -157,7 +157,7 @@ def evaluate_predictor_sampled(records: RecordSet, predictor, seed: int,
     masks = {cell: (records.y == cell[0]) & (records.a == cell[1]) for cell in CELLS}
     for cell, mask in masks.items():
         if not mask.any():
-            raise ZeroCellError(f"no records with Y={cell[0]}, A={cell[1]}")
+            raise EmptyCellError(f"no records with Y={cell[0]}, A={cell[1]}")
 
     samples = np.empty((repetitions, 3))
     for rep in range(repetitions):
@@ -175,14 +175,14 @@ def evaluate_predictor_sampled(records: RecordSet, predictor, seed: int,
 
 def estimate_instance(records: RecordSet) -> EstimatedInstance:
     if records.yhat is None:
-        raise MissingColumnError("estimation needs a yhat column")
+        raise RecordsError("estimation needs a yhat column")
     counts = []
     rates = []
     for (y, a) in CELLS:
         mask = (records.y == y) & (records.a == a)
         c = int(mask.sum())
         if c == 0:
-            raise ZeroCellError(f"no records with Y={y}, A={a}")
+            raise EmptyCellError(f"no records with Y={y}, A={a}")
         counts.append(c)
         rates.append(float((records.yhat[mask] == 1).mean()))
     base = tuple(c / records.n for c in counts)
@@ -198,9 +198,9 @@ def _bincount_table(shape, *indices) -> np.ndarray:
 
 def estimate_corrupted_tables(records: RecordSet) -> CorruptedTables:
     if records.yhat is None:
-        raise MissingColumnError("estimation needs a yhat column")
+        raise RecordsError("estimation needs a yhat column")
     if records.a_c is None:
-        raise MissingColumnError("estimation needs an a_c column")
+        raise RecordsError("estimation needs an a_c column")
 
     yi = (records.y == -1).astype(np.intp)
     yti = (records.yhat == -1).astype(np.intp)
@@ -208,11 +208,11 @@ def estimate_corrupted_tables(records: RecordSet) -> CorruptedTables:
     for i, y in enumerate(Y_VALUES):
         for ac in A_VALUES:
             if joint[i, ac].sum() == 0:
-                raise ZeroCellError(f"no records with Y={y}, corrupted attribute={ac}")
+                raise EmptyCellError(f"no records with Y={y}, corrupted attribute={ac}")
 
     fourway = _bincount_table((2, 2, 2, 2), yi, records.a, yti, records.a_c)
     for i, y in enumerate(Y_VALUES):
         for a in A_VALUES:
             if fourway[i, a].sum() == 0:
-                raise ZeroCellError(f"no records with Y={y}, A={a}")
+                raise EmptyCellError(f"no records with Y={y}, A={a}")
     return CorruptedTables(joint, fourway)

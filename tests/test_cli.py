@@ -1,4 +1,5 @@
 import codecs
+import inspect
 import math
 import re
 
@@ -32,7 +33,8 @@ from eonoise.cli import (
     run_dataset,
     run_sweep,
 )
-from eonoise.errors import ConfigError, MissingColumnError, NormalizationError
+import eonoise.errors
+from eonoise.errors import ConfigError, DegenerateProgramError, EmptyCellError, RecordsError
 from eonoise.perturb import SCHEDULE_KINDS, GammaSchedule, RecordScenario
 from eonoise.records import RecordSet, estimate_instance, read_records_csv
 import sweep_oracle
@@ -297,8 +299,9 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["dataset", str(tmp_path / "missing.csv"), "--scenario",
                  "independent-flip", "--grid", "0:0.2:0.1", "--out",
                  str(tmp_path / "y.csv")]) == 3
-    assert main(["bound", "1.0", "0.2", "0.5"]) == 2
     capsys.readouterr()
+    assert main(["bound", "1.0", "0.2", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: (1.0, 0.2, 0.5) outside [0,1) x [0,1) x (0,1)\n"
 
 
 class _Worked(Exception):
@@ -348,6 +351,11 @@ def test_usable_out_reaches_the_work(tmp_path, monkeypatch, command):
     _spy_on_work(monkeypatch)
     with pytest.raises(_Worked):
         main(argv)
+
+
+def test_bound_where_the_denominator_underflows(capsys):
+    assert main(["bound", "0.9999999999999999", "0", "5e-324"]) == 0
+    assert capsys.readouterr() == ("0\n", "")
 
 
 def test_bound_subcommand_prints_value(capsys):
@@ -484,12 +492,32 @@ def test_dataset_bad_grid_exits_2_before_the_missing_records(tmp_path, capsys):
 
 
 def test_an_error_outside_the_cli_classes_exits_3(monkeypatch, capsys):
-    def unnormalized(*args):
-        raise NormalizationError("base probabilities sum to 0.9")
+    def empty(*args):
+        raise EmptyCellError("no records with Y=1, A=0")
 
-    monkeypatch.setattr(eonoise.cli, "bias_shrink_factor", unnormalized)
+    monkeypatch.setattr(eonoise.cli, "bias_shrink_factor", empty)
     assert main(["bound", "0.2", "0.3", "0.5"]) == 3
-    assert capsys.readouterr().err == "error: base probabilities sum to 0.9\n"
+    assert capsys.readouterr().err == "error: no records with Y=1, A=0\n"
+
+
+_ERROR_CLASSES = [cls for _, cls in inspect.getmembers(eonoise.errors, inspect.isclass)
+                  if cls.__module__ == eonoise.errors.__name__]
+#: The exit code and stderr prefix of main for each package error class; any
+#: class not named here is a data error.
+_EXITS = {ConfigError: (2, "error: "), DegenerateProgramError: (4, "internal error: ")}
+
+
+@pytest.mark.parametrize("cls", [*_ERROR_CLASSES, OSError], ids=lambda cls: cls.__name__)
+def test_each_error_class_maps_to_one_exit_code(monkeypatch, capsys, cls):
+    def fail(*args):
+        raise cls("the message")
+
+    monkeypatch.setattr(eonoise.cli, "run_counterexample", fail)
+    code, prefix = _EXITS.get(cls, (3, "error: "))
+    assert main(["reproduce-lemma1", "a_violated"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"{prefix}the message\n"
+    assert captured.out == ""
 
 
 def test_dataset_rejects_a_negative_seed(tmp_path, capsys):
@@ -540,7 +568,7 @@ def test_dataset_names_the_empty_cell_of_the_training_half(tmp_path, capsys):
 
 def test_dataset_without_predictions_fails_at_the_clean_table():
     rs = sample_records(fig1_top_left(), 200, seed=38)
-    with pytest.raises(MissingColumnError, match="estimation needs a yhat column"):
+    with pytest.raises(RecordsError, match="estimation needs a yhat column"):
         run_dataset(RecordSet(y=rs.y, a=rs.a), [RecordScenario("independent-flip", 0.1)], seed=0)
 
 

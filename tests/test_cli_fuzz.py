@@ -1,7 +1,9 @@
 """The command line on malformed input: sweep configs, ``--grid`` strings
 and record CSVs drawn at random, each run in-process through ``cli.main``.
 Every run must end with exit 0, 2 or 3; a failure prints exactly one
-``error: ...`` line and no traceback, and a written CSV holds no nan."""
+``error: ...`` line and no traceback, and a written CSV holds no nan.
+``bound`` and ``reproduce-lemma1`` read no file, so they may end only with
+exit 0 or 2."""
 
 import codecs
 import contextlib
@@ -10,7 +12,7 @@ import re
 import signal
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from eonoise import sample_records, write_records_csv
@@ -183,3 +185,26 @@ def test_dataset_and_estimate_on_random_records(tmp_path, data):
     estimate = tmp_path / "estimate.cfg"
     estimate.unlink(missing_ok=True)
     _check(["estimate", str(records), "--out", str(estimate)], [estimate])
+
+
+#: Numbers at the edges of the domains of bound and reproduce-lemma1.
+_EDGE_NUMBERS = st.one_of(
+    st.sampled_from(["nan", "inf", "-0", "1e300", "5e-324", repr(1 - 2 ** -53)]),
+    st.floats(-0.5, 1.5).map(repr))
+_NUMBER_COMMANDS = st.one_of(
+    # "--" keeps argparse from taking a number such as -1e-05 for an option
+    st.lists(_EDGE_NUMBERS, min_size=3, max_size=3).map(lambda xs: ["bound", "--", *xs]),
+    st.tuples(st.sampled_from([("a_violated", "--flip"), ("b_violated", "--gamma")]),
+              _EDGE_NUMBERS).map(lambda t: ["reproduce-lemma1", t[0][0], f"{t[0][1]}={t[1]}"]))
+
+
+@given(argv=_NUMBER_COMMANDS)
+@example(argv=["bound", "--", "0.9999999999999999", "0", "5e-324"])
+@_FUZZ
+def test_bound_and_lemma1_on_edge_numbers(argv):
+    code, _, stderr = _run(argv)
+    assert code in (0, 2), (argv, code, stderr)
+    if code:
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+    else:
+        assert stderr == ""

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from eonoise import (
     DegenerateProgramError,
     DerivedPredictor,
-    DomainError,
     EmptyCellError,
     PerturbationSpec,
     ProblemInstance,
@@ -156,7 +155,7 @@ def test_shrink_factor_reference_points():
 def test_shrink_factor_domain():
     for bad in ((1.0, 0.2, 0.5), (0.2, 1.0, 0.5), (-0.1, 0.2, 0.5),
                 (0.2, 0.3, 0.0), (0.2, 0.3, 1.0)):
-        with pytest.raises(DomainError):
+        with pytest.raises(RangeError, match=re.escape(f"{bad} outside [0,1) x [0,1) x (0,1)")):
             bias_shrink_factor(*bad)
 
 
@@ -168,6 +167,47 @@ def test_shrink_factor_range_and_symmetry(g1, g2, p):
     assert value == pytest.approx(bias_shrink_factor(g2, g1, 1.0 - p), abs=1e-12)
     if g1 + g2 < 1.0 - 1e-12:
         assert value < 1.0
+
+
+def _plain_shrink(g1, g2, p):
+    """The shrink factor's formula as written, which divides 0 by 0 where
+    the second denominator underflows."""
+    first = g1 * p / (g1 * p + (1.0 - g2) * (1.0 - p))
+    return first - (1.0 - g1) * p / ((1.0 - g1) * p + g2 * (1.0 - p)) + 1.0
+
+
+_UNIT = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 0.5, 1.0 - 2.0 ** -53]),
+                  st.floats(0.0, 1.0, exclude_max=True))
+
+
+@given(_UNIT, _UNIT, _UNIT.filter(lambda p: p > 0.0))
+@settings(max_examples=300, deadline=None)
+def test_shrink_factor_is_the_plain_formula_wherever_it_divides_by_nonzero(g1, g2, p):
+    if (1.0 - g1) * p + g2 * (1.0 - p) == 0.0:
+        value = bias_shrink_factor(g1, g2, p)
+        assert 0.0 <= value <= 1.0
+        assert value == g1 * p / (g1 * p + (1.0 - p)) - 1.0 + 1.0  # g2 = 0: the second ratio is 1
+    else:
+        assert bias_shrink_factor(g1, g2, p).hex() == _plain_shrink(g1, g2, p).hex()
+
+
+@pytest.mark.parametrize("g1, g2, p", [(0.6, 0.0, 5e-324), (1.0 - 2.0 ** -53, 0.0, 5e-324)])
+def test_shrink_factor_where_the_second_denominator_underflows(g1, g2, p):
+    # (1 - g1) * p rounds to 0 and g2 = 0; the exact second ratio is 1, so
+    # the factor is the first ratio, about g1 * p
+    assert (1.0 - g1) * p + g2 * (1.0 - p) == 0.0
+    assert 0.0 <= bias_shrink_factor(g1, g2, p) <= 5e-324
+    grid = corrupted_bias_bound_grid(
+        ProblemInstance(base=(0.5, p, 0.25, 0.25), alpha1=0.9, beta1=0.8, alpha2=0.4, beta2=0.1),
+        (np.array([g2]), np.array([g1]), np.zeros(1), np.zeros(1)), 1)
+    assert 0.0 <= grid[0] <= 5e-324
+
+
+def test_bound_where_the_shrink_factor_denominator_underflows():
+    inst = ProblemInstance(base=(0.5, 5e-324, 0.25, 0.25), alpha1=0.9, beta1=0.8,
+                           alpha2=0.4, beta2=0.1)
+    bound = corrupted_bias_bound(inst, PerturbationSpec.restricted(0, 0.9, 0, 0), 1)
+    assert 0.0 <= bound <= bias_given(inst, 1)
 
 
 # --------------------------------------------------------------------- bound
@@ -194,7 +234,7 @@ def test_bound_dominates_bias_curve_on_reference_sweep():
 
 
 def test_bound_requires_restricted_spec():
-    with pytest.raises(DomainError):
+    with pytest.raises(RangeError, match="defined for prediction-independent flips only"):
         corrupted_bias_bound(counterexample_instance(), counterexample_spec(), 1)
 
 
@@ -366,7 +406,7 @@ def test_grid_bound_checks_the_group_share():
     inst = ProblemInstance(base=(1e-320, 0.3333333333333333, 0.3333333333333333,
                                  0.3333333333333334), alpha1=0.9, beta1=0.8, alpha2=0.4, beta2=0.1)
     flips = (np.array([1.0, 0.25]),) * 4
-    with pytest.raises(DomainError, match=re.escape("(0.25, 0.25, 1.0) outside")):
+    with pytest.raises(RangeError, match=re.escape("(0.25, 0.25, 1.0) outside")):
         corrupted_bias_bound_grid(inst, flips, 1)
     # no row inside the domain: nothing to check
     assert math.isnan(corrupted_bias_bound_grid(inst, (np.ones(1),) * 4, 1)[0])

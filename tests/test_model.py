@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,11 +7,10 @@ from hypothesis import strategies as st
 
 from eonoise import (
     DerivedPredictor,
-    NormalizationError,
+    EmptyCellError,
     PerturbationSpec,
     ProblemInstance,
     RangeError,
-    ZeroCellError,
     bias_derived,
     bias_given,
     check_flip_budget,
@@ -27,7 +27,7 @@ def test_accepts_reference_parameters():
 
 
 def test_zero_cell_rejected():
-    with pytest.raises(ZeroCellError):
+    with pytest.raises(EmptyCellError, match=re.escape("P[Y=-1, A=0] = 0.0 must be strictly")):
         ProblemInstance(base=(0.5, 0.5, 0.0, 0.0), alpha1=0.5, beta1=0.5, alpha2=0.5, beta2=0.5)
 
 
@@ -39,7 +39,7 @@ def test_base_of_wrong_length_rejected(base):
 
 
 def test_unnormalized_base_rejected():
-    with pytest.raises(NormalizationError):
+    with pytest.raises(RangeError, match="base probabilities sum to 1.2, not 1"):
         ProblemInstance(base=(0.3, 0.3, 0.3, 0.3), alpha1=0.5, beta1=0.5, alpha2=0.5, beta2=0.5)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eonoise import MissingColumnError, RangeError, RecordScenario, apply_scenario
+from eonoise import RangeError, RecordScenario, RecordsError, apply_scenario
 from eonoise.perturb import GammaSchedule, schedule_eval
 from eonoise.records import RecordSet
 
@@ -117,10 +117,10 @@ def test_metadata_recorded():
 
 def test_missing_columns_rejected():
     rs = _records(10, seed=12, with_score=False)
-    with pytest.raises(MissingColumnError):
+    with pytest.raises(RecordsError, match="scenario needs a score column"):
         apply_scenario(rs, RecordScenario("score-band", 0.2), seed=0)
     no_yhat = RecordSet(y=rs.y, a=rs.a)
-    with pytest.raises(MissingColumnError):
+    with pytest.raises(RecordsError, match="on-errors scenarios need a yhat column"):
         apply_scenario(no_yhat, RecordScenario("independent-flip-on-errors", 0.2), seed=0)
 
 

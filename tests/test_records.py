@@ -1,5 +1,7 @@
+import codecs
 import itertools
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,13 +11,12 @@ from hypothesis import strategies as st
 
 from eonoise import (
     DerivedPredictor,
+    EmptyCellError,
     EoNoiseError,
     GIVEN_PREDICTOR_P,
-    MissingColumnError,
     PerturbationSpec,
     RecordScenario,
     RecordsError,
-    ZeroCellError,
     apply_scenario,
     bias_derived,
     error_derived,
@@ -193,9 +194,9 @@ def test_estimate_recovers_sampled_instance():
 
 def test_estimate_missing_cell():
     rs = RecordSet(y=[1, 1, -1, -1], a=[1, 1, 0, 1], yhat=[1, -1, 1, -1])
-    with pytest.raises(ZeroCellError, match="Y=1, A=0"):
+    with pytest.raises(EmptyCellError, match="Y=1, A=0"):
         estimate_instance(rs)
-    with pytest.raises(MissingColumnError):
+    with pytest.raises(RecordsError, match="estimation needs a yhat column"):
         estimate_instance(RecordSet(y=[1, -1], a=[0, 1]))
 
 
@@ -206,7 +207,7 @@ def test_clean_counts_table_and_missing_prediction():
         want[int(y == -1), a, int(yt == -1)] += 1
     got = clean_counts(rs)
     assert got.dtype == float and np.array_equal(got, want)
-    with pytest.raises(MissingColumnError, match="yhat"):
+    with pytest.raises(RecordsError, match="yhat"):
         clean_counts(RecordSet(y=[1, -1], a=[0, 1]))
 
 
@@ -351,8 +352,8 @@ def test_evaluation_matches_exact_oracle(seed):
     for part, pred in _evaluation_cases(seed):
         try:
             want = oracle_evaluate(part, pred)
-        except ZeroCellError as exc:
-            with pytest.raises(ZeroCellError, match=str(exc)):
+        except EmptyCellError as exc:
+            with pytest.raises(EmptyCellError, match=str(exc)):
                 evaluate_predictor_on_records(part, pred)
             continue
         exact = evaluate_predictor_exact(part, pred)
@@ -372,7 +373,7 @@ def test_evaluation_is_the_analytic_formulas_at_the_estimated_instance():
     for part, pred in cases + _sampled_evaluation_cases():
         try:
             est = estimate_instance(part).instance
-        except ZeroCellError:
+        except EmptyCellError:
             continue
         want = (bias_derived(est, pred, 1), bias_derived(est, pred, -1), error_derived(est, pred))
         assert _hex(evaluate_predictor_on_records(part, pred)) == _hex(want)
@@ -382,9 +383,9 @@ def test_evaluation_empty_cell_raises_on_every_call():
     rs = RecordSet(y=[1, 1, -1, -1, -1], a=[0, 0, 0, 1, 1], yhat=[1, -1, 1, -1, 1])
     rng = np.random.default_rng(20)
     for _ in range(3):
-        with pytest.raises(ZeroCellError, match="Y=1, A=1"):
+        with pytest.raises(EmptyCellError, match="Y=1, A=1"):
             evaluate_predictor_on_records(rs, _random_predictor(rng))
-    with pytest.raises(MissingColumnError, match="yhat"):
+    with pytest.raises(RecordsError, match="yhat"):
         evaluate_predictor_on_records(RecordSet(y=[1, -1], a=[0, 1]), _random_predictor(rng))
 
 
@@ -934,3 +935,28 @@ def test_estimate_reads_the_same_records_from_a_pipe(tmp_path, capsys, piped):
     by_path = capsys.readouterr().out
     assert main(["estimate", piped(path.read_bytes())]) == 0
     assert capsys.readouterr().out == by_path
+
+
+def test_csv_with_a_utf8_bom_is_read_by_numpy(tmp_path, capsys, line_reads):
+    rs, path = _piped_sample(tmp_path)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    back = read_records_csv(bom)
+    assert not line_reads
+    _assert_reads_back(rs, back)
+    assert main(["estimate", str(path)]) == 0
+    plain = capsys.readouterr().out
+    assert main(["estimate", str(bom)]) == 0
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("fault, what", [
+    ("-1,1,,1.5,-1", "score must be finite and lie in [0, 1], got '1.5'"),  # numpy reads it
+    ("-1,1,,nan,-1", "score must be finite and lie in [0, 1], got 'nan'"),
+])
+def test_csv_with_a_utf8_bom_names_the_line_at_fault(tmp_path, line_reads, fault, what):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(codecs.BOM_UTF8 + (CSV_HEADER + f"1,0,,0.75,1\n{fault}\n").encode())
+    with pytest.raises(RecordsError, match=re.escape(f"{path}:3: {what}")):
+        read_records_csv(path)
+    assert line_reads == [path]

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import eonoise.cli
+import eonoise.errors
 import lp_oracle
 from eonoise import sample_records, write_records_csv
 from eonoise.programs import build_clean_program, build_corrupted_program
@@ -118,6 +119,14 @@ def test_public_exception_is_raised(name):
     raised = [getattr(eonoise, n) for n in _raised_names() if n in EXCEPTIONS]
     assert any(issubclass(cls, getattr(eonoise, name)) for cls in raised), \
         f"{name} is in __all__ but nothing under src/ raises it"
+
+
+def test_errors_module_defines_exactly_the_exported_exceptions():
+    # each class once, under its own name: no alias of a merged class
+    defined = {name: obj.__name__ for name, obj in vars(eonoise.errors).items()
+               if isinstance(obj, type) and obj.__module__ == eonoise.errors.__name__}
+    assert sorted(defined) == sorted(EXCEPTIONS)
+    assert all(name == own for name, own in defined.items())
 
 
 def test_six_demos_found():
