@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eonoise import (
@@ -181,33 +181,27 @@ _UNIT = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 0.5, 1.0 - 2.0 ** -53]),
 
 
 @given(_UNIT, _UNIT, _UNIT.filter(lambda p: p > 0.0))
+@example(0.6, 0.0, 5e-324)
+@example(1.0 - 2.0 ** -53, 0.0, 5e-324)
 @settings(max_examples=300, deadline=None)
 def test_shrink_factor_is_the_plain_formula_wherever_it_divides_by_nonzero(g1, g2, p):
     if (1.0 - g1) * p + g2 * (1.0 - p) == 0.0:
+        # (1 - g1) * p rounds to 0 and g2 = 0: the exact second ratio is 1
         value = bias_shrink_factor(g1, g2, p)
         assert 0.0 <= value <= 1.0
-        assert value == g1 * p / (g1 * p + (1.0 - p)) - 1.0 + 1.0  # g2 = 0: the second ratio is 1
+        assert value == g1 * p / (g1 * p + (1.0 - p)) - 1.0 + 1.0
     else:
         assert bias_shrink_factor(g1, g2, p).hex() == _plain_shrink(g1, g2, p).hex()
 
 
-@pytest.mark.parametrize("g1, g2, p", [(0.6, 0.0, 5e-324), (1.0 - 2.0 ** -53, 0.0, 5e-324)])
-def test_shrink_factor_where_the_second_denominator_underflows(g1, g2, p):
-    # (1 - g1) * p rounds to 0 and g2 = 0; the exact second ratio is 1, so
-    # the factor is the first ratio, about g1 * p
-    assert (1.0 - g1) * p + g2 * (1.0 - p) == 0.0
-    assert 0.0 <= bias_shrink_factor(g1, g2, p) <= 5e-324
-    grid = corrupted_bias_bound_grid(
-        ProblemInstance(base=(0.5, p, 0.25, 0.25), alpha1=0.9, beta1=0.8, alpha2=0.4, beta2=0.1),
-        (np.array([g2]), np.array([g1]), np.zeros(1), np.zeros(1)), 1)
-    assert 0.0 <= grid[0] <= 5e-324
-
-
 def test_bound_where_the_shrink_factor_denominator_underflows():
+    # (1 - 0.9) * P[A=1 | Y=+1] rounds to 0, and group 0 of label +1 never flips
     inst = ProblemInstance(base=(0.5, 5e-324, 0.25, 0.25), alpha1=0.9, beta1=0.8,
                            alpha2=0.4, beta2=0.1)
     bound = corrupted_bias_bound(inst, PerturbationSpec.restricted(0, 0.9, 0, 0), 1)
     assert 0.0 <= bound <= bias_given(inst, 1)
+    flips = (np.zeros(1), np.full(1, 0.9), np.zeros(1), np.zeros(1))
+    assert corrupted_bias_bound_grid(inst, flips, 1).tolist() == [bound]
 
 
 # --------------------------------------------------------------------- bound
