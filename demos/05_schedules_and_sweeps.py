@@ -30,15 +30,15 @@ config = SweepConfig(
     schedule=GammaSchedule(PRESETS["fig1-top-left"]["schedule"]),
     grid=(0.0, 0.5, 0.1),
 )
-rows = run_sweep(config)
+table = run_sweep(config)  # float64, one row per grid point
 
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "sweep.csv"
-    write_csv(out, SWEEP_COLUMNS, rows)
-    print(f"\nwrote {len(rows)} rows to {out}")
+    write_csv(out, SWEEP_COLUMNS, table)
+    print(f"\nwrote {len(table)} rows to {out}")
 print("columns:", ",".join(SWEEP_COLUMNS))
 print("\nfirst and last row:")
-for row in (rows[0], rows[-1]):
+for row in (table[0], table[-1]):
     picked = dict(zip(SWEEP_COLUMNS, row))
-    print("  gamma10={gamma10}  bias_pos_corr={bias_pos_corr}  "
-          "error_corr={error_corr}  bound_pos={bound_pos}".format(**picked))
+    print("  gamma10={gamma10:.12g}  bias_pos_corr={bias_pos_corr:.12g}  "
+          "error_corr={error_corr:.12g}  bound_pos={bound_pos:.12g}".format(**picked))

@@ -217,7 +217,8 @@ def _check_grid(start: float, stop: float, step: float, what: str) -> None:
 
 def grid_points(start: float, stop: float, step: float) -> list[float]:
     """start + k * step for k = 0, 1, ... up to stop; a point past stop by
-    rounding only is clamped to stop, so no point leaves [start, stop]."""
+    rounding only is clamped to stop, so no point leaves [start, stop], and
+    the grid ends at its first point at stop, so stop is not repeated."""
     points = []
     k = 0
     while True:
@@ -225,16 +226,10 @@ def grid_points(start: float, stop: float, step: float) -> list[float]:
         if g > stop + _GRID_SLACK:
             break
         points.append(min(g, stop))
+        if g >= stop:
+            break
         k += 1
     return points
-
-
-#: Row text of the 16 sweep values, keyed by whether bound_pos and bound_neg
-#: are defined: an undefined bound is formatted with ``%.0s``, which consumes
-#: its NaN and writes nothing.
-_SWEEP_TEMPLATES = {(pos, neg): "%.12g," * 10 + ("%.12g," if pos else "%.0s,")
-                    + ("%.12g," if neg else "%.0s,") + "%d,%d,%d,%d"
-                    for pos in (True, False) for neg in (True, False)}
 
 
 def _check_feasible(program, predictor: DerivedPredictor, where: str) -> None:
@@ -245,10 +240,11 @@ def _check_feasible(program, predictor: DerivedPredictor, where: str) -> None:
             f"{where}, the solver's p = {predictor.p} violates a constraint by {residual:.3g}")
 
 
-def run_sweep(config: SweepConfig) -> list[list[str]]:
-    """One formatted row per grid point, in grid order.  Every step but the
-    LP runs once over the whole grid as float64 arrays; each row's program
-    is solved exactly on its own."""
+def run_sweep(config: SweepConfig) -> np.ndarray:
+    """The (N, 16) float64 table of SWEEP_COLUMNS, one row per grid point in
+    grid order; an undefined bound is NaN and a flag is 0.0 or 1.0.  Every
+    step but the LP runs once over the whole grid as float64 arrays; each
+    row's program is solved exactly on its own."""
     inst = config.instance
     gamma10 = np.array(grid_points(*config.grid))
     flips = config.schedule.grid_rates(gamma10)
@@ -264,8 +260,8 @@ def run_sweep(config: SweepConfig) -> list[list[str]]:
     err_corr = error_at(inst, *p.T)
     biases = [bias_at(inst, y, *p.T) for y in Y_VALUES]
     # The bound is NaN where a flip rate of the label's class is 1, outside
-    # bias_shrink_factor's domain [0, 1); its field is left empty.  Where it
-    # is defined, the derived predictor must keep to it.
+    # bias_shrink_factor's domain [0, 1).  Where it is defined, the derived
+    # predictor must keep to it.
     bounds = [corrupted_bias_bound_grid(inst, flips, y) for y in Y_VALUES]
     broken = [bias > bound + 1e-9 for bias, bound in zip(biases, bounds)]
     if (broken[0] | broken[1]).any():
@@ -279,14 +275,7 @@ def run_sweep(config: SweepConfig) -> list[list[str]]:
                bias_given(inst, 1), bias_given(inst, -1), error_given(inst), *bounds,
                *(check_flip_budget_grid(flips, y) for y in Y_VALUES),
                check_classifier_informative(inst), err_corr <= error_true + 1e-12]
-    table = np.column_stack(np.broadcast_arrays(*columns)).tolist()
-    defined = zip((~np.isnan(bounds[0])).tolist(), (~np.isnan(bounds[1])).tolist())
-    return [(_SWEEP_TEMPLATES[key] % tuple(values)).split(",")
-            for key, values in zip(defined, table)]
-
-
-#: Row text of the dataset values, one field per DATASET_COLUMNS entry.
-_DATASET_TEMPLATE = ",".join(["%.12g"] * len(DATASET_COLUMNS))
+    return np.column_stack(np.broadcast_arrays(*columns))
 
 
 def _check_out(path) -> None:
@@ -296,17 +285,23 @@ def _check_out(path) -> None:
         raise ConfigError(f"output path {path} is not a file in an existing directory")
 
 
-def write_csv(path, columns, rows) -> None:
+def write_csv(path, columns, table) -> None:
+    """Write the header ``columns`` and one line per row of the float64
+    ``table``, each value as ``format(v, ".12g")`` and a NaN as an empty
+    field.  The rows are one ``%`` over a line template repeated once per
+    row; ``%.12g`` writes ``nan`` only for a NaN, of either sign, so the
+    replace touches nothing else."""
+    line = ",".join(["%.12g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write((line * len(table) % tuple(table.ravel().tolist())).replace("nan", ""))
 
 
-def run_dataset(records, scenarios, seed: int) -> list[list[str]]:
-    """Per RecordScenario: corrupt the training half, estimate both
-    predictors there, evaluate everything on the held-out half with the
-    true attribute."""
+def run_dataset(records, scenarios, seed: int) -> np.ndarray:
+    """The (L, 11) float64 table of DATASET_COLUMNS, one row per
+    RecordScenario: corrupt the training half, estimate both predictors
+    there, evaluate everything on the held-out half with the true
+    attribute."""
     train, test = split(records, seed)
 
     clean_program = program_from_table(clean_counts(train))
@@ -324,9 +319,8 @@ def run_dataset(records, scenarios, seed: int) -> list[list[str]]:
         _check_feasible(program, corr_pred, f"at level {_fmt(scenario.level)}")
         corr_metrics = evaluate_predictor_on_records(test, corr_pred)
         measure = independence_measure(tables.fourway)
-        values = (scenario.level, *given_metrics, *corr_metrics, *true_metrics, measure)
-        rows.append((_DATASET_TEMPLATE % values).split(","))
-    return rows
+        rows.append((scenario.level, *given_metrics, *corr_metrics, *true_metrics, measure))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(DATASET_COLUMNS))
 
 
 LEMMA1_MODES = ("a_violated", "b_violated")
@@ -364,9 +358,9 @@ def _cmd_sweep(args) -> int:
     if out is None:
         raise ConfigError("no output path: pass --out or set 'out' in the config")
     _check_out(out)
-    rows = run_sweep(config)
-    write_csv(out, SWEEP_COLUMNS, rows)
-    print(f"wrote {len(rows)} rows to {out}")
+    table = run_sweep(config)
+    write_csv(out, SWEEP_COLUMNS, table)
+    print(f"wrote {len(table)} rows to {out}")
     return 0
 
 
@@ -379,9 +373,9 @@ def _cmd_dataset(args) -> int:
     except RangeError as exc:
         raise ConfigError(f"--grid {args.grid!r}: {exc}") from None
     records = read_records_csv(args.records)
-    rows = run_dataset(records, scenarios, args.seed)
-    write_csv(args.out, DATASET_COLUMNS, rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    table = run_dataset(records, scenarios, args.seed)
+    write_csv(args.out, DATASET_COLUMNS, table)
+    print(f"wrote {len(table)} rows to {args.out}")
     return 0
 
 

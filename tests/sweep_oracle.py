@@ -4,8 +4,13 @@ once, against it.
 
 Each row expands the schedule into a flip spec, derives the predictor
 through ``derive_predictor`` and applies the scalar metric, bound and
-assumption functions, formatting each value with ``format(x, ".12g")``.
+assumption functions.  The result is the same (N, 16) float64 table, NaN
+where a bound is undefined and 0.0/1.0 for a flag.
 """
+
+import math
+
+import numpy as np
 
 from eonoise import DegenerateProgramError
 from eonoise.cli import SweepConfig, grid_points
@@ -26,8 +31,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def run_sweep(config: SweepConfig) -> list[list[str]]:
-    """One formatted row per grid point, in grid order."""
+def run_sweep(config: SweepConfig) -> np.ndarray:
+    """One row of SWEEP_COLUMNS values per grid point, in grid order."""
     inst = config.instance
     given = (bias_given(inst, 1), bias_given(inst, -1), error_given(inst))
     error_true = error_derived(inst, derive_predictor(inst, None))
@@ -40,7 +45,7 @@ def run_sweep(config: SweepConfig) -> list[list[str]]:
         err_corr = error_derived(inst, predictor)
         biases = (bias_derived(inst, predictor, 1), bias_derived(inst, predictor, -1))
         # The bound is undefined when a flip rate of the label's class is 1,
-        # outside bias_shrink_factor's domain [0, 1); its field is left empty.
+        # outside bias_shrink_factor's domain [0, 1).
         bounds = []
         for y, bias in zip((1, -1), biases):
             if spec.gamma(y, 0) < 1.0 and spec.gamma(y, 1) < 1.0:
@@ -49,17 +54,13 @@ def run_sweep(config: SweepConfig) -> list[list[str]]:
                     raise DegenerateProgramError(
                         f"at gamma10 = {_fmt(g10)}, the label {y:+d} bias {_fmt(bias)} "
                         f"exceeds its bound {_fmt(bound)}")
-                bounds.append(_fmt(bound))
+                bounds.append(bound)
             else:
-                bounds.append("")
+                bounds.append(math.nan)
         rows.append([
-            _fmt(g10), _fmt(spec.gamma(1, 1)), _fmt(spec.gamma(-1, 0)), _fmt(spec.gamma(-1, 1)),
-            _fmt(biases[0]), _fmt(biases[1]), _fmt(err_corr),
-            _fmt(given[0]), _fmt(given[1]), _fmt(given[2]),
-            bounds[0], bounds[1],
-            str(int(check_flip_budget(spec, 1))),
-            str(int(check_flip_budget(spec, -1))),
-            str(int(a2)),
-            str(int(err_corr <= error_true + 1e-12)),
+            g10, spec.gamma(1, 1), spec.gamma(-1, 0), spec.gamma(-1, 1),
+            *biases, err_corr, *given, *bounds,
+            check_flip_budget(spec, 1), check_flip_budget(spec, -1), a2,
+            err_corr <= error_true + 1e-12,
         ])
-    return rows
+    return np.array(rows, dtype=np.float64)

@@ -179,8 +179,8 @@ def test_criterion_7_interpolation_shape():
                              grid=(0.0, 0.5, 0.05))
         rows = [dict(zip(SWEEP_COLUMNS, row)) for row in run_sweep(config)]
         assert len(rows) == 11
-        biases = [float(r["bias_pos_corr"]) for r in rows]
-        errors = [float(r["error_corr"]) for r in rows]
+        biases = [r["bias_pos_corr"] for r in rows]
+        errors = [r["error_corr"] for r in rows]
         for left, right in zip(biases, biases[1:]):
             assert right >= left - 1e-9
         for left, right in zip(errors, errors[1:]):
@@ -206,10 +206,10 @@ def test_criterion_8_empirical_pipeline_consistency():
         spec = PerturbationSpec.uniform(gamma)
         corr = derive_predictor(inst, spec)
         true = derive_predictor(inst, None)
-        assert float(row["bias_pos_corr"]) == pytest.approx(bias_derived(inst, corr, 1), abs=0.02)
-        assert float(row["bias_neg_corr"]) == pytest.approx(bias_derived(inst, corr, -1), abs=0.02)
-        assert float(row["error_corr"]) == pytest.approx(error_derived(inst, corr), abs=0.02)
-        assert float(row["bias_pos_true"]) == pytest.approx(bias_derived(inst, true, 1), abs=0.02)
-        assert float(row["bias_neg_true"]) == pytest.approx(bias_derived(inst, true, -1), abs=0.02)
-        assert float(row["error_true"]) == pytest.approx(error_derived(inst, true), abs=0.02)
-        assert float(row["independence_measure"]) <= 0.02
+        assert row["bias_pos_corr"] == pytest.approx(bias_derived(inst, corr, 1), abs=0.02)
+        assert row["bias_neg_corr"] == pytest.approx(bias_derived(inst, corr, -1), abs=0.02)
+        assert row["error_corr"] == pytest.approx(error_derived(inst, corr), abs=0.02)
+        assert row["bias_pos_true"] == pytest.approx(bias_derived(inst, true, 1), abs=0.02)
+        assert row["bias_neg_true"] == pytest.approx(bias_derived(inst, true, -1), abs=0.02)
+        assert row["error_true"] == pytest.approx(error_derived(inst, true), abs=0.02)
+        assert row["independence_measure"] <= 0.02

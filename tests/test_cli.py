@@ -32,6 +32,7 @@ from eonoise.cli import (
     run_counterexample,
     run_dataset,
     run_sweep,
+    write_csv,
 )
 import eonoise.errors
 from eonoise.errors import ConfigError, DegenerateProgramError, EmptyCellError, RecordsError
@@ -106,28 +107,28 @@ def test_sweep_zero_grid(tmp_path):
     config = load_sweep_config(_write_config(
         tmp_path, "preset = fig1-top-left\ngrid_start = 0\ngrid_stop = 0\ngrid_step = 0.05\n"))
     rows = run_sweep(config)
-    assert len(rows) == 1
+    assert rows.shape == (1, len(SWEEP_COLUMNS)) and rows.dtype == np.float64
     row = _rowmap(rows[0])
-    assert float(row["bias_pos_corr"]) == pytest.approx(0.0, abs=1e-9)
+    assert row["bias_pos_corr"] == pytest.approx(0.0, abs=1e-9)
     # at zero corruption the derived predictor IS the true-attribute one
     inst = config.instance
     error_true = error_derived(inst, derive_predictor(inst, None))
-    assert float(row["error_corr"]) == pytest.approx(error_true, abs=1e-9)
-    assert row["error_vs_true_flag"] == "1"
+    assert row["error_corr"] == pytest.approx(error_true, abs=1e-9)
+    assert row["error_vs_true_flag"] == 1.0
 
 
 def test_sweep_rows_respect_bound_and_given_bias(tmp_path):
     config = load_sweep_config(_write_config(tmp_path))
     rows = run_sweep(config)
-    assert len(rows) == 11
+    assert rows.shape == (11, len(SWEEP_COLUMNS)) and rows.dtype == np.float64
     for raw in rows:
         row = _rowmap(raw)
-        if row["assumption_1b_pos"] == "1":
-            assert float(row["bias_pos_corr"]) <= float(row["bound_pos"]) + 1e-9
-            assert float(row["bias_pos_corr"]) <= float(row["bias_pos_given"]) + 1e-9
-        if row["assumption_1b_neg"] == "1":
-            assert float(row["bias_neg_corr"]) <= float(row["bound_neg"]) + 1e-9
-        assert row["assumption_2"] == "1"
+        if row["assumption_1b_pos"] == 1.0:
+            assert row["bias_pos_corr"] <= row["bound_pos"] + 1e-9
+            assert row["bias_pos_corr"] <= row["bias_pos_given"] + 1e-9
+        if row["assumption_1b_neg"] == 1.0:
+            assert row["bias_neg_corr"] <= row["bound_neg"] + 1e-9
+        assert row["assumption_2"] == 1.0
 
 
 def test_sweep_csv_byte_deterministic(tmp_path):
@@ -270,10 +271,22 @@ def _outcome(run, config):
         return type(exc), str(exc)
 
 
+def _same_bits(first, second):
+    """Equal float64 tables, bit for bit: NaN in the same places and the
+    same sign bits, so 0.0 and -0.0 differ."""
+    return (first.dtype == second.dtype == np.float64
+            and np.array_equal(first, second, equal_nan=True)
+            and np.array_equal(np.signbit(first), np.signbit(second)))
+
+
 @given(_sweep_configs())
 @settings(max_examples=150, deadline=None)
 def test_sweep_rows_match_the_row_by_row_oracle(config):
-    assert _outcome(run_sweep, config) == _outcome(sweep_oracle.run_sweep, config)
+    got, want = _outcome(run_sweep, config), _outcome(sweep_oracle.run_sweep, config)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and _same_bits(got, want)
+    else:
+        assert got == want
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -467,6 +480,40 @@ def test_grid_points_stay_inside_start_stop():
         assert points[-1] == stop and all(start <= g <= stop for g in points)
 
 
+def test_grid_ends_at_its_first_point_at_stop(tmp_path):
+    # a step below the 1e-12 slack puts many points within the slack past
+    # stop; each would be clamped to stop, so only the first is kept
+    assert parse_grid("0:0:1e-17") == [0.0]
+    points = parse_grid("0:1e-13:1e-14")
+    assert len(points) == 11 and points[-1] == 1e-13
+    assert all(left < right for left, right in zip(points, points[1:]))
+    config = _write_config(tmp_path, "preset = fig1-top-left\ngrid_start = 0\n"
+                                     "grid_stop = 1e-13\ngrid_step = 1e-14\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 11 and rows[-1].startswith("1e-13,")
+
+
+def test_write_csv_formats_each_value_with_12_significant_digits(tmp_path):
+    nan = math.nan
+    table = np.array([[0.0, -0.0, 5e-324, 1e300],
+                      [math.inf, -math.inf, 0.1 + 0.2, 1 - 1e-13],
+                      [nan, np.copysign(nan, -1.0), 0.0, 1.0]])
+    assert np.signbit(table[2, 1]) and not np.signbit(table[2, 0])
+    out = tmp_path / "out.csv"
+    write_csv(out, ("a", "b", "c", "d"), table)
+    want = ["a,b,c,d"] + [",".join("" if math.isnan(v) else format(v, ".12g") for v in row)
+                          for row in table.tolist()]
+    assert out.read_text().splitlines() == want
+    assert want[1:] == ["0,-0,4.94065645841e-324,1e+300", "inf,-inf,0.3,1",
+                        ",,0,1"]
+    # a flag written as a float has the bytes of the boolean written as %d
+    assert want[3].endswith(f"{False:d},{True:d}")
+    write_csv(out, ("a", "b", "c", "d"), np.empty((0, 4)))
+    assert out.read_text() == "a,b,c,d\n"
+
+
 @pytest.mark.parametrize("text", ["0:1.5:0.5", "1.5"])
 def test_dataset_level_outside_the_scenario_range_exits_2(tmp_path, monkeypatch, capsys, text):
     records = tmp_path / "records.csv"
@@ -585,17 +632,19 @@ def _dataset_rowmap(row):
 def test_dataset_zero_flip_matches_true(tmp_path):
     rs = sample_records(fig1_top_left(), 20_000, seed=30)
     rows = run_dataset(rs, [RecordScenario("independent-flip", 0.0)], seed=5)
+    assert rows.shape == (1, len(DATASET_COLUMNS)) and rows.dtype == np.float64
     row = _dataset_rowmap(rows[0])
     assert row["bias_pos_corr"] == row["bias_pos_true"]
+    assert row["bias_neg_corr"] == row["bias_neg_true"]
     assert row["error_corr"] == row["error_true"]
-    assert float(row["independence_measure"]) <= 0.05
+    assert row["independence_measure"] <= 0.05
 
 
 def test_dataset_on_errors_scenario_breaks_independence(tmp_path):
     rs = sample_records(fig1_top_left(), 20_000, seed=31)
     rows = run_dataset(rs, [RecordScenario("independent-flip-on-errors", 0.4)], seed=6)
     row = _dataset_rowmap(rows[0])
-    assert float(row["independence_measure"]) > 0.05
+    assert row["independence_measure"] > 0.05
 
 
 def test_dataset_rows_deterministic():
@@ -603,7 +652,8 @@ def test_dataset_rows_deterministic():
     scenarios = [RecordScenario("independent-flip", level) for level in (0.1, 0.3)]
     first = run_dataset(rs, scenarios, seed=2)
     second = run_dataset(rs, scenarios, seed=2)
-    assert first == second
+    assert first.shape == (2, len(DATASET_COLUMNS))
+    assert _same_bits(first, second)
 
 
 def test_dataset_cli_roundtrip(tmp_path):

@@ -1,8 +1,8 @@
 """The names that code outside the package reaches for: the benchmark's
-tracer and worker, the demos and the README's quick start.  A deleted or
-renamed name fails here instead of in a benchmark run, a demo or a reader's
-terminal, and a command line in the README that the parser no longer
-accepts fails here too.  The public ``__all__`` holds only
+tracer and worker, the demos and the README's quick start, sweep config
+and output columns.  A deleted or renamed name fails here instead of in a
+benchmark run, a demo or a reader's terminal, and a command line in the
+README that the parser no longer accepts fails here too.  The public ``__all__`` holds only
 names something uses: the CLI, a demo, the README or the benchmark worker,
 or, for an exception, the package itself by raising it.  Also the package's
 promise that its checks still run under ``python -O``."""
@@ -145,20 +145,38 @@ def test_demo_runs(demo, tmp_path):
     assert not list(tmpdir.iterdir()), "the demo left files in its temp dir"
 
 
-def test_readme_quick_start_runs(capsys):
+def _readme_blocks(language) -> list[str]:
+    """The text of every README code block fenced as ``language``."""
     text = (ROOT / "README.md").read_text()
-    block = re.search(r"^```python\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
-    assert block, "README.md has no python block"
-    exec(compile(block.group(1), "README.md", "exec"), {})
+    return re.findall(rf"^```{language}\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+
+
+def test_readme_quick_start_runs(capsys):
+    blocks = _readme_blocks("python")
+    assert blocks, "README.md has no python block"
+    exec(compile(blocks[0], "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_sweep_config_runs(tmp_path):
+    (block,) = _readme_blocks("ini")
+    path = tmp_path / "sweep.cfg"
+    path.write_text(block)
+    assert len(eonoise.cli.run_sweep(eonoise.cli.load_sweep_config(path))) == 11
+
+
+def test_readme_output_columns_are_the_cli_columns():
+    # each block is one CSV header, wrapped at commas
+    sweep, dataset = (tuple("".join(block.split()).split(",")) for block in _readme_blocks("csv"))
+    assert sweep == eonoise.cli.SWEEP_COLUMNS
+    assert dataset == eonoise.cli.DATASET_COLUMNS
 
 
 def _readme_commands() -> list[list[str]]:
     """The arguments of every ``eonoise ...`` line in the README's sh blocks,
     with continuation lines joined and comments dropped."""
-    text = (ROOT / "README.md").read_text()
     commands = []
-    for block in re.findall(r"^```sh\n(.*?)^```", text, re.MULTILINE | re.DOTALL):
+    for block in _readme_blocks("sh"):
         for line in block.replace("\\\n", " ").splitlines():
             words = shlex.split(line, comments=True)
             if words[:1] == ["eonoise"]:
