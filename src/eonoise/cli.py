@@ -211,7 +211,10 @@ def _check_grid(start: float, stop: float, step: float, what: str) -> None:
         raise ConfigError(f"{what} contains a non-finite field")
     if start + step <= start or stop < start:  # a step too small to move start loops
         raise ConfigError(f"{what} needs a positive step that moves start and stop >= start")
-    if (stop + _GRID_SLACK - start) / step >= MAX_GRID_POINTS:
+    # start + k * step never decreases in k, so by grid_points's own tests it
+    # passes the cap exactly when point k = cap - 1 is below stop and k = cap is kept
+    cap = MAX_GRID_POINTS
+    if start + (cap - 1) * step < stop and start + cap * step <= stop + _GRID_SLACK:
         raise ConfigError(f"{what} has more than {MAX_GRID_POINTS} points")
 
 

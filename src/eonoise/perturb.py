@@ -117,7 +117,7 @@ def apply_scenario(records: RecordSet, scenario: RecordScenario, seed: int) -> R
             raise RecordsError("on-errors scenarios need a yhat column")
         flips = flips & (records.yhat != records.y)
 
-    a_c = np.where(flips, 1 - records.a, records.a).astype(np.int8)
+    a_c = records.a ^ flips  # a fresh int8 column: a 0/1 value xor a flip
     meta = dict(records.meta)
     meta.update(scenario=scenario.kind, level=scenario.level,
                 seed=int(seed), rng=RNG_ALGORITHM)

@@ -625,6 +625,59 @@ def test_grid_point_cap_is_exact():
         parse_grid(f"0:{MAX_GRID_POINTS}:1")
 
 
+@pytest.mark.parametrize("grid, points", [
+    ("0:0:1e-18", 1),
+    ("0:1e-14:1e-18", 10_001),
+    ("0:1e-13:1e-18", MAX_GRID_POINTS + 1),
+])
+def test_grid_cap_counts_the_points_of_a_step_below_the_slack(grid, points):
+    if points > MAX_GRID_POINTS:
+        with pytest.raises(ConfigError, match="more than"):
+            parse_grid(grid)
+        assert len(grid_points(*map(float, grid.split(":")))) == points
+    else:
+        assert len(parse_grid(grid)) == points
+
+
+def test_dataset_on_a_one_point_grid_with_a_step_below_the_slack(tmp_path):
+    records = tmp_path / "records.csv"
+    write_records_csv(records, sample_records(fig1_top_left(), 2000, seed=35, with_scores=True))
+    out = tmp_path / "dataset.csv"
+    assert main(["dataset", str(records), "--scenario", "independent-flip",
+                 "--grid", "0:0:1e-18", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
+@st.composite
+def _grids_near_the_cap(draw):
+    """start, stop and step whose grid has about MAX_GRID_POINTS points,
+    steps below and above the grid's 1e-12 slack included."""
+    step = draw(st.one_of(st.floats(1e-20, 1e-11), st.floats(1e-11, 1e3),
+                          st.sampled_from([1e-18, 1e-13, 1e-12, 0.1, 1.0])))
+    start = draw(st.one_of(st.sampled_from([0.0, -1e-13, 1e-15, 0.5, -3.0]),
+                           st.floats(-10.0, 10.0)))
+    n = draw(st.integers(MAX_GRID_POINTS - 3, MAX_GRID_POINTS + 1))
+    shift = draw(st.floats(-1.0, 1.0)) * step
+    if step > 1e-11:  # a shift by about the slack; below, it would add millions of points
+        shift += draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-13]))
+    return start, start + n * step + shift, step
+
+
+@given(_grids_near_the_cap())
+@settings(max_examples=20, deadline=None)
+def test_grid_cap_holds_exactly_near_the_cap(grid):
+    start, stop, step = grid
+    text = f"{start!r}:{stop!r}:{step!r}"
+    try:
+        points = parse_grid(text)
+    except ConfigError as error:
+        if "more than" not in str(error):
+            return
+        assert len(grid_points(start, stop, step)) > MAX_GRID_POINTS
+    else:
+        assert len(points) <= MAX_GRID_POINTS
+
+
 def _dataset_rowmap(row):
     return dict(zip(DATASET_COLUMNS, row))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eonoise import RangeError, RecordScenario, RecordsError, apply_scenario
-from eonoise.perturb import GammaSchedule, schedule_eval
+from eonoise.perturb import SCENARIO_KINDS, GammaSchedule, schedule_eval
 from eonoise.records import RecordSet
 
 
@@ -94,6 +94,23 @@ def test_on_errors_variants_spare_correct_records():
         assert (out.a_c[correct] == rs.a[correct]).all()
         wrong = ~correct
         assert (out.a_c[wrong] != rs.a[wrong]).any()
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_corrupted_column_is_the_flipped_attribute(kind):
+    rs = _records(5000, seed=13)
+    scenario = RecordScenario(kind, 0.3)
+    out = apply_scenario(rs, scenario, seed=14)
+    if scenario.uses_score:
+        flips = np.abs(rs.score - 0.5) <= 0.3
+    else:
+        flips = np.random.default_rng(14).random(rs.n) < 0.3
+    if scenario.only_errors:
+        flips &= rs.yhat != rs.y
+    assert flips.any() and not flips.all()
+    assert np.array_equal(out.a_c, np.where(flips, 1 - rs.a, rs.a))
+    assert out.a_c.dtype == np.int8
+    assert not out.a_c.flags.writeable and out.a_c.flags.owndata
 
 
 def test_scenario_determinism():

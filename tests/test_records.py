@@ -860,8 +860,9 @@ def test_csv_in_the_writers_form_is_read_by_numpy(tmp_path, line_reads, sampled_
     "y, a, a_c, score, yhat\n1, 0, , 0.75, 1\n-1, 1, , 0.25, -1\n",
     CSV_HEADER + "1,0,\t\v\f,0.75,1\n-1,1,   ,0.25,-1\r\n",
     CSV_HEADER + "\t1 ,0\f,,\v0.75,1 \n-1,1,,0.25,-1\n",
+    CSV_HEADER.replace("\n", "\r\n") + "1,0,,0.75,1\n-1,1,,0.25,-1\n",
 ], ids=["padded-header", "blank-lines-first", "CRLF-blank-line", "comma-space",
-        "empty-column-padded", "padded-fields"])
+        "empty-column-padded", "padded-fields", "CRLF-ends-only-the-header"])
 def test_csv_padding_and_blank_lines_are_read_by_numpy(tmp_path, line_reads, text):
     path = tmp_path / "records.csv"
     path.write_bytes(text.encode())
@@ -872,19 +873,21 @@ def test_csv_padding_and_blank_lines_are_read_by_numpy(tmp_path, line_reads, tex
 
 
 @pytest.mark.parametrize("second_line, accepted", [
-    ("-1,1,,0.25\r,-1", True),
-    ("-1,1,,0.25,-1\r1,0,,0.75,1", False),
-    ("-1,1, \t  ,0.25,-1", True),
-    ("-1,1,    1,0.25,-1", False),
-    ("-1,1,,0.25,-1\x1c", False),
-    ("-1.0,1,,0.25,-1", False),
-    ("-1,1,,0.25,-1,", False),
-], ids=["lone-CR-in-a-field", "lone-CR-between-rows", "empty-column-padded-to-the-cut",
-        "value-past-the-cut", "1-x1c", "label-1.0", "6-fields"])
+    ("-1,1,,0.25\r,-1\n", True),
+    ("-1,1,,0.25,-1\r1,0,,0.75,1\n", False),
+    ("-1,1,,0.25,-1\r", True),
+    ("-1,1, \t  ,0.25,-1\n", True),
+    ("-1,1,    1,0.25,-1\n", False),
+    ("-1,1,,0.25,-1\x1c\n", False),
+    ("-1.0,1,,0.25,-1\n", False),
+    ("-1,1,,0.25,-1,\n", False),
+], ids=["lone-CR-in-a-field", "lone-CR-between-rows", "lone-CR-as-the-last-byte",
+        "empty-column-padded-to-the-cut", "value-past-the-cut", "1-x1c", "label-1.0",
+        "6-fields"])
 def test_csv_outside_the_numpy_form_is_read_line_by_line(tmp_path, line_reads,
                                                          second_line, accepted):
     path = tmp_path / "records.csv"
-    path.write_bytes((CSV_HEADER + "1,0,,0.75,1\n" + second_line + "\n").encode())
+    path.write_bytes((CSV_HEADER + "1,0,,0.75,1\n" + second_line).encode())
     if accepted:
         back = read_records_csv(path)
         assert back.y.tolist() == [1, -1] and back.a_c is None
@@ -920,13 +923,22 @@ def _piped_sample(tmp_path):
     return rs, path
 
 
-def test_csv_on_a_pipe_is_read_line_by_line_and_returns_every_row(tmp_path, line_reads, piped):
-    # np.loadtxt would read the path a second time and find the pipe empty
+def test_csv_on_a_pipe_is_read_by_numpy_and_returns_every_row(tmp_path, line_reads, piped):
+    # np.loadtxt reads the bytes already taken from the pipe, not the path
     rs, path = _piped_sample(tmp_path)
     fd_path = piped(path.read_bytes())
     back = read_records_csv(fd_path)
-    assert line_reads == [fd_path]
+    assert not line_reads
     _assert_reads_back(rs, back)
+
+
+def test_csv_on_a_pipe_names_the_line_at_fault(tmp_path, line_reads, piped):
+    rs, path = _piped_sample(tmp_path)
+    fd_path = piped(path.read_bytes() + b"-1,1,0,1.5,1\n")  # np.loadtxt reads it
+    with pytest.raises(RecordsError, match=re.escape(
+            f"{fd_path}:{rs.n + 2}: score must be finite and lie in [0, 1], got '1.5'")):
+        read_records_csv(fd_path)
+    assert line_reads == [fd_path]
 
 
 def test_estimate_reads_the_same_records_from_a_pipe(tmp_path, capsys, piped):
