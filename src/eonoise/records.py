@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import codecs
 import io
+import itertools
 import os
 import re
 import stat
@@ -22,7 +23,9 @@ RECORD_CSV_HEADER = ("y", "a", "a_c", "score", "yhat")
 #: Generator algorithm recorded in output metadata for reproducibility.
 RNG_ALGORITHM = "numpy-pcg64"
 
-_LABEL_VALUES = {"y": (-1, 1), "a": (0, 1), "a_c": (0, 1), "yhat": (-1, 1)}
+#: Each label column's two values, in the order of its cell-code bit (_yi for
+#: y and yhat), 0 then 1.
+_LABEL_VALUES = {"y": (1, -1), "a": (0, 1), "a_c": (0, 1), "yhat": (1, -1)}
 _RULES = {
     "y": "must be -1 or +1",
     "a": "must be 0 or 1",
@@ -136,15 +139,22 @@ def _yi(values: np.ndarray) -> np.ndarray:
     return (values == -1).view(np.uint8)
 
 
-def _counts(*indices: np.ndarray) -> np.ndarray:
-    """Float counts of the records in each cell of a table with one binary
-    axis per 0/1 index column, in the order given: the columns are packed
-    into a uint8 cell code per record and each code is counted by one
-    comparison pass, which is faster than np.bincount's widening to intp."""
+def _cell_codes(*indices: np.ndarray) -> np.ndarray:
+    """A fresh uint8 code per record: its 0/1 index columns packed as bits,
+    the first column the most significant."""
     flat = indices[0].astype(np.uint8)
     for col in indices[1:]:
         flat <<= 1
         flat |= col.view(np.uint8)
+    return flat
+
+
+def _counts(*indices: np.ndarray) -> np.ndarray:
+    """Float counts of the records in each cell of a table with one binary
+    axis per 0/1 index column, in the order given: each cell code is counted
+    by one comparison pass, which is faster than np.bincount's widening to
+    intp."""
+    flat = _cell_codes(*indices)
     k = len(indices)
     counts = [np.count_nonzero(flat == code) for code in range(1 << k)]
     return np.array(counts, dtype=float).reshape((2,) * k)
@@ -229,10 +239,10 @@ def sample_records(inst: ProblemInstance, n: int, seed: int,
     """
     rng = np.random.default_rng(seed)
     cell_idx = rng.choice(4, size=n, p=np.asarray(inst.base))
-    y = np.where(cell_idx < 2, 1, -1).astype(np.int8)
-    a = (cell_idx % 2).astype(np.int8)
+    y = np.array([1, 1, -1, -1], dtype=np.int8).take(cell_idx)  # the cells in CELLS order
+    a = np.array([0, 1, 0, 1], dtype=np.int8).take(cell_idx)
     rates = np.asarray([inst.alpha1, inst.beta1, inst.alpha2, inst.beta2])[cell_idx]
-    yhat = np.where(rng.random(n) < rates, 1, -1).astype(np.int8)
+    yhat = 2 * (rng.random(n) < rates).view(np.int8) - 1
 
     a_c = None
     if spec is not None:
@@ -240,13 +250,14 @@ def sample_records(inst: ProblemInstance, n: int, seed: int,
         # GENERAL_KEYS orders prediction +1 before -1 inside each cell
         flat = cell_idx * 2 + (yhat == -1)
         gammas = np.asarray(gen.rates)[flat]
-        flips = rng.random(n) < gammas
-        a_c = np.where(flips, 1 - a, a).astype(np.int8)
+        a_c = a ^ (rng.random(n) < gammas)  # a fresh int8 column: a 0/1 value xor a flip
 
     score = None
     if with_scores:
         u = rng.random(n)
-        score = np.where(yhat == 1, 0.5 + 0.5 * (1.0 - u), 0.5 * u)
+        score = 0.5 * u
+        pos = np.flatnonzero(yhat == 1)
+        score[pos] = 0.5 + 0.5 * (1.0 - u[pos])
 
     return RecordSet(y=read_only(y), a=read_only(a), a_c=read_only(a_c),
                      score=read_only(score), yhat=read_only(yhat),
@@ -380,25 +391,40 @@ def _show(field: bytes) -> str:
 
 
 def write_records_csv(path, records: RecordSet) -> None:
-    """Write the record CSV format; absent optional columns are left empty
-    and scores are written with 12 significant digits.
+    """Write the record CSV format: labels as ``str(v)``, scores with 12
+    significant digits, and absent optional columns left empty.
 
-    Each chunk of rows is one ``%`` operation: a line template with ``%d``
-    for a label, ``%.12g`` for the score and an empty field for an absent
-    column, repeated once per row and applied to the chunk's values
-    interleaved row by row.  ``%d`` and ``%.12g`` give the bytes of
-    ``str(int)`` and ``format(v, ".12g")``.
+    A score above 0.5 whose 12-digit text would read back as 0.5 is written
+    as ``repr(v)``, the shortest text that reads back as the same float, so
+    that every file written reads back, yhat consistent with score.
+
+    Each row's present labels are packed into a cell code (bit 1 for y or
+    yhat -1, or for a or a_c 1), which picks one of at most 16 line
+    templates built once: the labels' text, ``%.12g`` in the score field
+    and empty fields for absent columns.  Each chunk of rows joins its
+    rows' templates and, when there is a score column, applies one ``%`` to
+    the chunk's scores.
     """
-    columns = [getattr(records, name) for name in RECORD_CSV_HEADER]
-    present = [col for col in columns if col is not None]
-    line = ",".join("" if col is None else "%.12g" if name == "score" else "%d"
-                    for name, col in zip(RECORD_CSV_HEADER, columns)) + "\n"
-    k = len(present)
+    labels = [name for name in RECORD_CSV_HEADER
+              if name != "score" and getattr(records, name) is not None]
+    score = records.score
+    templates = []
+    for values in itertools.product(*(_LABEL_VALUES[name] for name in labels)):
+        text = dict(zip(labels, map(str, values)), score="" if score is None else "%.12g")
+        templates.append(",".join(text.get(name, "") for name in RECORD_CSV_HEADER) + "\n")
+    codes = _cell_codes(*(_yi(getattr(records, name)) if name in ("y", "yhat")
+                          else getattr(records, name) for name in labels))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(RECORD_CSV_HEADER) + "\n")
         for lo in range(0, records.n, _CHUNK_LINES):
-            hi = min(lo + _CHUNK_LINES, records.n)
-            values = [None] * (k * (hi - lo))
-            for j, col in enumerate(present):
-                values[j::k] = col[lo:hi].tolist()
-            fh.write(line * (hi - lo) % tuple(values))
+            lines = [templates[code] for code in codes[lo:lo + _CHUNK_LINES].tolist()]
+            if score is None:
+                fh.write("".join(lines))
+                continue
+            chunk = score[lo:lo + _CHUNK_LINES]
+            values = chunk.tolist()
+            # only scores within ~5e-13 above 0.5 have "0.5" as their 12-digit text
+            for i in np.flatnonzero((chunk > 0.5) & (chunk < 0.5 + 1e-12)).tolist():
+                if float("%.12g" % values[i]) <= 0.5:
+                    lines[i] = lines[i].replace("%.12g", "%r")
+            fh.write("".join(lines) % tuple(values))

@@ -17,8 +17,15 @@ instance ``estimate_instance`` reads from the records.  Both equal the
 exact rational values of ``evaluate_predictor_exact`` up to rounding.
 
 ``write_records_csv`` writes the record CSV format one field at a time,
-with ``str`` for labels and ``format(v, ".12g")`` for scores; the package
-formats each chunk of rows with one line template.
+with ``str`` for labels and ``format(v, ".12g")`` for scores, or ``repr(v)``
+for a score above 0.5 whose 12-digit text reads back as at most 0.5; the
+package joins per-row line templates picked by a cell code and formats each
+chunk's scores with one ``%``.
+
+``sample_records`` draws records with the package's generator calls in the
+same order, building each column with ``np.where`` and ``astype`` and both
+score branches over every row; the package builds its int8 columns directly
+and computes each score branch only where it applies.
 
 ``evaluate_predictor_sampled`` evaluates a derived predictor by flipping its
 coins, where the package takes the exact expectation over them.
@@ -36,9 +43,10 @@ from fractions import Fraction
 import numpy as np
 
 from eonoise import EmptyCellError, ProblemInstance, RecordsError
-from eonoise.model import A_VALUES, CELLS, Y_VALUES
+from eonoise.model import A_VALUES, CELLS, Y_VALUES, lift_perturbation
 from eonoise.records import (
     RECORD_CSV_HEADER,
+    RNG_ALGORITHM,
     CorruptedTables,
     EstimatedInstance,
     EvalMetrics,
@@ -95,10 +103,40 @@ def write_records_csv(path, records: RecordSet) -> None:
             if col is None:
                 fields.append(itertools.repeat("", records.n))
             elif name == "score":
-                fields.append([format(v, ".12g") for v in col.tolist()])
+                fields.append([score_text(v) for v in col.tolist()])
             else:
                 fields.append(map(str, col.tolist()))
         fh.writelines([",".join(row) + "\n" for row in zip(*fields)])
+
+
+def score_text(v: float) -> str:
+    """The writer's spelling of a score."""
+    text = format(v, ".12g")
+    return repr(v) if v > 0.5 and float(text) <= 0.5 else text
+
+
+def sample_records(inst: ProblemInstance, n: int, seed: int, spec=None,
+                   with_scores: bool = False) -> RecordSet:
+    rng = np.random.default_rng(seed)
+    cell_idx = rng.choice(4, size=n, p=np.asarray(inst.base))
+    y = np.where(cell_idx < 2, 1, -1).astype(np.int8)
+    a = (cell_idx % 2).astype(np.int8)
+    rates = np.asarray([inst.alpha1, inst.beta1, inst.alpha2, inst.beta2])[cell_idx]
+    yhat = np.where(rng.random(n) < rates, 1, -1).astype(np.int8)
+
+    a_c = None
+    if spec is not None:
+        gen = lift_perturbation(spec)
+        gammas = np.asarray(gen.rates)[cell_idx * 2 + (yhat == -1)]
+        flips = rng.random(n) < gammas
+        a_c = np.where(flips, 1 - a, a).astype(np.int8)
+
+    score = None
+    if with_scores:
+        u = rng.random(n)
+        score = np.where(yhat == 1, 0.5 + 0.5 * (1.0 - u), 0.5 * u)
+    return RecordSet(y=y, a=a, a_c=a_c, score=score, yhat=yhat,
+                     meta={"seed": int(seed), "rng": RNG_ALGORITHM})
 
 
 def evaluate_predictor_on_records(records: RecordSet, predictor) -> EvalMetrics:

@@ -38,6 +38,8 @@ from records_oracle import evaluate_predictor_exact
 from records_oracle import evaluate_predictor_on_records as oracle_evaluate
 from records_oracle import evaluate_predictor_sampled
 from records_oracle import read_records_csv as oracle_read_records_csv
+from records_oracle import sample_records as oracle_sample_records
+from records_oracle import score_text
 from records_oracle import write_records_csv as oracle_write_records_csv
 from support import fig1_top_left, counterexample_instance, counterexample_spec, population_fourway
 
@@ -190,6 +192,29 @@ def test_estimate_recovers_sampled_instance():
     assert est.instance.beta1 == pytest.approx(inst.beta1, abs=0.01)
     assert est.instance.alpha2 == pytest.approx(inst.alpha2, abs=0.01)
     assert est.instance.beta2 == pytest.approx(inst.beta2, abs=0.01)
+
+
+_SPECS = {"none": None, "restricted": PerturbationSpec.restricted(0.1, 0.3, 0.2, 0.4),
+          "general": PerturbationSpec("general", (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4))}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1])
+@pytest.mark.parametrize("n", [0, 1, 1000])
+@pytest.mark.parametrize("with_scores", [False, True], ids=["labels", "scores"])
+@pytest.mark.parametrize("spec", sorted(_SPECS))
+def test_sample_records_matches_the_where_and_astype_reference(spec, with_scores, n, seed):
+    args = dict(inst=fig1_top_left(), n=n, seed=seed, spec=_SPECS[spec], with_scores=with_scores)
+    got, want = sample_records(**args), oracle_sample_records(**args)
+    for name in RECORD_CSV_HEADER:
+        col, ref = getattr(got, name), getattr(want, name)
+        if ref is None:
+            assert col is None, name
+            continue
+        assert col.dtype == ref.dtype == (np.float64 if name == "score" else np.int8), name
+        assert not col.flags.writeable and not ref.flags.writeable, name
+        assert col.shape == ref.shape == (n,) and col.tobytes() == ref.tobytes(), name
+    assert (got.a_c is None) == (spec == "none") and (got.score is None) != with_scores
+    assert got.meta == want.meta
 
 
 def test_estimate_missing_cell():
@@ -724,11 +749,6 @@ _EDGE_SCORES = (0.0, 1.0, 0.5, 1e-05, 5e-324, -0.0,
 _OPTIONAL = ("a_c", "score", "yhat")
 
 
-def _rounds_to_the_same_side(score):
-    """Whether the 12-digit score read back keeps yhat consistent."""
-    return (score > 0.5) == (float(format(score, ".12g")) > 0.5)
-
-
 def _record_set(rng, scores, absent):
     n = len(scores)
     score = np.array(scores, dtype=float)
@@ -756,7 +776,7 @@ def _assert_reads_back(rs, back):
         if col is None:
             assert got is None, name
         elif name == "score":
-            want = np.array([float(format(v, ".12g")) for v in col.tolist()])
+            want = np.array([float(score_text(v)) for v in col.tolist()])
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
         else:
             assert got.dtype == np.int8 and np.array_equal(got, col), name
@@ -776,8 +796,8 @@ def test_csv_writer_matches_per_field_oracle(tmp_path, monkeypatch, absent, n, c
     _assert_writer_matches_oracle(tmp_path, rs)
 
 
-@given(st.lists(st.one_of(st.sampled_from(_EDGE_SCORES), st.floats(0.0, 1.0))
-                .filter(_rounds_to_the_same_side), min_size=1, max_size=12),
+@given(st.lists(st.one_of(st.sampled_from(_EDGE_SCORES), st.floats(0.0, 1.0)),
+                min_size=1, max_size=12),
        st.sets(st.sampled_from(_OPTIONAL)), st.sampled_from([records._CHUNK_LINES, 3]),
        st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None,
@@ -787,6 +807,76 @@ def test_csv_writer_agrees_with_per_field_oracle(tmp_path, monkeypatch, scores, 
     monkeypatch.setattr(records, "_CHUNK_LINES", chunk_lines)
     rs = _record_set(np.random.default_rng(seed), scores, absent)
     _assert_writer_matches_oracle(tmp_path, rs)
+
+
+@pytest.mark.parametrize("chunk_lines", [records._CHUNK_LINES, 3])
+@_ABSENT
+def test_csv_writer_matches_per_field_oracle_on_no_rows(tmp_path, monkeypatch, absent,
+                                                        chunk_lines):
+    monkeypatch.setattr(records, "_CHUNK_LINES", chunk_lines)
+    rs = _record_set(np.random.default_rng(0), [], absent)
+    path, reference = tmp_path / "records.csv", tmp_path / "reference.csv"
+    write_records_csv(path, rs)
+    oracle_write_records_csv(reference, rs)
+    assert path.read_bytes() == reference.read_bytes() == CSV_HEADER.encode()
+
+
+@pytest.mark.parametrize("chunk_lines", [records._CHUNK_LINES, 3])
+@_ABSENT
+def test_csv_writer_matches_per_field_oracle_on_every_label_combination(
+        tmp_path, monkeypatch, absent, chunk_lines):
+    # one row per (y, a, a_c, yhat) combination, so every line template is written
+    monkeypatch.setattr(records, "_CHUNK_LINES", chunk_lines)
+    rows = list(itertools.product((1, -1), (0, 1), (0, 1), (1, -1)))
+    y, a, a_c, yhat = (np.array(col, dtype=np.int8) for col in zip(*rows))
+    score = np.where(yhat == 1, 0.75, 0.25)
+    cols = {"y": y, "a": a, "a_c": a_c, "score": score, "yhat": yhat}
+    rs = RecordSet(**{name: None if name in absent else col for name, col in cols.items()})
+    _assert_writer_matches_oracle(tmp_path, rs)
+    labels = [name for name in RECORD_CSV_HEADER if name != "score" and name not in absent]
+    lines = (tmp_path / "records.csv").read_text().splitlines()[1:]
+    assert len({tuple(line.split(",")[RECORD_CSV_HEADER.index(name)] for name in labels)
+                for line in lines}) == 2 ** len(labels)
+
+
+#: Scores above 0.5 whose 12-digit text is "0.5".
+_NEAR_HALF = (float(np.nextafter(0.5, 1.0)), 0.5 + 2**-52, 0.5 + 1e-13, 0.5 + 4.9e-13)
+
+
+@READERS
+@pytest.mark.parametrize("score", _NEAR_HALF)
+def test_csv_scores_just_above_one_half_read_back(tmp_path, read, score):
+    assert format(score, ".12g") == "0.5"
+    rs = RecordSet(y=[1, -1], a=[0, 1], score=[score, 0.25], yhat=[1, -1])
+    _assert_writer_matches_oracle(tmp_path, rs)
+    path = tmp_path / "records.csv"
+    assert path.read_text() == f"{CSV_HEADER}1,0,,{score!r},1\n-1,1,,0.25,-1\n"
+    back = read(path)
+    assert back.score.tolist() == [score, 0.25] and back.yhat.tolist() == [1, -1]
+
+
+@given(st.lists(st.floats(0.5, 0.5 + 1e-12, exclude_min=True), min_size=1, max_size=8),
+       st.sampled_from([records._CHUNK_LINES, 3]), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_csv_scores_in_the_rounding_gap_above_one_half_read_back(tmp_path, monkeypatch,
+                                                                 scores, chunk_lines, seed):
+    monkeypatch.setattr(records, "_CHUNK_LINES", chunk_lines)
+    rs = _record_set(np.random.default_rng(seed), scores, frozenset())
+    _assert_writer_matches_oracle(tmp_path, rs)
+    back = read_records_csv(tmp_path / "records.csv")
+    assert back.yhat.tolist() == [1] * len(scores)
+    assert all(v > 0.5 for v in back.score.tolist())
+
+
+def test_estimate_reads_a_score_just_above_one_half(tmp_path, capsys):
+    rs = sample_records(fig1_top_left(), 40, seed=3, with_scores=True)
+    score = rs.score.copy()
+    score[rs.yhat == 1] = _NEAR_HALF[0]
+    path = tmp_path / "records.csv"
+    write_records_csv(path, RecordSet(y=rs.y, a=rs.a, score=score, yhat=rs.yhat))
+    assert main(["estimate", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 #: Valid spellings of each label column's values that are not ``str(v)``,
