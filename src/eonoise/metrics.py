@@ -86,16 +86,16 @@ def bias_shrink_factor(gamma1: float, gamma2: float, p: float) -> float:
     return _shrink(gamma1, gamma2, p)
 
 
+_SCALE = 2.0 ** 600  # lifts each in-domain product, at least 2**-1127, to a normal float
+
+
 def _shrink(gamma1, gamma2, p):
-    """``bias_shrink_factor`` without its domain check, on floats or arrays."""
+    """``bias_shrink_factor`` without its domain check, on floats or arrays.
+    The second ratio's addends are scaled by the power of two _SCALE, so none
+    is subnormal and the denominator is never 0; where none was, no bit moves."""
     first = gamma1 * p / (gamma1 * p + (1.0 - gamma2) * (1.0 - p))
-    kept = (1.0 - gamma1) * p
-    below = kept + gamma2 * (1.0 - p)
-    # below is 0 only where kept underflows and gamma2 = 0, and the exact ratio
-    # is then 1; elsewhere zero is False, and adding it changes no bit
-    zero = below == 0.0
-    second = (kept + zero) / (below + zero)
-    return first - second + 1.0
+    kept = (1.0 - gamma1) * _SCALE * p
+    return first - kept / (kept + gamma2 * _SCALE * (1.0 - p)) + 1.0
 
 
 def corrupted_bias_bound(inst: ProblemInstance, spec: PerturbationSpec, y: int) -> float:

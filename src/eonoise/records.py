@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptyCellError, RecordsError
 from .metrics import bias_derived, error_derived
-from .model import CELLS, DerivedPredictor, PerturbationSpec, ProblemInstance, lift_perturbation
+from .model import CELLS, DerivedPredictor, ProblemInstance
 
 RECORD_CSV_HEADER = ("y", "a", "a_c", "score", "yhat")
 
@@ -227,15 +227,13 @@ def split(records: RecordSet, seed: int) -> tuple[RecordSet, RecordSet]:
 
 
 def sample_records(inst: ProblemInstance, n: int, seed: int,
-                   spec: PerturbationSpec | None = None,
                    with_scores: bool = False) -> RecordSet:
     """Draw records from the instance's generative model.
 
-    Labels and attributes follow the base cells, predictions follow the
-    per-cell rates, and, when a spec is given, the corrupted attribute is
-    flipped with the spec's (possibly prediction-dependent) probabilities.
-    Scores, when requested, are uniform on the half of [0, 1] consistent
-    with the prediction.
+    Labels and attributes follow the base cells and predictions follow the
+    per-cell rates.  Scores, when requested, are uniform on the half of
+    [0, 1] consistent with the prediction.  The records have no corrupted
+    attribute; ``perturb.apply_scenario`` makes one.
     """
     rng = np.random.default_rng(seed)
     cell_idx = rng.choice(4, size=n, p=np.asarray(inst.base))
@@ -244,14 +242,6 @@ def sample_records(inst: ProblemInstance, n: int, seed: int,
     rates = np.asarray([inst.alpha1, inst.beta1, inst.alpha2, inst.beta2])[cell_idx]
     yhat = 2 * (rng.random(n) < rates).view(np.int8) - 1
 
-    a_c = None
-    if spec is not None:
-        gen = lift_perturbation(spec)
-        # GENERAL_KEYS orders prediction +1 before -1 inside each cell
-        flat = cell_idx * 2 + (yhat == -1)
-        gammas = np.asarray(gen.rates)[flat]
-        a_c = a ^ (rng.random(n) < gammas)  # a fresh int8 column: a 0/1 value xor a flip
-
     score = None
     if with_scores:
         u = rng.random(n)
@@ -259,9 +249,8 @@ def sample_records(inst: ProblemInstance, n: int, seed: int,
         pos = np.flatnonzero(yhat == 1)
         score[pos] = 0.5 + 0.5 * (1.0 - u[pos])
 
-    return RecordSet(y=read_only(y), a=read_only(a), a_c=read_only(a_c),
-                     score=read_only(score), yhat=read_only(yhat),
-                     meta={"seed": int(seed), "rng": RNG_ALGORITHM})
+    return RecordSet(y=read_only(y), a=read_only(a), score=read_only(score),
+                     yhat=read_only(yhat), meta={"seed": int(seed), "rng": RNG_ALGORITHM})
 
 
 #: Rows write_records_csv formats per ``%`` operation.

@@ -25,7 +25,11 @@ chunk's scores with one ``%``.
 ``sample_records`` draws records with the package's generator calls in the
 same order, building each column with ``np.where`` and ``astype`` and both
 score branches over every row; the package builds its int8 columns directly
-and computes each score branch only where it applies.
+and computes each score branch only where it applies.  Given a spec, it also
+draws a corrupted attribute from the spec's eight flip rates, between the
+predictions and the scores, so tests can sample corrupted records with
+prediction-dependent flips.  The package's sampler has no corrupted
+attribute: in the package, ``perturb.apply_scenario`` makes it.
 
 ``evaluate_predictor_sampled`` evaluates a derived predictor by flipping its
 coins, where the package takes the exact expectation over them.

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,10 +171,21 @@ def test_shrink_factor_range_and_symmetry(g1, g2, p):
 
 
 def _plain_shrink(g1, g2, p):
-    """The shrink factor's formula as written, which divides 0 by 0 where
-    the second denominator underflows."""
+    """The shrink factor's formula as written, which loses the second ratio
+    where one of its products underflows."""
     first = g1 * p / (g1 * p + (1.0 - g2) * (1.0 - p))
     return first - (1.0 - g1) * p / ((1.0 - g1) * p + g2 * (1.0 - p)) + 1.0
+
+
+def _exact_shrink(g1, g2, p):
+    g1, g2, p = Fraction(g1), Fraction(g2), Fraction(p)
+    return g1 * p / (g1 * p + (1 - g2) * (1 - p)) - (1 - g1) * p / ((1 - g1) * p + g2 * (1 - p)) + 1
+
+
+def _underflows(x, y):
+    """Whether the exact product of two floats is nonzero and below the
+    smallest normal float, 2**-1022."""
+    return 0 < Fraction(x) * Fraction(y) < Fraction(2) ** -1022
 
 
 _UNIT = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 0.5, 1.0 - 2.0 ** -53]),
@@ -183,15 +195,14 @@ _UNIT = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 0.5, 1.0 - 2.0 ** -53]),
 @given(_UNIT, _UNIT, _UNIT.filter(lambda p: p > 0.0))
 @example(0.6, 0.0, 5e-324)
 @example(1.0 - 2.0 ** -53, 0.0, 5e-324)
+@example(0.6, 5e-324, 5e-324)
 @settings(max_examples=300, deadline=None)
-def test_shrink_factor_is_the_plain_formula_wherever_it_divides_by_nonzero(g1, g2, p):
-    if (1.0 - g1) * p + g2 * (1.0 - p) == 0.0:
-        # (1 - g1) * p rounds to 0 and g2 = 0: the exact second ratio is 1
-        value = bias_shrink_factor(g1, g2, p)
-        assert 0.0 <= value <= 1.0
-        assert value == g1 * p / (g1 * p + (1.0 - p)) - 1.0 + 1.0
+def test_shrink_factor_is_the_plain_formula_unless_a_product_underflows(g1, g2, p):
+    value = bias_shrink_factor(g1, g2, p)
+    if _underflows(1.0 - g1, p) or _underflows(g2, 1.0 - p):
+        assert abs(float(Fraction(value) - _exact_shrink(g1, g2, p))) <= 1e-15
     else:
-        assert bias_shrink_factor(g1, g2, p).hex() == _plain_shrink(g1, g2, p).hex()
+        assert value.hex() == _plain_shrink(g1, g2, p).hex()
 
 
 def test_bound_where_the_shrink_factor_denominator_underflows():
