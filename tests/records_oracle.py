@@ -31,6 +31,11 @@ predictions and the scores, so tests can sample corrupted records with
 prediction-dependent flips.  The package's sampler has no corrupted
 attribute: in the package, ``perturb.apply_scenario`` makes it.
 
+``apply_scenario`` decides each record's flip one record at a time in Python
+floats, from the same generator draws as the package, and builds the
+corrupted attribute with ``np.where`` and ``astype``; the package takes the
+flips as one array expression and xors them into the attribute.
+
 ``evaluate_predictor_sampled`` evaluates a derived predictor by flipping its
 coins, where the package takes the exact expectation over them.
 
@@ -141,6 +146,26 @@ def sample_records(inst: ProblemInstance, n: int, seed: int, spec=None,
         score = np.where(yhat == 1, 0.5 + 0.5 * (1.0 - u), 0.5 * u)
     return RecordSet(y=y, a=a, a_c=a_c, score=score, yhat=yhat,
                      meta={"seed": int(seed), "rng": RNG_ALGORITHM})
+
+
+def apply_scenario(records: RecordSet, scenario, seed: int) -> RecordSet:
+    n = len(records.y)
+    if scenario.kind.startswith("score-band"):
+        if records.score is None:
+            raise RecordsError("scenario needs a score column")
+        flips = [abs(float(s) - 0.5) <= scenario.level for s in records.score]
+    else:
+        u = np.random.default_rng(seed).random(n)
+        flips = [float(v) < scenario.level for v in u]
+    if scenario.kind.endswith("on-errors"):
+        if records.yhat is None:
+            raise RecordsError("on-errors scenarios need a yhat column")
+        flips = [f and int(yh) != int(y) for f, y, yh in zip(flips, records.y, records.yhat)]
+    a_c = np.where(np.asarray(flips, dtype=bool), 1 - records.a, records.a).astype(np.int8)
+    meta = dict(records.meta, scenario=scenario.kind, level=scenario.level,
+                seed=int(seed), rng=RNG_ALGORITHM)
+    return RecordSet(y=records.y, a=records.a, a_c=a_c, score=records.score,
+                     yhat=records.yhat, meta=meta)
 
 
 def evaluate_predictor_on_records(records: RecordSet, predictor) -> EvalMetrics:

@@ -31,7 +31,9 @@ from eonoise import (
 )
 from eonoise import records
 from eonoise.cli import main
+from eonoise.perturb import SCENARIO_KINDS
 from eonoise.records import RECORD_CSV_HEADER, RecordSet, clean_counts, read_records_csv
+from records_oracle import apply_scenario as oracle_apply_scenario
 from records_oracle import estimate_corrupted_tables as oracle_corrupted_tables
 from records_oracle import estimate_instance as oracle_estimate_instance
 from records_oracle import evaluate_predictor_exact
@@ -208,6 +210,22 @@ def test_sample_records_matches_the_where_and_astype_reference(with_scores, n, s
         assert not col.flags.writeable and not ref.flags.writeable, name
         assert col.shape == ref.shape == (n,) and col.tobytes() == ref.tobytes(), name
     assert got.a_c is None and (got.score is None) != with_scores
+    assert got.meta == want.meta
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1])
+@pytest.mark.parametrize("n", [0, 1, 1000])
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_apply_scenario_matches_the_per_record_reference(kind, n, seed):
+    # apply_scenario is the one place the package makes a sample's a_c
+    rs = sample_records(fig1_top_left(), n, seed=seed, with_scores=True)
+    scenario = RecordScenario(kind, 0.3)
+    got, want = apply_scenario(rs, scenario, seed), oracle_apply_scenario(rs, scenario, seed)
+    assert got.a_c.dtype == want.a_c.dtype == np.int8
+    assert not got.a_c.flags.writeable and not want.a_c.flags.writeable
+    assert got.a_c.shape == (n,) and got.a_c.tobytes() == want.a_c.tobytes()
+    for name in ("y", "a", "score", "yhat"):
+        assert getattr(got, name) is getattr(rs, name), name
     assert got.meta == want.meta
 
 
