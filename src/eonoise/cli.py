@@ -284,7 +284,7 @@ def run_sweep(config: SweepConfig) -> np.ndarray:
 def _check_out(path) -> None:
     """Raise ConfigError unless ``path`` names a file in an existing directory."""
     path = Path(path)
-    if path.is_dir() or not path.parent.is_dir():
+    if "\0" in str(path) or path.is_dir() or not path.parent.is_dir():  # open() rejects NUL
         raise ConfigError(f"output path {path} is not a file in an existing directory")
 
 

@@ -12,8 +12,9 @@ class RangeError(EoNoiseError, ValueError):
 
 class DegenerateProgramError(EoNoiseError, RuntimeError):
     """An internal invariant failed: the LP enumeration produced no feasible
-    candidate, a closed-form predictor violates its program, or a sweep row's
-    bias exceeds the paper's bound."""
+    candidate, a solved predictor violates its program's constraints (checked
+    on every sweep row and dataset fit), or a sweep row's bias exceeds the
+    paper's bound."""
 
 
 class EmptyCellError(EoNoiseError, ValueError):

@@ -134,58 +134,45 @@ def _candidates(rows):
     return cands
 
 
-def _pick(ties: Sequence[tuple[float, ...]], prior_pos: float, prior_neg: float) -> tuple[float, ...]:
-    """Select among tied optima: constant ones, then constant zeros, then the
-    lexicographically smallest vertex.
-
-    If both constants are tied, the constant matching the larger label prior
-    wins (ones when P[Y=+1] >= P[Y=-1]).
-    """
-    has_ones = _ONES in ties
-    has_zeros = _ZEROS in ties
-    if has_ones and has_zeros:
-        return _ONES if prior_pos >= prior_neg else _ZEROS
-    if has_ones:
-        return _ONES
-    if has_zeros:
-        return _ZEROS
+def _pick(ties: Sequence[tuple[float, ...]], ones_first: bool) -> tuple[float, ...]:
+    """Select among tied optima: the first constant classifier tied, trying
+    ones then zeros if ``ones_first`` and zeros then ones otherwise, else the
+    lexicographically smallest vertex."""
+    for constant in (_ONES, _ZEROS) if ones_first else (_ZEROS, _ONES):
+        if constant in ties:
+            return constant
     return min(ties)
 
 
 def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:
     """Solve the program; also report how many distinct optima tied."""
-    feasible = []
-    seen = set()
+    feasible = {}
     for raw in _candidates(program.rows):
         p = snap_probabilities(raw)
-        if p is None or program.residual(p) > RESIDUAL_TOL:
-            continue
-        key = (round(p[0], 12), round(p[1], 12), round(p[2], 12), round(p[3], 12))
-        if key in seen:
-            continue
-        seen.add(key)
-        feasible.append(p)
+        if p is not None and program.residual(p) <= RESIDUAL_TOL:
+            key = (round(p[0], 12), round(p[1], 12), round(p[2], 12), round(p[3], 12))
+            feasible.setdefault(key, p)
     if not feasible:
         raise DegenerateProgramError("no feasible candidate point; invalid program")
 
-    values = [program.value(p) for p in feasible]
+    values = [program.value(p) for p in feasible.values()]
     best = min(values)
-    ties = [p for p, v in zip(feasible, values) if v <= best + TIE_TOL]
+    ties = [p for p, v in zip(feasible.values(), values) if v <= best + TIE_TOL]
 
-    # For programs built from a distribution the objective coefficients sum
-    # to P[Y=-1] - P[Y=+1], which is exactly the prior gap the constant
-    # tie-break needs.
+    # For programs built from a distribution the objective sums to
+    # P[Y=-1] - P[Y=+1].  The test rounds 1 - csum and 1 + csum, so a csum
+    # too small to move 1 (1e-17) puts ones first, where csum <= 0 would not.
     csum = sum(program.objective)
-    prior_pos = (1.0 - csum) / 2.0
-    prior_neg = (1.0 + csum) / 2.0
-    return DerivedPredictor(_pick(ties, prior_pos, prior_neg)), len(ties)
+    return DerivedPredictor(_pick(ties, 1.0 - csum >= 1.0 + csum)), len(ties)
 
 
 def solve(program: EoProgram) -> DerivedPredictor:
     """Predictor whose ``p`` is a global minimizer at a vertex of the
     feasible polytope; its optimal value is ``program.value(pred.p)``.
-    Objective ties within ``TIE_TOL`` go to constant ones, then constant
-    zeros, then the lexicographically smallest vertex (see ``_pick``)."""
+    Objective ties within ``TIE_TOL`` go to a tied constant classifier, ones
+    first unless ``1 + sum(objective) > 1 - sum(objective)`` (for a program
+    from a distribution, unless P[Y=-1] > P[Y=+1]), else to the
+    lexicographically smallest tied vertex (see ``_pick``)."""
     predictor, _ = solve_with_ties(program)
     return predictor
 

@@ -7,7 +7,7 @@ scenarios that fill the corrupted-attribute column of a finite sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -121,5 +121,4 @@ def apply_scenario(records: RecordSet, scenario: RecordScenario, seed: int) -> R
     meta = dict(records.meta)
     meta.update(scenario=scenario.kind, level=scenario.level,
                 seed=int(seed), rng=RNG_ALGORITHM)
-    return RecordSet(y=records.y, a=records.a, a_c=read_only(a_c),
-                     score=records.score, yhat=records.yhat, meta=meta)
+    return replace(records, a_c=read_only(a_c), meta=meta)

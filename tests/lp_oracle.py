@@ -3,15 +3,16 @@ written with ``combinations``/``product`` over the fixed coordinates.
 
 It enumerates the same candidates in the same order, with the same
 arithmetic, as the package's unrolled loop over its index tables.  It uses the
-package's snap rule (``model.snap_probabilities``), residual and tie-break
-(``lp._pick``) and the same dedupe, so every program must give the same ``p``
-and tie count from both.
+package's snap rule (``model.snap_probabilities``) and residual, and the same
+dedupe, so every program must give the same ``p`` and tie count from both.  It
+keeps its own tie-break (``_pick``): the four-branch rule on the two label
+priors that ``lp._pick``'s one ordered scan replaced.
 """
 
 from itertools import combinations, product
 
 from eonoise.errors import DegenerateProgramError
-from eonoise.lp import _CORNERS, RESIDUAL_TOL, SINGULAR_TOL, TIE_TOL, EoProgram, _pick
+from eonoise.lp import _CORNERS, RESIDUAL_TOL, SINGULAR_TOL, TIE_TOL, EoProgram
 from eonoise.model import DerivedPredictor, snap_probabilities
 
 
@@ -41,6 +42,28 @@ def _candidates(program: EoProgram):
                 p[k] = v
             cands.append(tuple(p))
     return cands
+
+
+_ONES = (1.0, 1.0, 1.0, 1.0)
+_ZEROS = (0.0, 0.0, 0.0, 0.0)
+
+
+def _pick(ties, prior_pos: float, prior_neg: float):
+    """Select among tied optima: constant ones, then constant zeros, then the
+    lexicographically smallest vertex.
+
+    If both constants are tied, the constant matching the larger label prior
+    wins (ones when P[Y=+1] >= P[Y=-1]).
+    """
+    has_ones = _ONES in ties
+    has_zeros = _ZEROS in ties
+    if has_ones and has_zeros:
+        return _ONES if prior_pos >= prior_neg else _ZEROS
+    if has_ones:
+        return _ONES
+    if has_zeros:
+        return _ZEROS
+    return min(ties)
 
 
 def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:

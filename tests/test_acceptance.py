@@ -24,7 +24,7 @@ from eonoise import (
 )
 from eonoise.cli import SWEEP_COLUMNS, SweepConfig, run_dataset, run_sweep
 from eonoise.perturb import GammaSchedule, RecordScenario
-from grid_oracle import grid_minimum
+from exact_oracle import exact_minimum
 from metrics_oracle import balanced_uniform_predictor
 from support import (
     fig1_top_left,
@@ -153,7 +153,7 @@ def test_criterion_5_balanced_error_suite():
 
 
 def test_criterion_6_oracle_equivalence():
-    with _Criterion(6, "closed form vs solver, solver vs grid oracle", 60.0):
+    with _Criterion(6, "closed form vs solver, solver vs exact oracle", 60.0):
         rng = np.random.default_rng(6006)
         for i in range(1000):
             inst = random_balanced_informative(rng, unbiased=i % 7 == 0)
@@ -169,7 +169,8 @@ def test_criterion_6_oracle_equivalence():
         rng = np.random.default_rng(60606)
         for _ in range(500):
             program = random_program(rng)
-            assert program.value(solve(program).p) <= grid_minimum(program) + 5e-3
+            exact = float(exact_minimum(program))
+            assert abs(program.value(solve(program).p) - exact) <= 1e-9
 
 
 def test_criterion_7_interpolation_shape():

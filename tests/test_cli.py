@@ -317,6 +317,37 @@ def test_main_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err == "error: (1.0, 0.2, 0.5) outside [0,1) x [0,1) x (0,1)\n"
 
 
+_RATES_CONFIG = ("alpha1 = 0.9\nbeta1 = 0.8\nalpha2 = 0.4\nbeta2 = 0.1\nschedule = equal\n"
+                 "grid_start = 0\ngrid_stop = 0.1\ngrid_step = 0.05\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config {path}: [Errno 2] No such file or directory: '{path}'"),
+    (_RATES_CONFIG.replace("0.9", "abc"), "key 'alpha1': 'abc' is not a number"),
+    (_RATES_CONFIG + "base = 0.25 0.25 0.5\n", "key 'base': expected four probabilities"),
+    (_RATES_CONFIG + "base = 0.3 0.3 0.3 0.3\n",
+     "invalid instance/schedule parameters: base probabilities sum to 1.2, not 1"),
+    (_RATES_CONFIG.replace("equal", "bogus"),
+     "invalid instance/schedule parameters: unknown schedule kind 'bogus'"),
+    (_RATES_CONFIG, "no output path: pass --out or set 'out' in the config"),
+], ids=["missing", "not-a-number", "three-base", "base-sum", "schedule", "no-out"])
+def test_sweep_config_errors_exit_2_with_their_message(tmp_path, capsys, text, message):
+    path = tmp_path / "sweep.cfg"
+    if text is not None:
+        path.write_text(text)
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
+def test_sweep_config_out_with_a_nul_byte_exits_2(tmp_path, capsys):
+    # only a config file's 'out' can carry a NUL; open() would raise ValueError
+    out = f"{tmp_path}/\x00out.csv"
+    path = _write_config(tmp_path, _RATES_CONFIG + f"out = {out}\n")
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: output path {out} is not a file in an existing directory\n")
+
+
 class _Worked(Exception):
     """Raised by a spy in place of reading records or computing rows."""
 

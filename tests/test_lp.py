@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -240,21 +242,41 @@ ONES, ZEROS = (1.0,) * 4, (0.0,) * 4
 
 def test_constant_tie_break_prefers_ones():
     interior = (0.5, 0.25, 0.0, 0.0)
-    assert _pick([interior, ONES], prior_pos=0.5, prior_neg=0.5) == ONES
+    assert _pick([interior, ONES], ones_first=True) == ONES
 
 
 def test_constant_tie_break_single_zero_candidate():
-    assert _pick([ZEROS], 0.5, 0.5) == ZEROS
+    assert _pick([ZEROS], True) == ZEROS
 
 
 def test_constant_tie_break_keeps_unique_optimum():
     interior = (0.3, 0.6, 0.1, 0.2)
-    assert _pick([interior], 0.5, 0.5) == interior
+    assert _pick([interior], True) == interior
 
 
 def test_constant_tie_break_both_constants_uses_priors():
-    assert _pick([ONES, ZEROS], 0.7, 0.3) == ONES
-    assert _pick([ONES, ZEROS], 0.3, 0.7) == ZEROS
+    assert _pick([ONES, ZEROS], True) == ONES
+    assert _pick([ONES, ZEROS], False) == ZEROS
+
+
+@pytest.mark.parametrize("ties", [
+    list(subset) for n in range(1, 4)
+    for subset in itertools.permutations([ONES, ZEROS, (0.3, 0.6, 0.1, 0.2)], n)])
+@pytest.mark.parametrize("prior_pos, prior_neg", [(0.7, 0.3), (0.3, 0.7), (0.5, 0.5)])
+def test_constant_tie_break_matches_the_two_prior_rule(ties, prior_pos, prior_neg):
+    # one ordered scan against the four-branch rule it replaced, on every
+    # ordering of every nonempty subset; zeros first with only ONES tied included
+    assert _pick(ties, prior_pos >= prior_neg) == lp_oracle._pick(ties, prior_pos, prior_neg)
+
+
+def test_constant_tie_break_when_the_objective_sum_cannot_move_one():
+    # 1 - 1e-17 and 1 + 1e-17 both round to 1, so ones go first, as under
+    # the oracle's two priors; 1 - 6e-17 rounds below 1 and zeros go first
+    rates = ((0.5, 0.5), (0.2, 0.7))
+    pred, ties = solve_with_ties(EoProgram((1e-17, 0.0, 0.0, 0.0), rates))
+    assert (pred.p, ties) == (ONES, 4)
+    pred, ties = solve_with_ties(EoProgram((6e-17, 0.0, 0.0, 0.0), rates))
+    assert (pred.p, ties) == (ZEROS, 4)
 
 
 def test_tie_count_reported():

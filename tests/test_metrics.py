@@ -276,6 +276,13 @@ def test_flip_budget_checker():
     assert check_flip_budget(PerturbationSpec.restricted(0.6, 0.6, 0.2, 0.2), -1)
 
 
+def test_flip_budget_of_a_general_spec_is_a_range_error():
+    with pytest.raises(RangeError) as excinfo:
+        check_flip_budget(counterexample_spec(), 1)
+    assert excinfo.type is RangeError
+    assert str(excinfo.value) == "flip budget is defined for prediction-independent flips only"
+
+
 def test_informative_classifier_checker():
     assert check_classifier_informative(fig1_top_left())
     bottom_left = ProblemInstance(base=BALANCED, alpha1=0.9, beta1=0.6, alpha2=0.3, beta2=0.8)
@@ -305,6 +312,13 @@ def test_independence_measure_bounded():
     for _ in range(50):
         table = rng.random((2, 2, 2, 2))
         assert 0.0 <= independence_measure(table) <= 1.0
+
+
+def test_independence_measure_rejects_a_three_axis_table():
+    with pytest.raises(RangeError) as excinfo:
+        independence_measure(np.ones((2, 2, 2)))
+    assert excinfo.type is RangeError
+    assert str(excinfo.value) == "table must be (2, 2, 2, 2), got (2, 2, 2)"
 
 
 def test_independence_measure_empty_cell():

@@ -237,6 +237,16 @@ def test_program_from_table_empty_cell():
         program_from_table(table)
 
 
+@pytest.mark.parametrize("table, cls, message", [
+    (np.ones((2, 2)), RangeError, "table must be (2, 2, 2), got (2, 2)"),
+    (np.zeros((2, 2, 2)), EmptyCellError, "table carries no mass"),
+], ids=["shape", "no-mass"])
+def test_program_from_table_error_messages(table, cls, message):
+    with pytest.raises(cls) as excinfo:
+        program_from_table(table)
+    assert excinfo.type is cls and str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
 def test_program_from_table_rejects_bad_cell(bad):
     table = np.ones((2, 2, 2))
