@@ -266,6 +266,7 @@ _PADDING = b" \t\v\f\r"
 #: np.loadtxt reads an empty column's fields as bytes of this width and cuts
 #: longer ones, so a field that fills the width may hide a value past the cut.
 _EMPTY_WIDTH = 4
+_EMPTY = f"S{_EMPTY_WIDTH}"
 
 
 def read_records_csv(path) -> RecordSet:
@@ -279,20 +280,25 @@ def read_records_csv(path) -> RecordSet:
     is named.
 
     A file whose rows hold only numbers, commas, padding and CRLF or LF line
-    ends is parsed by one np.loadtxt call.  That call reads a regular file a
-    second time from ``path``, which is the faster source; a pipe or FIFO
-    cannot be read twice, so it reads the bytes already read, decoded by a
-    text wrapper.  Any other file, and any file that call or RecordSet
-    rejects, is read by _read_lines, which defines the format.
+    ends is parsed by one np.loadtxt call.  A regular file's bytes are
+    dropped after that form check, and the call reads ``path``, the faster
+    source; a pipe or FIFO cannot be read twice, so its bytes are held once
+    and the call reads them through a text wrapper.  Any other file, and any
+    file that call or RecordSet rejects, is read by _read_lines, which
+    defines the format, from ``path`` reopened or from a pipe's bytes.
     """
     with open(path, "rb") as fh:
         data = fh.read()
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-    source = path if regular else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
-    try:
-        return _load_numeric(source, data)
-    except ValueError:  # RecordsError included
-        pass
+    dtype = _numeric_dtype(data)
+    if regular:
+        data = None  # np.loadtxt reads the path, and _read_lines reopens it
+    if dtype is not None:
+        source = path if regular else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+        try:
+            return _load_numeric(source, dtype)
+        except ValueError:  # RecordsError included
+            pass
     return _read_lines(path, data)
 
 
@@ -300,11 +306,10 @@ def _is_header(line: bytes) -> bool:
     return [f.strip() for f in line.removeprefix(codecs.BOM_UTF8).split(b",")] == _HEADER
 
 
-def _load_numeric(source, data: bytes) -> RecordSet:
-    """Parse the columns filled on the first data line as numbers and the
-    others as text that must be padding alone; ValueError if the file is not
-    of that form.  ``source`` is the path of ``data`` or a text stream of it,
-    for np.loadtxt."""
+def _numeric_dtype(data: bytes) -> list | None:
+    """The np.loadtxt dtype of a file of numbers: the columns filled on the
+    first data line as numbers, the others as text that must be padding
+    alone; None if ``data`` is not of that form."""
     header = data[:end] if (end := data.find(b"\n")) >= 0 else data
     start = len(header) + 1  # the body, checked in place: a copy would cost the file's size
     line = _LINE_CONTENT.search(data, start)
@@ -314,61 +319,65 @@ def _load_numeric(source, data: bytes) -> RecordSet:
             or (data.find(b"\r", start) >= 0
                 and data.count(b"\r", start) != data.count(b"\r\n", start))
             or data.translate(None, _NUMERIC_BYTES) != header.translate(None, _NUMERIC_BYTES)):
-        raise ValueError("not a file of numbers")
-    empty = f"S{_EMPTY_WIDTH}"
-    dtype = [(name, empty if not field.strip(_PADDING) else "f8" if name == "score" else "i1")
-             for name, field in zip(RECORD_CSV_HEADER, first)]
+        return None
+    return [(name, _EMPTY if not field.strip(_PADDING) else "f8" if name == "score" else "i1")
+            for name, field in zip(RECORD_CSV_HEADER, first)]
+
+
+def _load_numeric(source, dtype: list) -> RecordSet:
+    """Parse ``source``, a path or a text stream, with np.loadtxt; ValueError
+    if a line does not fit ``dtype`` or an empty column is filled later."""
     table = np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, skiprows=1,
                        encoding="utf-8-sig", ndmin=1)
-    cells = b"".join(table[name].tobytes() for name, kind in dtype if kind == empty)
+    cells = b"".join(table[name].tobytes() for name, kind in dtype if kind == _EMPTY)
     if cells[_EMPTY_WIDTH - 1::_EMPTY_WIDTH].strip(b"\0") or cells.translate(None, b"\0" + _PADDING):
         raise RecordsError("a column empty on the first data line is filled later")
-    return RecordSet(**{name: None if kind == empty else read_only(table[name].copy())
+    return RecordSet(**{name: None if kind == _EMPTY else read_only(table[name].copy())
                         for name, kind in dtype})
 
 
-def _read_lines(path, data: bytes) -> RecordSet:
-    """Read a record CSV one line at a time: each field is stripped of
-    _PADDING, read by int() or float() and checked by RecordSet's rule for
-    its column, then the line is checked for consistency.  The error names
-    the first line at fault and, within it, the first field."""
-    if not data:
-        raise RecordsError(f"{path}: empty file")
-    lines = io.BytesIO(data)
-    if not _is_header(next(lines)):
-        raise RecordsError(f"{path}:1: header must be {','.join(RECORD_CSV_HEADER)}")
-
+def _read_lines(path, data: bytes | None) -> RecordSet:
+    """Read a record CSV one line at a time, from ``data``, or from ``path``
+    reopened when ``data`` is None: each field is stripped of _PADDING, read
+    by int() or float() and checked by RecordSet's rule for its column, then
+    the line is checked for consistency.  The error names the first line at
+    fault and, within it, the first field."""
     values = {name: array("d" if name == "score" else "b") for name in RECORD_CSV_HEADER}
     filled = None
-    for lineno, line in enumerate(lines, start=2):
-        line = line.removesuffix(b"\n")
-        if line in (b"", b"\r"):
-            continue
-        fields = [f.strip(_PADDING) for f in line.split(b",")]
-        if len(fields) != 5:
-            raise RecordsError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-        if filled is None:
-            filled = dict(zip(RECORD_CSV_HEADER, map(bool, fields)))
-        for name, text in zip(RECORD_CSV_HEADER, fields):
-            if not filled[name] and name in ("y", "a"):
-                raise RecordsError(f"{path}:{lineno}: column {name} is empty; "
-                                   "the y and a columns are required")
-            if bool(text) != filled[name]:
-                here, first = ("filled", "empty") if text else ("empty", "filled")
-                raise RecordsError(f"{path}:{lineno}: column {name} is {here} here but {first} "
-                                   "on the first data line; fill it in every row or none")
-            if not text:
+    with open(path, "rb") if data is None else io.BytesIO(data) as lines:
+        if not (header := lines.readline()):
+            raise RecordsError(f"{path}: empty file")
+        if not _is_header(header):
+            raise RecordsError(f"{path}:1: header must be {','.join(RECORD_CSV_HEADER)}")
+        for lineno, line in enumerate(lines, start=2):
+            line = line.removesuffix(b"\n")
+            if line in (b"", b"\r"):
                 continue
-            try:
-                value = float(text) if name == "score" else int(text)
-            except ValueError:
-                raise RecordsError(f"{path}:{lineno}: bad value in column {name}: "
-                                   f"{_show(text)}") from None
-            if not (0.0 <= value <= 1.0 if name == "score" else value in _LABEL_VALUES[name]):
-                raise RecordsError(f"{path}:{lineno}: {name} {_RULES[name]}, got {_show(text)}")
-            if name == "yhat" and filled["score"] and _inconsistent(values["score"][-1], value):
-                raise RecordsError(f"{path}:{lineno}: {_CONSISTENCY_RULE}")
-            values[name].append(value)
+            fields = [f.strip(_PADDING) for f in line.split(b",")]
+            if len(fields) != 5:
+                raise RecordsError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
+            if filled is None:
+                filled = dict(zip(RECORD_CSV_HEADER, map(bool, fields)))
+            for name, text in zip(RECORD_CSV_HEADER, fields):
+                if not filled[name] and name in ("y", "a"):
+                    raise RecordsError(f"{path}:{lineno}: column {name} is empty; "
+                                       "the y and a columns are required")
+                if bool(text) != filled[name]:
+                    here, first = ("filled", "empty") if text else ("empty", "filled")
+                    raise RecordsError(f"{path}:{lineno}: column {name} is {here} here but {first} "
+                                       "on the first data line; fill it in every row or none")
+                if not text:
+                    continue
+                try:
+                    value = float(text) if name == "score" else int(text)
+                except ValueError:
+                    raise RecordsError(f"{path}:{lineno}: bad value in column {name}: "
+                                       f"{_show(text)}") from None
+                if not (0.0 <= value <= 1.0 if name == "score" else value in _LABEL_VALUES[name]):
+                    raise RecordsError(f"{path}:{lineno}: {name} {_RULES[name]}, got {_show(text)}")
+                if name == "yhat" and filled["score"] and _inconsistent(values["score"][-1], value):
+                    raise RecordsError(f"{path}:{lineno}: {_CONSISTENCY_RULE}")
+                values[name].append(value)
     if filled is None:
         raise RecordsError(f"{path}: no data rows")
     return RecordSet(**{name: read_only(np.array(col, dtype=float if name == "score" else np.int8))

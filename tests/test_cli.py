@@ -2,6 +2,7 @@ import codecs
 import inspect
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,10 +37,10 @@ from eonoise.cli import (
 )
 import eonoise.errors
 from eonoise.errors import ConfigError, DegenerateProgramError, EmptyCellError, RecordsError
-from eonoise.perturb import SCHEDULE_KINDS, GammaSchedule, RecordScenario
+from eonoise.perturb import SCENARIO_KINDS, SCHEDULE_KINDS, GammaSchedule, RecordScenario
 from eonoise.records import RecordSet, estimate_instance, read_records_csv
 import sweep_oracle
-from support import fig1_top_left
+from support import fig1_top_left, random_instance
 
 TOP_LEFT_CONFIG = """
 # reference sweep
@@ -677,6 +678,27 @@ def test_dataset_on_a_one_point_grid_with_a_step_below_the_slack(tmp_path):
     assert main(["dataset", str(records), "--scenario", "independent-flip",
                  "--grid", "0:0:1e-18", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+@pytest.mark.parametrize("seed", [40, 41, 42])
+def test_dataset_is_unchanged_when_the_groups_swap(tmp_path, monkeypatch, kind, seed):
+    # a -> 1 - a only relabels the groups: each bias is a gap between them,
+    # each error sums over them, and the independence measure is symmetric
+    # in them, so every output value holds with no oracle
+    rng = np.random.default_rng(seed)
+    inst = fig1_top_left() if seed == 40 else random_instance(rng, min_cell=0.1)
+    rs = sample_records(inst, 4000, seed=seed, with_scores=True)
+    tables = []
+    monkeypatch.setattr(eonoise.cli, "write_csv", lambda path, columns, table: tables.append(table))
+    for name, a in (("records", rs.a), ("swapped", 1 - rs.a)):
+        records = tmp_path / f"{name}.csv"
+        write_records_csv(records, replace(rs, a=a))
+        assert main(["dataset", str(records), "--scenario", kind, "--grid", "0:0.4:0.2",
+                     "--seed", str(seed), "--out", str(tmp_path / "out.csv")]) == 0
+    want, got = tables
+    assert want.shape == (3, len(DATASET_COLUMNS))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 @st.composite

@@ -2,6 +2,8 @@ import codecs
 import itertools
 import os
 import re
+import stat
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -567,7 +569,7 @@ def test_csv_crlf_padding_and_blank_lines(tmp_path):
 
 
 def _read_lines(path):
-    return records._read_lines(path, path.read_bytes())
+    return records._read_lines(path, None)  # as read_records_csv calls it on a regular file
 
 
 #: The package's two ways to read a record CSV: the entry point, which tries
@@ -689,21 +691,13 @@ def _assert_agrees_with_oracle(path, read=read_records_csv):
 @given(record_csv_files())
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_csv_reader_agrees_with_csv_module_oracle(tmp_path, text):
+def test_csv_readers_agree_with_csv_module_oracle(tmp_path, text):
+    # the line reader is checked on its own as well: read_records_csv falls
+    # back to it on any file np.loadtxt is not given or rejects
     path = tmp_path / "records.csv"
     path.write_bytes(text.encode())
-    _assert_agrees_with_oracle(path)
-
-
-@given(record_csv_files())
-@settings(max_examples=400, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_csv_line_reader_agrees_with_csv_module_oracle(tmp_path, text):
-    # the test above checks read_records_csv, which falls back to this
-    # reader on any file np.loadtxt is not given or rejects
-    path = tmp_path / "records.csv"
-    path.write_bytes(text.encode())
-    _assert_agrees_with_oracle(path, _read_lines)
+    for read in (read_records_csv, _read_lines):
+        _assert_agrees_with_oracle(path, read)
 
 
 def _outcome_of_read(read, path):
@@ -735,16 +729,67 @@ def test_csv_numpy_path_agrees_with_line_reader(tmp_path, text):
 
 @pytest.fixture
 def line_reads(monkeypatch):
-    """The paths records._read_lines is called with."""
+    """The paths records._read_lines is called with; it is given the bytes
+    already read only when the path is not a regular file."""
     calls = []
     read = records._read_lines
 
     def spy(path, data):
+        assert (data is None) == stat.S_ISREG(os.stat(path).st_mode)
         calls.append(path)
         return read(path, data)
 
     monkeypatch.setattr(records, "_read_lines", spy)
     return calls
+
+
+@pytest.fixture(scope="module")
+def file_of_200000(tmp_path_factory):
+    rs = oracle_sample_records(fig1_top_left(), 200_000, seed=22,
+                               spec=PerturbationSpec.uniform(0.2), with_scores=True)
+    path = tmp_path_factory.mktemp("records") / "records.csv"
+    write_records_csv(path, rs)
+    return rs, path.read_bytes()
+
+
+@pytest.mark.parametrize("last_row, parsers, fault", [
+    ("", {"np.loadtxt"}, None),
+    ("-1,1,0,0.25,x", {"_read_lines"}, "bad value in column yhat: 'x'"),  # refused by the form check
+    ("-1,1,0,1.5,1", {"np.loadtxt", "_read_lines"},  # refused by RecordSet after the parse
+     "score must be finite and lie in [0, 1], got '1.5'"),
+], ids=["numpy", "form-refused", "parse-refused"])
+def test_csv_reader_holds_no_file_bytes_while_it_parses(tmp_path, monkeypatch, file_of_200000,
+                                                        last_row, parsers, fault):
+    # live traced memory at the entry of each parser stays far below the
+    # file's size, so the bytes read for the form check were dropped
+    rs, data = file_of_200000
+    path = tmp_path / "records.csv"
+    path.write_bytes(data + last_row.encode() + b"\n")
+    live = {}
+    loadtxt, read_lines = np.loadtxt, records._read_lines
+
+    def loadtxt_spy(*args, **kwargs):
+        live["np.loadtxt"] = tracemalloc.get_traced_memory()[0]
+        return loadtxt(*args, **kwargs)
+
+    def read_lines_spy(path, data):
+        live["_read_lines"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()  # the line reader's own allocations are not in question
+        return read_lines(path, data)
+
+    monkeypatch.setattr(records.np, "loadtxt", loadtxt_spy)
+    monkeypatch.setattr(records, "_read_lines", read_lines_spy)
+    tracemalloc.start()
+    try:
+        if fault is None:
+            _assert_reads_back(rs, read_records_csv(path))
+        else:
+            with pytest.raises(RecordsError, match=re.escape(f"{path}:{rs.n + 2}: {fault}")):
+                read_records_csv(path)
+    finally:
+        tracemalloc.stop()
+    assert set(live) == parsers
+    assert max(live.values()) < path.stat().st_size / 4, live
 
 
 @pytest.fixture(scope="module")
