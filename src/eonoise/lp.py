@@ -7,10 +7,11 @@ two attribute groups receive the same probability of a positive output.
 Near-equal rates follow one rule: two label classes whose rate pairs lie within
 ``RATE_TIE_TOL`` of each other in both coordinates give one constraint, and
 otherwise they give two (see ``EoProgram``).  The problem is fixed-size, so the
-solver enumerates every candidate vertex exactly, in one loop over index tables:
-the box corners, and every point with ``4 - len(rows)`` coordinates fixed at a
-bound and the rest solved from the rows.  ``tests/lp_oracle.py`` enumerates
-them with ``itertools`` and is the loop's bit-for-bit reference.
+solver enumerates every candidate vertex exactly: the box corners, checked by
+their residual alone, and every point with ``4 - len(rows)`` coordinates fixed
+at a bound, not all at 0.0 (that gives the zero corner), and the rest solved
+from the rows.  ``tests/lp_oracle.py`` snaps every corner and builds the
+all-zero points too; it is the loop's bit-for-bit reference.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ _ZEROS = (0.0, 0.0, 0.0, 0.0)
 #: The 16 corners of the box [0, 1]^4, bit k of the index giving coordinate k.
 _CORNERS = tuple(tuple(float((bits >> k) & 1) for k in range(4)) for bits in range(16))
 #: Index tables of ``_candidates``: fixed coordinates in ``combinations`` order,
-#: then the free ones; the bounds the fixed ones take, in ``product`` order.
+#: then the free ones; the bounds they take in ``product`` order, bar all-zero.
 _FIX_ONE_ROW, _FIX_TWO_ROWS = (tuple(f + tuple(k for k in range(4) if k not in f)
                                      for f in combinations(range(4), n)) for n in (3, 2))
-_BOUNDS_THREE, _BOUNDS_TWO = (tuple(product((0.0, 1.0), repeat=n)) for n in (3, 2))
+_BOUNDS_THREE, _BOUNDS_TWO = (tuple(product((0.0, 1.0), repeat=n))[1:] for n in (3, 2))
 
 
 @dataclass(frozen=True)
@@ -101,13 +102,14 @@ class EoProgram:
 
 
 def _candidates(rows):
-    """Deterministically ordered candidate points covering every vertex: the
-    box corners, which include the two constant classifiers (feasible for every
-    program, as each row's entries sum to zero), then every point with
-    ``4 - len(rows)`` coordinates at a bound and the rest solved from the rows
-    by a 1x1 division or by Cramer's rule, in the order of the index tables.
-    The right-hand sides are summed left to right; snapping clears a zero's sign."""
-    cands = list(_CORNERS)
+    """Deterministically ordered candidate points covering every vertex that
+    is not a box corner: every point with ``4 - len(rows)`` coordinates at a
+    bound, not all at 0.0, and the rest solved from the rows by a 1x1 division
+    or by Cramer's rule, in the order of the index tables.  With every fixed
+    coordinate at 0.0 each right-hand side is +-0.0, so the solved point would
+    snap to the zero corner.  The right-hand sides are summed left to right;
+    snapping clears a zero's sign."""
+    cands = []
     if len(rows) == 1:
         (r,) = rows
         for i0, i1, i2, f in _FIX_ONE_ROW:
@@ -145,8 +147,11 @@ def _pick(ties: Sequence[tuple[float, ...]], ones_first: bool) -> tuple[float, .
 
 
 def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:
-    """Solve the program; also report how many distinct optima tied."""
-    feasible = {}
+    """Solve the program; also report how many distinct optima tied.  Each
+    feasible box corner, both constant classifiers among them (each row's
+    entries sum to zero), is its own key: snapping and rounding to 12 digits
+    leave 0.0 and 1.0 as they are.  The solved points of ``_candidates`` follow."""
+    feasible = {c: c for c in _CORNERS if program.residual(c) <= RESIDUAL_TOL}
     for raw in _candidates(program.rows):
         p = snap_probabilities(raw)
         if p is not None and program.residual(p) <= RESIDUAL_TOL:

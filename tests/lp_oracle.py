@@ -1,12 +1,16 @@
 """Bit-for-bit reference for ``lp.solve_with_ties``: the vertex enumerator
 written with ``combinations``/``product`` over the fixed coordinates.
 
-It enumerates the same candidates in the same order, with the same
-arithmetic, as the package's unrolled loop over its index tables.  It uses the
-package's snap rule (``model.snap_probabilities``) and residual, and the same
-dedupe, so every program must give the same ``p`` and tie count from both.  It
-keeps its own tie-break (``_pick``): the four-branch rule on the two label
-priors that ``lp._pick``'s one ordered scan replaced.
+It enumerates the candidates in the order, and with the arithmetic, of the
+package's unrolled loop over its index tables, but without its two shortcuts:
+it sends every box corner through the package's snap rule
+(``model.snap_probabilities``) and residual, where the package checks a
+corner's residual alone, and it builds the points whose fixed coordinates are
+all 0.0, which the package skips as the zero corner.  With the same dedupe,
+every program must give the same ``p`` and tie count from both, so the oracle
+checks both shortcuts rather than repeating them.  It keeps its own tie-break
+(``_pick``): the four-branch rule on the two label priors that ``lp._pick``'s
+one ordered scan replaced.
 """
 
 from itertools import combinations, product

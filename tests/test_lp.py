@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eonoise import PerturbationSpec, ProblemInstance, RangeError, derive_predictor, solve
-from eonoise.lp import RESIDUAL_TOL, EoProgram, _pick, solve_with_ties
-from eonoise.programs import build_clean_program, build_corrupted_program
+from eonoise import PerturbationSpec, ProblemInstance, RangeError, cli, derive_predictor, solve
+from eonoise.lp import RESIDUAL_TOL, TIE_TOL, EoProgram, _pick, solve_with_ties
+from eonoise.perturb import GammaSchedule
+from eonoise.programs import build_clean_program, build_corrupted_program, grid_programs
 import lp_oracle
 from exact_oracle import exact_minimum
 from grid_oracle import grid_minimum
@@ -284,3 +285,112 @@ def test_tie_count_reported():
     prog = _program(((0.7, 0.3), (0.2, 0.6)))
     _, ties = solve_with_ties(prog)
     assert ties == lp_oracle.solve_with_ties(prog)[1] == 4
+
+
+def _group_swap(prog):
+    """The program with the attribute groups swapped: objective (c1, c0, c3, c2)
+    and each rate pair (h1, h0)."""
+    c0, c1, c2, c3 = prog.objective
+    return EoProgram((c1, c0, c3, c2), tuple((h1, h0) for h0, h1 in prog.rates))
+
+
+def _prediction_swap(prog):
+    """The program with the given prediction negated: objective (c2, c3, c0, c1)
+    and each rate h replaced by 1 - h."""
+    c0, c1, c2, c3 = prog.objective
+    return EoProgram((c2, c3, c0, c1), tuple((1.0 - h0, 1.0 - h1) for h0, h1 in prog.rates))
+
+
+def _value_gap_tol(ties, swapped_ties):
+    """Largest gap between the values of two symmetric programs' solutions:
+    1e-12 for unique optima, and TIE_TOL more where either side tied, as a
+    tied pick may lie up to TIE_TOL above its side's optimum."""
+    return 1e-12 if ties == swapped_ties == 1 else 1e-12 + TIE_TOL
+
+
+@given(objective=_OBJECTIVE, rates=_RATES)
+@_with_examples(_HARD_PROGRAMS)
+# the two sides solve the same vertex's 2x2 system with its columns in
+# opposite order, and snap a different solved coordinate to 1.0: the
+# permuted p differ by 5e-13
+@example(objective=(0.0, 0.0, 1.0, -1.0), rates=((1.0, 0.999999999999), (0.999999998, 0.999999998999)))
+@settings(max_examples=400, deadline=None)
+def test_optimum_is_unchanged_when_the_groups_swap(objective, rates):
+    # swapping the groups negates each row and permutes its entries, so the
+    # feasible set is the permuted one and the optimal value cannot move
+    prog = EoProgram(objective, rates)
+    swapped = _group_swap(prog)
+    pred, ties = solve_with_ties(prog)
+    swapped_pred, swapped_ties = solve_with_ties(swapped)
+    gap = abs(prog.value(pred.p) - swapped.value(swapped_pred.p))
+    assert gap <= _value_gap_tol(ties, swapped_ties)
+    if ties == 1:
+        p0, p1, p2, p3 = pred.p
+        assert max(abs(u - v) for u, v in zip(swapped_pred.p, (p1, p0, p3, p2))) <= 1e-9
+
+
+# multiples of 2**-20, so 1 - h is exact; pairs 0 to 3 steps (up to 2.9e-6)
+# apart give the near-parallel difference row, far ones the two raw rows
+_DYADIC = st.integers(0, 2**20).map(lambda k: k * 2.0**-20)
+_DYADIC_STEP = st.integers(-3, 3).map(lambda k: k * 2.0**-20)
+
+
+@st.composite
+def _dyadic_rates(draw):
+    first = draw(st.tuples(_DYADIC, _DYADIC))
+    if draw(st.booleans()):
+        return first, draw(st.tuples(_DYADIC, _DYADIC))
+    return first, tuple(min(max(h + draw(_DYADIC_STEP), 0.0), 1.0) for h in first)
+
+
+@given(objective=_OBJECTIVE, rates=_dyadic_rates())
+# two optima 1e-12 apart tie; the sides pick different ones, 9.9998e-13 apart in value
+@example(objective=(0.4137192335808184, 1e-12, -0.5541525044233419, 0.0),
+         rates=((0.03857135772705078,) * 2,) * 2)
+@settings(max_examples=400, deadline=None)
+def test_optimum_is_unchanged_when_the_prediction_swaps(objective, rates):
+    # each row of the swapped program applied to (p2, p3, p0, p1) is the
+    # original row applied to p; dyadic rates keep the rate gaps exact, so the
+    # near-equal rule gives the same row count on both sides
+    prog = EoProgram(objective, rates)
+    swapped = _prediction_swap(prog)
+    assert len(swapped.rows) == len(prog.rows)
+    pred, ties = solve_with_ties(prog)
+    swapped_pred, swapped_ties = solve_with_ties(swapped)
+    gap = abs(prog.value(pred.p) - swapped.value(swapped_pred.p))
+    assert gap <= _value_gap_tol(ties, swapped_ties)
+
+
+def test_rate_tie_rule_is_not_invariant_under_the_prediction_swap():
+    # the first coordinates are 9.999999995e-10 apart in float, inside
+    # RATE_TIE_TOL; 1 - h rounds them 1.00000008e-9 apart, outside it.  One
+    # row becomes two, and the optimum, as the rule defines it, jumps by 1.45
+    prog = EoProgram((0.9248887626999003, -0.7286447871405848,
+                      -0.7692449746119772, 0.7880437132144282),
+                     ((0.08622236979759672, 0.8591104863520465),
+                      (0.08622237079759672, 0.8591104873520464)))
+    swapped = _prediction_swap(prog)
+    assert (len(prog.rows), len(swapped.rows)) == (1, 2)
+    for program, optimum in ((prog, -1.4518693468361206), (swapped, 0.0)):
+        value = program.value(solve(program).p)
+        assert abs(value - optimum) <= 1e-9
+        assert abs(value - float(exact_minimum(program))) <= 1e-9
+
+
+def test_solver_matches_reference_on_every_preset_grid():
+    # the sweep's own programs: all 24 presets on the grid 0:0.5:0.01
+    gamma10 = np.array(cli.grid_points(0.0, 0.5, 0.01))
+    programs = []
+    for preset in cli.PRESETS.values():
+        inst = ProblemInstance(base=cli.BALANCED_BASE, alpha1=preset["alpha1"],
+                               beta1=preset["beta1"], alpha2=preset["alpha2"],
+                               beta2=preset["beta2"])
+        programs += grid_programs(inst, GammaSchedule(preset["schedule"]).grid_rates(gamma10))
+    assert len(programs) == 1224
+    mismatches = []
+    for prog in programs:
+        pred, ties = solve_with_ties(prog)
+        ref, ref_ties = lp_oracle.solve_with_ties(prog)
+        if (pred.p, ties) != (ref.p, ref_ties):
+            mismatches.append(prog)
+    assert mismatches == []

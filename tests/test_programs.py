@@ -17,7 +17,7 @@ from eonoise import (
     program_from_table,
 )
 from eonoise import programs
-from eonoise.model import lift_perturbation
+from eonoise.model import GENERAL_INDEX, GENERAL_KEYS, lift_perturbation
 from eonoise.programs import build_clean_program, build_corrupted_joint, build_corrupted_program
 from programs_oracle import restricted_corrupted_program
 from support import (
@@ -296,3 +296,43 @@ def test_grid_programs_name_the_first_empty_cell_and_skip_zero_rows():
                   ([0.0, 0.2, 1.0, 0.0], [0.0, 0.2, 0.0, 1.0], [0.0] * 4, [0.0] * 4))
     with pytest.raises(EmptyCellError, match=re.escape("no mass at (Y=1, training attribute=0)")):
         next(programs.grid_programs(fig1_top_left(), flips))
+
+
+def _swap_groups(inst, spec):
+    """The instance and spec with attribute groups 0 and 1 swapped: base
+    (b1, b0, b3, b2), alpha and beta traded per label, restricted rates
+    (g11, g10, gm11, gm10), general rates permuted by (y, 1 - a, yt)."""
+    b0, b1, b2, b3 = inst.base
+    swapped = ProblemInstance(base=(b1, b0, b3, b2), alpha1=inst.beta1, beta1=inst.alpha1,
+                              alpha2=inst.beta2, beta2=inst.alpha2)
+    if spec.kind == "restricted":
+        g10, g11, gm10, gm11 = spec.rates
+        return swapped, PerturbationSpec.restricted(g11, g10, gm11, gm10)
+    return swapped, PerturbationSpec("general", tuple(spec.rates[GENERAL_INDEX[(y, 1 - a, yt)]]
+                                                      for y, a, yt in GENERAL_KEYS))
+
+
+def test_derived_metrics_are_unchanged_when_the_groups_swap():
+    # 2,000 pairs drawn like perfbench's derive-single inputs: classifier
+    # rates often 0, 1/2 or 1, a quarter uninformative, half the specs
+    # general, every flip rate in [0, 0.5]; every eighth spec is zero, so the
+    # clean program is solved.  Tied solves are among them.  No oracle.
+    rng = np.random.default_rng(27027)
+    n = 2000
+    base = rng.uniform(0.01, 1.0, size=(n, 4))
+    base /= base.sum(axis=1, keepdims=True)
+    special = np.array([0.0, 0.5, 1.0])[rng.integers(0, 3, size=(n, 4))]
+    rates = np.where(rng.random((n, 4)) < 0.5, special, rng.random((n, 4)))
+    rates[: n // 4, 2:] = rates[: n // 4, :2]
+    flips = rng.uniform(0.0, 0.5, size=(n, 8))
+    flips[::8] = 0.0
+    for i in range(n):
+        inst = ProblemInstance(base=tuple(base[i].tolist()), alpha1=rates[i, 0], beta1=rates[i, 1],
+                               alpha2=rates[i, 2], beta2=rates[i, 3])
+        spec = (PerturbationSpec("general", flips[i].tolist()) if i % 2
+                else PerturbationSpec.restricted(*flips[i, :4].tolist()))
+        swapped, swapped_spec = _swap_groups(inst, spec)
+        pred, swapped_pred = derive_predictor(inst, spec), derive_predictor(swapped, swapped_spec)
+        for y in LABELS:
+            assert abs(bias_derived(inst, pred, y) - bias_derived(swapped, swapped_pred, y)) <= 1e-12
+        assert abs(error_derived(inst, pred) - error_derived(swapped, swapped_pred)) <= 1e-12
