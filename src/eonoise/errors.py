@@ -11,10 +11,9 @@ class RangeError(EoNoiseError, ValueError):
 
 
 class DegenerateProgramError(EoNoiseError, RuntimeError):
-    """An internal invariant failed: the LP enumeration produced no feasible
-    candidate, a solved predictor violates its program's constraints (checked
-    on every sweep row and dataset fit), or a sweep row's bias exceeds the
-    paper's bound."""
+    """An internal invariant failed: a solved predictor violates its
+    program's constraints (checked on every sweep row and dataset fit), or a
+    sweep row's bias exceeds the paper's bound."""
 
 
 class EmptyCellError(EoNoiseError, ValueError):

@@ -10,8 +10,12 @@ otherwise they give two (see ``EoProgram``).  The problem is fixed-size, so the
 solver enumerates every candidate vertex exactly: the box corners, checked by
 their residual alone, and every point with ``4 - len(rows)`` coordinates fixed
 at a bound, not all at 0.0 (that gives the zero corner), and the rest solved
-from the rows.  ``tests/lp_oracle.py`` snaps every corner and builds the
-all-zero points too; it is the loop's bit-for-bit reference.
+from the rows.  The snap to a bound and the 12-digit dedupe key touch only the
+solved coordinates: a fixed coordinate is 0.0 or 1.0, which both leave as it
+is, so the result is exactly that of snapping and rounding all four.
+``tests/lp_oracle.py`` snaps and rounds every coordinate of every corner and
+point and builds the all-zero points too; it is the loop's bit-for-bit
+reference.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Sequence
 
-from .errors import DegenerateProgramError, RangeError
-from .model import BOUND_TOL, DerivedPredictor, snap_probabilities
+from .errors import RangeError
+from .model import BOUND_TOL, DerivedPredictor
 
 RATE_TIE_TOL = 1e-9
 #: Snapping four coordinates by at most BOUND_TOL each moves a row whose
@@ -35,7 +39,7 @@ _ONES = (1.0, 1.0, 1.0, 1.0)
 _ZEROS = (0.0, 0.0, 0.0, 0.0)
 #: The 16 corners of the box [0, 1]^4, bit k of the index giving coordinate k.
 _CORNERS = tuple(tuple(float((bits >> k) & 1) for k in range(4)) for bits in range(16))
-#: Index tables of ``_candidates``: fixed coordinates in ``combinations`` order,
+#: Index tables of ``solve_with_ties``: fixed coordinates in ``combinations`` order,
 #: then the free ones; the bounds they take in ``product`` order, bar all-zero.
 _FIX_ONE_ROW, _FIX_TWO_ROWS = (tuple(f + tuple(k for k in range(4) if k not in f)
                                      for f in combinations(range(4), n)) for n in (3, 2))
@@ -101,41 +105,6 @@ class EoProgram:
         return worst
 
 
-def _candidates(rows):
-    """Deterministically ordered candidate points covering every vertex that
-    is not a box corner: every point with ``4 - len(rows)`` coordinates at a
-    bound, not all at 0.0, and the rest solved from the rows by a 1x1 division
-    or by Cramer's rule, in the order of the index tables.  With every fixed
-    coordinate at 0.0 each right-hand side is +-0.0, so the solved point would
-    snap to the zero corner.  The right-hand sides are summed left to right;
-    snapping clears a zero's sign."""
-    cands = []
-    if len(rows) == 1:
-        (r,) = rows
-        for i0, i1, i2, f in _FIX_ONE_ROW:
-            det = r[f]
-            if abs(det) < SINGULAR_TOL:
-                continue
-            for b0, b1, b2 in _BOUNDS_THREE:
-                p = [0.0, 0.0, 0.0, 0.0]
-                p[i0], p[i1], p[i2], p[f] = b0, b1, b2, -(r[i0] * b0 + r[i1] * b1 + r[i2] * b2) / det
-                cands.append(p)
-        return cands
-    r, s = rows
-    for i0, i1, f0, f1 in _FIX_TWO_ROWS:
-        a00, a01, a10, a11 = r[f0], r[f1], s[f0], s[f1]
-        det = a00 * a11 - a01 * a10
-        if abs(det) < SINGULAR_TOL:
-            continue
-        for b0, b1 in _BOUNDS_TWO:
-            c0, c1 = -(r[i0] * b0 + r[i1] * b1), -(s[i0] * b0 + s[i1] * b1)
-            p = [0.0, 0.0, 0.0, 0.0]
-            p[i0], p[i1] = b0, b1
-            p[f0], p[f1] = (c0 * a11 - a01 * c1) / det, (a00 * c1 - c0 * a10) / det
-            cands.append(p)
-    return cands
-
-
 def _pick(ties: Sequence[tuple[float, ...]], ones_first: bool) -> tuple[float, ...]:
     """Select among tied optima: the first constant classifier tied, trying
     ones then zeros if ``ones_first`` and zeros then ones otherwise, else the
@@ -147,20 +116,68 @@ def _pick(ties: Sequence[tuple[float, ...]], ones_first: bool) -> tuple[float, .
 
 
 def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:
-    """Solve the program; also report how many distinct optima tied.  Each
-    feasible box corner, both constant classifiers among them (each row's
-    entries sum to zero), is its own key: snapping and rounding to 12 digits
-    leave 0.0 and 1.0 as they are.  The solved points of ``_candidates`` follow."""
-    feasible = {c: c for c in _CORNERS if program.residual(c) <= RESIDUAL_TOL}
-    for raw in _candidates(program.rows):
-        p = snap_probabilities(raw)
-        if p is not None and program.residual(p) <= RESIDUAL_TOL:
-            key = (round(p[0], 12), round(p[1], 12), round(p[2], 12), round(p[3], 12))
-            feasible.setdefault(key, p)
-    if not feasible:
-        raise DegenerateProgramError("no feasible candidate point; invalid program")
+    """Solve the program; also report how many distinct optima tied.
 
-    values = [program.value(p) for p in feasible.values()]
+    Each feasible box corner is its own key.  The zero corner's residual is
+    exactly 0.0, so the feasible set is never empty, and the ones corner's
+    is within ``RESIDUAL_TOL`` (each row's entries sum to zero).  The solved
+    points follow in the order of the index tables, their right-hand sides
+    summed left to right.  ``snap_probabilities``' rule runs inline on each
+    solved coordinate and drops the point at the first one outside [0, 1];
+    the key rounds only the solved coordinates to 12 digits."""
+    c0, c1, c2, c3 = program.objective
+    rows = program.rows
+    feasible = {}
+    if len(rows) == 1:
+        r0, r1, r2, r3 = r = rows[0]
+        for c in _CORNERS:
+            if abs(r0 * c[0] + r1 * c[1] + r2 * c[2] + r3 * c[3]) <= RESIDUAL_TOL:
+                feasible[c] = c
+        for i0, i1, i2, f in _FIX_ONE_ROW:
+            det = r[f]
+            if abs(det) < SINGULAR_TOL:
+                continue
+            for b0, b1, b2 in _BOUNDS_THREE:
+                v = -(r[i0] * b0 + r[i1] * b1 + r[i2] * b2) / det
+                v = 0.0 if abs(v) <= BOUND_TOL else 1.0 if abs(v - 1.0) <= BOUND_TOL else v
+                if not 0.0 <= v <= 1.0:
+                    continue
+                p = [0.0, 0.0, 0.0, 0.0]
+                p[i0], p[i1], p[i2], p[f] = b0, b1, b2, v
+                if abs(r0 * p[0] + r1 * p[1] + r2 * p[2] + r3 * p[3]) <= RESIDUAL_TOL:
+                    point = tuple(p)
+                    p[f] = round(v, 12)
+                    feasible.setdefault(tuple(p), point)
+    else:
+        (r0, r1, r2, r3), (s0, s1, s2, s3) = r, s = rows
+        for c in _CORNERS:
+            if (abs(r0 * c[0] + r1 * c[1] + r2 * c[2] + r3 * c[3]) <= RESIDUAL_TOL
+                    and abs(s0 * c[0] + s1 * c[1] + s2 * c[2] + s3 * c[3]) <= RESIDUAL_TOL):
+                feasible[c] = c
+        for i0, i1, f0, f1 in _FIX_TWO_ROWS:
+            a00, a01, a10, a11 = r[f0], r[f1], s[f0], s[f1]
+            det = a00 * a11 - a01 * a10
+            if abs(det) < SINGULAR_TOL:
+                continue
+            for b0, b1 in _BOUNDS_TWO:
+                e0, e1 = -(r[i0] * b0 + r[i1] * b1), -(s[i0] * b0 + s[i1] * b1)
+                v = (e0 * a11 - a01 * e1) / det
+                v = 0.0 if abs(v) <= BOUND_TOL else 1.0 if abs(v - 1.0) <= BOUND_TOL else v
+                if not 0.0 <= v <= 1.0:
+                    continue
+                w = (a00 * e1 - e0 * a10) / det
+                w = 0.0 if abs(w) <= BOUND_TOL else 1.0 if abs(w - 1.0) <= BOUND_TOL else w
+                if not 0.0 <= w <= 1.0:
+                    continue
+                p = [0.0, 0.0, 0.0, 0.0]
+                p[i0], p[i1], p[f0], p[f1] = b0, b1, v, w
+                if (abs(r0 * p[0] + r1 * p[1] + r2 * p[2] + r3 * p[3]) <= RESIDUAL_TOL
+                        and abs(s0 * p[0] + s1 * p[1] + s2 * p[2] + s3 * p[3]) <= RESIDUAL_TOL):
+                    point = tuple(p)
+                    p[f0], p[f1] = round(v, 12), round(w, 12)
+                    feasible.setdefault(tuple(p), point)
+
+    values = [c0 * p[0] + c1 * p[1] + c2 * p[2] + c3 * p[3] for p in feasible.values()]
     best = min(values)
     ties = [p for p, v in zip(feasible.values(), values) if v <= best + TIE_TOL]
 

@@ -2,15 +2,17 @@
 written with ``combinations``/``product`` over the fixed coordinates.
 
 It enumerates the candidates in the order, and with the arithmetic, of the
-package's unrolled loop over its index tables, but without its two shortcuts:
-it sends every box corner through the package's snap rule
+package's inlined loop over its index tables, but without its three
+shortcuts: it sends every box corner through the package's snap rule
 (``model.snap_probabilities``) and residual, where the package checks a
-corner's residual alone, and it builds the points whose fixed coordinates are
-all 0.0, which the package skips as the zero corner.  With the same dedupe,
-every program must give the same ``p`` and tie count from both, so the oracle
-checks both shortcuts rather than repeating them.  It keeps its own tie-break
-(``_pick``): the four-branch rule on the two label priors that ``lp._pick``'s
-one ordered scan replaced.
+corner's residual alone; it builds the points whose fixed coordinates are all
+0.0, which the package skips as the zero corner; and it snaps and rounds all
+four coordinates of every solved point, where the package snaps and rounds
+only the solved ones, as a fixed 0.0 or 1.0 is its own snap and key.  With
+the same dedupe, every program must give the same ``p`` and tie count from
+both, so the oracle checks the three shortcuts rather than repeating them.
+It keeps its own tie-break (``_pick``): the four-branch rule on the two label
+priors that ``lp._pick``'s one ordered scan replaced.
 """
 
 from itertools import combinations, product

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from eonoise import PerturbationSpec, ProblemInstance, RangeError, cli, derive_predictor, solve
 from eonoise.lp import RESIDUAL_TOL, TIE_TOL, EoProgram, _pick, solve_with_ties
+from eonoise.model import BOUND_TOL, snap_probabilities
 from eonoise.perturb import GammaSchedule
 from eonoise.programs import build_clean_program, build_corrupted_program, grid_programs
 import lp_oracle
@@ -181,18 +183,67 @@ def _uninformative_program(draw):
                                                alpha1=alpha, beta1=beta, alpha2=alpha, beta2=beta))
 
 
+# (objective, rates) pairs at each edge of the solver's inline snap and key,
+# all with two rows.  Cramer's rule gives a solved coordinate of -0.0 (a sweep
+# grid program).  A second solved coordinate of 1.0000000000000002 snaps to
+# 1.0, and one of 1.0000000000019849 drops its point.  Two distinct solved
+# points, (0, 0, 1.6188802855277436e-12, 1) and (0, 0, 1.618880285524506e-12,
+# 1), share a 12-digit key, and the first found is kept and returned.
+_SNAP_AND_KEY_EDGES = [
+    ((-0.15000000000000002, -0.15000000000000002, 0.15000000000000002, 0.15000000000000002),
+     ((0.8500000000000001, 0.8500000000000001), (0.25, 0.25))),
+    ((-0.002330561154192021, -0.0005132715227394886, 0.004294834959857552, -0.13905729007475862),
+     ((0.021814982235338846, 0.0020860978133487875), (0.011467210748773018, 0.0009856116592879686))),
+    ((-0.3345473695195812, 0.08006270015537933, -0.02070108485174786, 0.028060709145752802),
+     ((0.9419524971838148, 0.7760479246241054), (0.9429643488988901, 0.7631225324031727))),
+    ((0.29575806189423637, 0.7614560943496136, -0.9168422772451641, -0.13512106422475512),
+     ((0.3823027636925417, 0.999999999999), (0.999999999998, 1.0))),
+]
+
+
 @given(prog=st.one_of(st.builds(EoProgram, objective=_OBJECTIVE, rates=_RATES),
                       st.builds(EoProgram, objective=_OBJECTIVE, rates=_PAIR.map(lambda h: (h, h))),
                       _uninformative_program()))
-@_with_examples([(EoProgram(objective, rates),) for objective, rates in _HARD_PROGRAMS]
+@_with_examples([(EoProgram(objective, rates),) for objective, rates in _HARD_PROGRAMS + _SNAP_AND_KEY_EDGES]
                 + [(_ONE_SNAP_FROM_A_BOUND,), (build_clean_program(_RATE_1E_12),)])
 @settings(max_examples=400, deadline=None)
 def test_solver_matches_reference_bit_for_bit(prog):
-    # the unrolled loop against the itertools enumerator it replaced
+    # the inlined loop against the itertools enumerator it replaced; repr
+    # tells a zero's sign
     pred, ties = solve_with_ties(prog)
     ref, ref_ties = lp_oracle.solve_with_ties(prog)
-    assert pred.p == ref.p
+    assert repr(pred.p) == repr(ref.p)
     assert ties == ref_ties
+
+
+def test_snap_and_key_edges_are_reached():
+    # each pinned program still reaches its edge, read off the oracle's raw
+    # candidate points, and the shared key keeps the first point found
+    programs = [EoProgram(*args) for args in _SNAP_AND_KEY_EDGES]
+    coords = [[v for p in lp_oracle._candidates(prog) for v in p] for prog in programs[:3]]
+    assert any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in coords[0])
+    assert any(1.0 < v <= 1.0 + BOUND_TOL for v in coords[1])
+    assert any(1.0 + BOUND_TOL < v <= 1.0 + 1e-11 for v in coords[2])
+    prog = programs[3]
+    by_key = {}
+    for p in map(snap_probabilities, lp_oracle._candidates(prog)):
+        if p is not None and prog.residual(p) <= RESIDUAL_TOL:
+            by_key.setdefault(tuple(round(v, 12) for v in p), []).append(p)
+    shared = [points for points in by_key.values() if len(set(points)) > 1]
+    assert len(shared) == 1
+    assert solve(prog).p == shared[0][0] == (0.0, 0.0, 1.6188802855277436e-12, 1.0)
+
+
+@given(rates=st.one_of(_RATES, _PAIR.map(lambda h: (h, h))))
+@_with_examples([(rates,) for _, rates in _HARD_PROGRAMS + _SNAP_AND_KEY_EDGES])
+@settings(max_examples=400, deadline=None)
+def test_constant_classifiers_are_always_candidates(rates):
+    # each row's entries sum to zero: the zero corner's residual is exactly
+    # 0.0, so the solver's feasible set is never empty, and the ones corner
+    # is within RESIDUAL_TOL
+    prog = EoProgram(objective=(0.0,) * 4, rates=rates)
+    assert prog.residual((0.0,) * 4) == 0.0
+    assert prog.residual((1.0,) * 4) <= RESIDUAL_TOL
 
 
 def test_degenerate_identical_rows_still_solved():

@@ -5,7 +5,8 @@ benchmark run, a demo or a reader's terminal, and a command line in the
 README that the parser no longer accepts fails here too.  The public ``__all__`` holds only
 names something uses: the CLI, a demo, the README or the benchmark worker,
 or, for an exception, the package itself by raising it.  Also the package's
-promise that its checks still run under ``python -O``."""
+promise that its checks still run under ``python -O``, and that each module
+imports only names it uses."""
 
 import ast
 import importlib
@@ -218,6 +219,21 @@ def test_no_bare_assert_in_package(source):
     tree = ast.parse(source.read_text(), filename=str(source))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{source.name}: assert on lines {lines}"
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_no_unused_import_in_package(source):
+    # an imported name is used where the module loads it or exports it in __all__
+    tree = ast.parse(source.read_text(), filename=str(source))
+    imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    unused = sorted((line, name) for name, line in imported.items() if name not in used)
+    assert not unused, f"{source.name}: unused imports (line, name) {unused}"
 
 
 #: Run under ``python -O``: each fault check of the command line, reached by
