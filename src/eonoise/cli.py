@@ -235,12 +235,12 @@ def grid_points(start: float, stop: float, step: float) -> list[float]:
     return points
 
 
-def _check_feasible(program, predictor: DerivedPredictor, where: str) -> None:
-    """Raise DegenerateProgramError unless ``predictor.p`` satisfies the program's rows."""
+def _check_feasible(program, predictor: DerivedPredictor, where: str, *levels: float) -> None:
+    """Raise DegenerateProgramError at ``where.format(*levels)`` unless ``predictor.p`` is feasible."""
     residual = program.residual(predictor.p)
     if residual > RESIDUAL_TOL:
-        raise DegenerateProgramError(
-            f"{where}, the solver's p = {predictor.p} violates a constraint by {residual:.3g}")
+        raise DegenerateProgramError(f"{where.format(*map(_fmt, levels))}, the solver's "
+                                     f"p = {predictor.p} violates a constraint by {residual:.3g}")
 
 
 def run_sweep(config: SweepConfig) -> np.ndarray:
@@ -256,7 +256,7 @@ def run_sweep(config: SweepConfig) -> np.ndarray:
     solutions = []
     for g10, program in zip(gamma10.tolist(), grid_programs(inst, flips)):
         predictor = solve(program)
-        _check_feasible(program, predictor, f"at gamma10 = {_fmt(g10)}")
+        _check_feasible(program, predictor, "at gamma10 = {}", g10)
         solutions.append(predictor.p)
     p = np.array(solutions).reshape(-1, 4)
 
@@ -319,7 +319,7 @@ def run_dataset(records, scenarios, seed: int) -> np.ndarray:
         tables = estimate_corrupted_tables(corrupted)
         program = program_from_table(tables.joint)
         corr_pred = solve(program)
-        _check_feasible(program, corr_pred, f"at level {_fmt(scenario.level)}")
+        _check_feasible(program, corr_pred, "at level {}", scenario.level)
         corr_metrics = evaluate_predictor_on_records(test, corr_pred)
         measure = independence_measure(tables.fourway)
         rows.append((scenario.level, *given_metrics, *corr_metrics, *true_metrics, measure))

@@ -8,14 +8,14 @@ Near-equal rates follow one rule: two label classes whose rate pairs lie within
 ``RATE_TIE_TOL`` of each other in both coordinates give one constraint, and
 otherwise they give two (see ``EoProgram``).  The problem is fixed-size, so the
 solver enumerates every candidate vertex exactly: the box corners, checked by
-their residual alone, and every point with ``4 - len(rows)`` coordinates fixed
-at a bound, not all at 0.0 (that gives the zero corner), and the rest solved
-from the rows.  The snap to a bound and the 12-digit dedupe key touch only the
-solved coordinates: a fixed coordinate is 0.0 or 1.0, which both leave as it
-is, so the result is exactly that of snapping and rounding all four.
-``tests/lp_oracle.py`` snaps and rounds every coordinate of every corner and
-point and builds the all-zero points too; it is the loop's bit-for-bit
-reference.
+their residual alone, read off a table of each row's subset sums, and every
+point with ``4 - len(rows)`` coordinates fixed at a bound, not all at 0.0 (that
+gives the zero corner), and the rest solved from the rows.  The snap to a bound
+touches only the solved coordinates, and the 12-digit dedupe key rounds only
+those strictly inside (0, 1): 0.0 and 1.0 are their own snap and key, so the
+result is exactly that of snapping and rounding all four coordinates.
+``tests/lp_oracle.py``, the loop's bit-for-bit reference, takes none of these
+shortcuts.
 """
 
 from __future__ import annotations
@@ -70,15 +70,15 @@ class EoProgram:
     rows: tuple[tuple[float, float, float, float], ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        objective = tuple(float(v) for v in self.objective)
-        if len(objective) != 4 or not all(math.isfinite(v) for v in objective):
+        objective = tuple(map(float, self.objective))
+        if len(objective) != 4 or not all(map(math.isfinite, objective)):
             raise RangeError(f"objective {objective} must be four finite coefficients")
-        rates = tuple(tuple(float(v) for v in pair) for pair in self.rates)
-        if len(rates) != 2 or any(len(pair) != 2 for pair in rates):
+        rates = tuple([tuple(map(float, pair)) for pair in self.rates])
+        if len(rates) != 2 or len(rates[0]) != 2 or len(rates[1]) != 2:
             raise RangeError("rates must be two (h0, h1) pairs")
-        for pair in rates:
-            if not all(0.0 <= h <= 1.0 for h in pair):
-                raise RangeError(f"rate pair {pair} outside [0, 1]")
+        for h0, h1 in rates:
+            if not (0.0 <= h0 <= 1.0 and 0.0 <= h1 <= 1.0):
+                raise RangeError(f"rate pair {(h0, h1)} outside [0, 1]")
         (a0, a1), (b0, b1) = rates
         d0, d1 = b0 - a0, b1 - a1
         gap = max(abs(d0), abs(d1))
@@ -105,6 +105,14 @@ class EoProgram:
         return worst
 
 
+def _corner_sums(row: Sequence[float]) -> tuple[float, ...]:
+    """``row``'s sum over each of ``_CORNERS``, entry i being entry (i without its top
+    bit) plus that bit's entry: left to right, as ``r0*c0 + ... + r3*c3`` adds."""
+    a, b, c, d = row
+    ab, ac, bc, abc = a + b, a + c, b + c, a + b + c
+    return (0.0, a, b, ab, c, ac, bc, abc, d, a + d, b + d, ab + d, c + d, ac + d, bc + d, abc + d)
+
+
 def _pick(ties: Sequence[tuple[float, ...]], ones_first: bool) -> tuple[float, ...]:
     """Select among tied optima: the first constant classifier tied, trying
     ones then zeros if ``ones_first`` and zeros then ones otherwise, else the
@@ -118,20 +126,20 @@ def _pick(ties: Sequence[tuple[float, ...]], ones_first: bool) -> tuple[float, .
 def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:
     """Solve the program; also report how many distinct optima tied.
 
-    Each feasible box corner is its own key.  The zero corner's residual is
-    exactly 0.0, so the feasible set is never empty, and the ones corner's
-    is within ``RESIDUAL_TOL`` (each row's entries sum to zero).  The solved
-    points follow in the order of the index tables, their right-hand sides
-    summed left to right.  ``snap_probabilities``' rule runs inline on each
-    solved coordinate and drops the point at the first one outside [0, 1];
-    the key rounds only the solved coordinates to 12 digits."""
+    A box corner's residual is its ``_corner_sums`` entry (up to the sign of a
+    zero, which ``abs`` drops), and each feasible corner is its own key.  The
+    zero corner's is exactly 0.0, so the feasible set is never empty; the ones
+    corner's is within ``RESIDUAL_TOL``, as each row's entries sum to zero.  The
+    solved points follow in index-table order, right-hand sides summed left to
+    right, snapped inline and dropped at the first solved coordinate outside
+    [0, 1]; the key rounds only solved coordinates the snap left off 0.0 and 1.0."""
     c0, c1, c2, c3 = program.objective
     rows = program.rows
     feasible = {}
     if len(rows) == 1:
         r0, r1, r2, r3 = r = rows[0]
-        for c in _CORNERS:
-            if abs(r0 * c[0] + r1 * c[1] + r2 * c[2] + r3 * c[3]) <= RESIDUAL_TOL:
+        for c, v in zip(_CORNERS, _corner_sums(r)):
+            if abs(v) <= RESIDUAL_TOL:
                 feasible[c] = c
         for i0, i1, i2, f in _FIX_ONE_ROW:
             det = r[f]
@@ -146,13 +154,12 @@ def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:
                 p[i0], p[i1], p[i2], p[f] = b0, b1, b2, v
                 if abs(r0 * p[0] + r1 * p[1] + r2 * p[2] + r3 * p[3]) <= RESIDUAL_TOL:
                     point = tuple(p)
-                    p[f] = round(v, 12)
+                    p[f] = round(v, 12) if 0.0 < v < 1.0 else v
                     feasible.setdefault(tuple(p), point)
     else:
         (r0, r1, r2, r3), (s0, s1, s2, s3) = r, s = rows
-        for c in _CORNERS:
-            if (abs(r0 * c[0] + r1 * c[1] + r2 * c[2] + r3 * c[3]) <= RESIDUAL_TOL
-                    and abs(s0 * c[0] + s1 * c[1] + s2 * c[2] + s3 * c[3]) <= RESIDUAL_TOL):
+        for c, v, u in zip(_CORNERS, _corner_sums(r), _corner_sums(s)):
+            if abs(v) <= RESIDUAL_TOL and abs(u) <= RESIDUAL_TOL:
                 feasible[c] = c
         for i0, i1, f0, f1 in _FIX_TWO_ROWS:
             a00, a01, a10, a11 = r[f0], r[f1], s[f0], s[f1]
@@ -174,7 +181,8 @@ def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:
                 if (abs(r0 * p[0] + r1 * p[1] + r2 * p[2] + r3 * p[3]) <= RESIDUAL_TOL
                         and abs(s0 * p[0] + s1 * p[1] + s2 * p[2] + s3 * p[3]) <= RESIDUAL_TOL):
                     point = tuple(p)
-                    p[f0], p[f1] = round(v, 12), round(w, 12)
+                    p[f0] = round(v, 12) if 0.0 < v < 1.0 else v
+                    p[f1] = round(w, 12) if 0.0 < w < 1.0 else w
                     feasible.setdefault(tuple(p), point)
 
     values = [c0 * p[0] + c1 * p[1] + c2 * p[2] + c3 * p[3] for p in feasible.values()]

@@ -128,7 +128,11 @@ def program_from_table(table) -> EoProgram:
         raise RangeError(f"table must be (2, 2, 2), got {t.shape}")
     if not (np.isfinite(t) & (t >= 0)).all():
         raise RangeError("table cells must be finite and nonnegative")
-    total = t.sum()
+    with np.errstate(over="ignore"):
+        total = t.sum()
+    if total == np.inf:  # finite cells whose sum overflows; a power of two scales exactly
+        t = t * 2.0**-4
+        total = t.sum()
     if total <= 0:
         raise EmptyCellError("table carries no mass")
     joint = (t / total).tolist()

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eonoise import PerturbationSpec, ProblemInstance, RangeError, cli, derive_predictor, solve
+from eonoise import lp
 from eonoise.lp import RESIDUAL_TOL, TIE_TOL, EoProgram, _pick, solve_with_ties
 from eonoise.model import BOUND_TOL, snap_probabilities
 from eonoise.perturb import GammaSchedule
@@ -27,20 +30,40 @@ def _program(h):
     return EoProgram(objective=(0.0, 0.0, 0.0, 0.0), rates=h)
 
 
-@pytest.mark.parametrize("objective, rates", [
-    ((0.0,) * 4, ((1.2, 0.5), (0.5, 0.5))),
-    ((0.0,) * 4, ((0.5, -1e-12), (0.5, 0.5))),
-    ((0.0,) * 4, ((0.5, 0.5), (0.5, float("nan")))),
-    ((0.0,) * 3, ((0.5, 0.5), (0.5, 0.5))),
-    ((0.0,) * 4, ((0.5, 0.5),)),
-    ((0.0,) * 4, ((0.5, 0.5), (0.5, 0.5, 0.5))),
-    ((float("nan"), 0.0, 0.0, 0.0), ((0.5, 0.5), (0.5, 0.5))),
-    ((0.0, float("inf"), 0.0, 0.0), ((0.5, 0.5), (0.5, 0.5))),
-    ((0.0, 0.0, 0.0, float("-inf")), ((0.5, 0.5), (0.5, 0.5))),
-])
-def test_invalid_program_rejected(objective, rates):
-    with pytest.raises(RangeError):
+_NOT_TWO_PAIRS = "rates must be two (h0, h1) pairs"
+
+
+_INVALID_PROGRAMS = [
+    ((0.0,) * 4, ((1.2, 0.5), (0.5, 0.5)), "rate pair (1.2, 0.5) outside [0, 1]"),
+    ((0.0,) * 4, ((0.5, -1e-12), (0.5, 0.5)), "rate pair (0.5, -1e-12) outside [0, 1]"),
+    ((0.0,) * 4, ((0.5, 0.5), (0.5, float("nan"))), "rate pair (0.5, nan) outside [0, 1]"),
+    ((0.0,) * 3, ((0.5, 0.5), (0.5, 0.5)),
+     "objective (0.0, 0.0, 0.0) must be four finite coefficients"),
+    ((0.0,) * 4, ((0.5, 0.5),), _NOT_TWO_PAIRS),
+    ((0.0,) * 4, ((0.5, 0.5), (0.5, 0.5, 0.5)), _NOT_TWO_PAIRS),
+    ((float("nan"), 0.0, 0.0, 0.0), ((0.5, 0.5), (0.5, 0.5)),
+     "objective (nan, 0.0, 0.0, 0.0) must be four finite coefficients"),
+    ((0.0, float("inf"), 0.0, 0.0), ((0.5, 0.5), (0.5, 0.5)),
+     "objective (0.0, inf, 0.0, 0.0) must be four finite coefficients"),
+    ((0.0, 0.0, 0.0, float("-inf")), ((0.5, 0.5), (0.5, 0.5)),
+     "objective (0.0, 0.0, 0.0, -inf) must be four finite coefficients"),
+    ((0.0,) * 4, ((0.5,), (0.5, 0.5)), _NOT_TWO_PAIRS),
+]
+
+
+# ids by index alone, as a message would make an unwieldy id
+@pytest.mark.parametrize("objective, rates, message", _INVALID_PROGRAMS,
+                         ids=[f"objective{i}-rates{i}" for i in range(len(_INVALID_PROGRAMS))])
+def test_invalid_program_rejected(objective, rates, message):
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
         EoProgram(objective=objective, rates=rates)
+
+
+def test_program_stores_python_floats():
+    prog = EoProgram(objective=np.zeros(4), rates=np.full((2, 2), 0.5))
+    stored = [*prog.objective, *itertools.chain(*prog.rates), *itertools.chain(*prog.rows)]
+    assert len(stored) == 12
+    assert all(type(v) is float for v in stored)
 
 
 def test_zero_objective_returns_constant():
@@ -201,11 +224,32 @@ _SNAP_AND_KEY_EDGES = [
 ]
 
 
-@given(prog=st.one_of(st.builds(EoProgram, objective=_OBJECTIVE, rates=_RATES),
-                      st.builds(EoProgram, objective=_OBJECTIVE, rates=_PAIR.map(lambda h: (h, h))),
-                      _uninformative_program()))
-@_with_examples([(EoProgram(objective, rates),) for objective, rates in _HARD_PROGRAMS + _SNAP_AND_KEY_EDGES]
-                + [(_ONE_SNAP_FROM_A_BOUND,), (build_clean_program(_RATE_1E_12),)])
+# (objective, rates) pairs whose one box corner has a residual a fraction of
+# an ulp of 1.0 from RESIDUAL_TOL, with the objective least at that corner.
+# Summed left to right, as the dot product does, the residual is 2.3e-17 over
+# (corner dropped) or 8.8e-17 under (corner kept); summed right to left it
+# falls on the other side.  One row, then two rows, where the second row's
+# residual at the corner is 0.0.  Last, a row entry of -0.0, whose corner
+# (0, 1, 0, 0) is the optimum.
+_CORNER_EDGES = [
+    ((1.0, -1.0, -1.0, -1.0),
+     ((4.000000000000017e-12, 0.19424126816981144), (4.000000000000017e-12, 0.19424126816981144))),
+    ((-1.0, -1.0, 1.0, -1.0), ((0.999999999996, 0.3741646454292939), (0.999999999996, 0.3741646454292939))),
+    ((-1.0, 1.0, -1.0, -1.0), ((0.16034451551279577, 4.0000000000000225e-12), (0.012436318829314397, 0.0))),
+    ((-1.0, -1.0, 1.0, -1.0), ((0.999999999996, 0.3861672738532413), (1.0, 0.7746377146913107))),
+    ((1.0, -1.0, 1.0, 1.0), ((0.3, 0.0), (0.3, 0.0))),
+]
+
+_SOLVER_INPUTS = st.one_of(st.builds(EoProgram, objective=_OBJECTIVE, rates=_RATES),
+                           st.builds(EoProgram, objective=_OBJECTIVE, rates=_PAIR.map(lambda h: (h, h))),
+                           _uninformative_program())
+_PINNED_PROGRAMS = ([EoProgram(objective, rates)
+                     for objective, rates in _HARD_PROGRAMS + _SNAP_AND_KEY_EDGES + _CORNER_EDGES]
+                    + [_ONE_SNAP_FROM_A_BOUND, build_clean_program(_RATE_1E_12)])
+
+
+@given(prog=_SOLVER_INPUTS)
+@_with_examples([(prog,) for prog in _PINNED_PROGRAMS])
 @settings(max_examples=400, deadline=None)
 def test_solver_matches_reference_bit_for_bit(prog):
     # the inlined loop against the itertools enumerator it replaced; repr
@@ -214,6 +258,24 @@ def test_solver_matches_reference_bit_for_bit(prog):
     ref, ref_ties = lp_oracle.solve_with_ties(prog)
     assert repr(pred.p) == repr(ref.p)
     assert ties == ref_ties
+
+
+@given(prog=_SOLVER_INPUTS)
+@_with_examples([(prog,) for prog in _PINNED_PROGRAMS])
+@settings(max_examples=400, deadline=None)
+def test_solver_points_are_fixed_points_of_snap(prog):
+    # the point the loop picks is already snapped, so DerivedPredictor's own
+    # snap leaves it as it is, bit for bit
+    picked = []
+
+    def pick(ties, ones_first):
+        picked.append(_pick(ties, ones_first))
+        return picked[-1]
+
+    with mock.patch.object(lp, "_pick", pick):
+        pred = solve(prog)
+    assert repr(snap_probabilities(picked[0])) == repr(picked[0]) == repr(pred.p)
+    assert repr(snap_probabilities(pred.p)) == repr(pred.p)
 
 
 def test_snap_and_key_edges_are_reached():

@@ -257,6 +257,21 @@ def test_program_from_table_rejects_bad_cell(bad):
             program_from_table(table)
 
 
+@pytest.mark.parametrize("table, scaled", [
+    (np.full((2, 2, 2), 1e308), np.ones((2, 2, 2))),
+    (np.arange(1.0, 9.0).reshape(2, 2, 2) * 2.0**1020, np.arange(1.0, 9.0).reshape(2, 2, 2)),
+], ids=["uniform", "graded"])
+def test_program_from_table_whose_total_overflows(table, scaled):
+    # finite cells whose sum is inf: the table is scaled by a power of two,
+    # which is exact, so the program is that of the scaled-down table
+    assert np.isfinite(table).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prog = program_from_table(table)
+    ref = program_from_table(scaled)
+    assert repr((prog.objective, prog.rates, prog.rows)) == repr((ref.objective, ref.rates, ref.rows))
+
+
 def _grid_flips(rng, n=40):
     """Four flip-rate columns in CELLS order with 0, 1/2 and 1 mixed in, and
     an all-zero first row."""
