@@ -18,7 +18,7 @@ from eonoise.perturb import GammaSchedule, schedule_eval
 print("the four schedules, driven at gamma_{+1,0} = 0.4:")
 for kind in ("equal", "halves", "power-halving", "capped"):
     spec = schedule_eval(GammaSchedule(kind), 0.4)
-    print(f"  {kind:14s} -> {spec.rates}")
+    print(f"  {kind:14s} -> {spec.rates[::2]}")
 
 print("\nbundled presets (alpha/beta + schedule; base defaults to balanced):")
 for name in ("fig1-top-left", "fig1-bottom-right", "tableA3-row-4"):

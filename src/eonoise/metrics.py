@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyCellError, RangeError
-from .model import (A_VALUES, CELL_INDEX, CELLS, GIVEN_PREDICTOR_P, DerivedPredictor,
-                    PerturbationSpec, ProblemInstance, Y_VALUES)
+from .model import (CELL_INDEX, CELLS, GIVEN_PREDICTOR_P, DerivedPredictor, PerturbationSpec,
+                    ProblemInstance)
 
 INDEPENDENCE_TOL = 1e-12
 
@@ -136,10 +136,7 @@ def check_flip_independence(spec: PerturbationSpec) -> tuple[bool, float]:
     True (gap 0 up to 1e-12) exactly when, for every (label, attribute)
     cell, the flip probability is the same for both prediction values.
     """
-    gap = 0.0
-    for y in Y_VALUES:
-        for a in A_VALUES:
-            gap = max(gap, abs(spec.gamma_given_pred(y, a, 1) - spec.gamma_given_pred(y, a, -1)))
+    gap = max(abs(g - h) for g, h in zip(spec.rates[::2], spec.rates[1::2]))
     return gap <= INDEPENDENCE_TOL, gap
 
 
@@ -148,16 +145,13 @@ def check_flip_budget(spec: PerturbationSpec, y: int) -> bool:
     rate strictly below one."""
     if spec.kind != "restricted":
         raise RangeError("flip budget is defined for prediction-independent flips only")
-    return _within_budget(spec.gamma(y, 0), spec.gamma(y, 1))
+    return check_flip_budget_grid(spec.rates[::2], y)
 
 
 def check_flip_budget_grid(flips, y: int) -> np.ndarray:
     """``check_flip_budget`` at every row of four float64 arrays of flip
     rates in ``CELLS`` order."""
-    return _within_budget(flips[CELL_INDEX[(y, 0)]], flips[CELL_INDEX[(y, 1)]])
-
-
-def _within_budget(g0, g1):
+    g0, g1 = flips[CELL_INDEX[(y, 0)]], flips[CELL_INDEX[(y, 1)]]
     return (g0 + g1 <= 1.0) & (g0 < 1.0) & (g1 < 1.0)
 
 

@@ -37,7 +37,7 @@ class _CheckedIndex(dict):
 CELLS = ((1, 0), (1, 1), (-1, 0), (-1, 1))
 CELL_INDEX = _CheckedIndex((cell, i) for i, cell in enumerate(CELLS))
 
-#: Fixed (label, attribute, prediction) order for prediction-dependent flip rates.
+#: Fixed (label, attribute, prediction) order for the eight flip rates of a spec.
 GENERAL_KEYS = tuple((y, a, yt) for (y, a) in CELLS for yt in Y_VALUES)
 GENERAL_INDEX = _CheckedIndex((key, i) for i, key in enumerate(GENERAL_KEYS))
 
@@ -111,10 +111,11 @@ class ProblemInstance:
 class PerturbationSpec:
     """Conditional flip probabilities of the attribute seen in training.
 
-    ``kind == "restricted"`` stores P[corrupted != A | Y=y, A=a] for the four
-    ``CELLS``; the flips cannot depend on the prediction.  ``kind ==
-    "general"`` stores P[corrupted != A | Y=y, A=a, prediction=yt] for the
-    eight ``GENERAL_KEYS`` and can express prediction-dependent corruption.
+    ``rates`` holds P[corrupted != A | Y=y, A=a, prediction=yt] for the eight
+    ``GENERAL_KEYS``; ``kind`` is read off them: "restricted" exactly when each
+    cell's two rates are equal, so the flips ignore the prediction.  As input,
+    "general" takes eight rates and "restricted" four per-cell rates in
+    ``CELLS`` order, stored once per prediction, or eight with equal pairs.
     """
 
     kind: Literal["restricted", "general"]
@@ -125,12 +126,18 @@ class PerturbationSpec:
             raise RangeError(f"unknown perturbation kind {self.kind!r}")
         expected = 4 if self.kind == "restricted" else 8
         rates = tuple(float(g) for g in self.rates)
-        if len(rates) != expected:
+        if len(rates) == expected == 4:
+            rates = tuple(g for g in rates for _ in Y_VALUES)
+        elif len(rates) != 8:
             raise RangeError(f"{self.kind} spec needs {expected} rates, got {len(rates)}")
         for g in rates:
             if not 0.0 <= g <= 1.0:
                 raise RangeError(f"flip probability {g} outside [0, 1]")
+        kind = "restricted" if rates[::2] == rates[1::2] else "general"
+        if self.kind == "restricted" and kind == "general":
+            raise RangeError("restricted spec's two rates differ in some cell")
         object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "kind", kind)
 
     @classmethod
     def restricted(cls, g10: float, g11: float, gm10: float, gm11: float) -> "PerturbationSpec":
@@ -153,33 +160,24 @@ class PerturbationSpec:
         return cls("general", rates)
 
     def gamma(self, y: int, a: int) -> float:
-        """P[corrupted != A | Y=y, A=a] for a restricted spec."""
-        if self.kind != "restricted":
-            raise RangeError("per-cell rate without a prediction value needs a restricted spec")
-        return self.rates[CELL_INDEX[(y, a)]]
+        """P[corrupted != A | Y=y, A=a], for a cell whose two rates are equal."""
+        i = 2 * CELL_INDEX[(y, a)]  # GENERAL_KEYS lists prediction +1, then -1, per cell
+        if self.rates[i] != self.rates[i + 1]:
+            raise RangeError(f"flip rate of cell {(y, a)} depends on the prediction")
+        return self.rates[i]
 
     def gamma_given_pred(self, y: int, a: int, yt: int) -> float:
-        """P[corrupted != A | Y=y, A=a, prediction=yt]; restricted specs ignore yt."""
-        i = GENERAL_INDEX[(y, a, yt)]
-        # GENERAL_KEYS lists prediction +1 then -1 inside each cell of CELLS
-        return self.rates[i // 2 if self.kind == "restricted" else i]
+        """P[corrupted != A | Y=y, A=a, prediction=yt]."""
+        return self.rates[GENERAL_INDEX[(y, a, yt)]]
 
     @property
     def is_zero(self) -> bool:
-        return all(g == 0.0 for g in self.rates)
+        return not any(self.rates)
 
 
 def lift_perturbation(spec: PerturbationSpec) -> PerturbationSpec:
-    """Canonicalize a spec to general form.
-
-    A restricted spec becomes a general one whose rates do not depend on the
-    prediction; a general spec is returned unchanged.
-    """
-    if spec.kind == "general":
-        return spec
-    return PerturbationSpec(
-        "general", tuple(spec.gamma(y, a) for (y, a, _yt) in GENERAL_KEYS)
-    )
+    """``spec`` itself: every spec already stores its eight rates."""
+    return spec
 
 
 def snap_probabilities(p: Sequence[float]) -> tuple[float, float, float, float] | None:

@@ -52,10 +52,9 @@ def _positive_rates(joint, masses) -> list:
 def _rates(joint) -> list[list[float]]:
     """P[prediction=+1 | Y=y, attribute=a] of a nested-list joint."""
     masses = _masses(joint)
-    for y, by_mass in zip(Y_VALUES, masses):
-        for a, mass in zip(A_VALUES, by_mass):
-            if mass <= 0.0:
-                raise EmptyCellError(f"no mass at (Y={y}, training attribute={a})")
+    for (y, a), mass in zip(CELLS, masses[0] + masses[1]):
+        if mass <= 0.0:
+            raise EmptyCellError(f"no mass at (Y={y}, training attribute={a})")
     return _positive_rates(joint, masses)
 
 
@@ -79,15 +78,12 @@ def build_clean_program(inst: ProblemInstance) -> EoProgram:
 
 
 def build_corrupted_joint(inst: ProblemInstance, spec: PerturbationSpec) -> np.ndarray:
-    """Exact (2, 2, 2) distribution of (label, corrupted attribute, prediction).
-
-    Works for general (prediction-dependent) flip specifications:
+    """Exact (2, 2, 2) distribution of (label, corrupted attribute, prediction):
     P[Y=y, corrupted=a', prediction=yt] = sum over a of
     P[corrupted=a' | y, a, yt] * P[Y=y, A=a, prediction=yt].
     """
-    flips = [[[spec.gamma_given_pred(y, a, yt) for yt in Y_VALUES] for a in A_VALUES]
-             for y in Y_VALUES]
-    return np.array(_corrupt(_clean_joint(inst), flips))
+    r = spec.rates  # in GENERAL_KEYS order, so it nests as (label, attribute, prediction)
+    return np.array(_corrupt(_clean_joint(inst), [[r[0:2], r[2:4]], [r[4:6], r[6:8]]]))
 
 
 def build_corrupted_program(inst: ProblemInstance, spec: PerturbationSpec) -> EoProgram:
@@ -122,7 +118,8 @@ def grid_programs(inst: ProblemInstance, flips) -> Iterator[EoProgram]:
 
 def program_from_table(table) -> EoProgram:
     """LP built from an empirical (label, corrupted attribute, prediction)
-    table of counts or probabilities, laid out like a joint."""
+    table of counts or probabilities, laid out like a joint.  An empty (label,
+    attribute) pair is an EmptyCellError, one whose share underflows a RangeError."""
     t = np.asarray(table, dtype=float)
     if t.shape != (2, 2, 2):
         raise RangeError(f"table must be (2, 2, 2), got {t.shape}")
@@ -130,13 +127,20 @@ def program_from_table(table) -> EoProgram:
         raise RangeError("table cells must be finite and nonnegative")
     with np.errstate(over="ignore"):
         total = t.sum()
+        pairs = t.sum(axis=2).ravel().tolist()
+    if total <= 0:
+        raise EmptyCellError("table carries no mass")
     if total == np.inf:  # finite cells whose sum overflows; a power of two scales exactly
         t = t * 2.0**-4
         total = t.sum()
-    if total <= 0:
-        raise EmptyCellError("table carries no mass")
     joint = (t / total).tolist()
-    return EoProgram(objective=_objective(joint), rates=_rates(joint))
+    masses = _masses(joint)
+    for (y, a), raw, share in zip(CELLS, pairs, masses[0] + masses[1]):
+        if raw <= 0.0:
+            raise EmptyCellError(f"no mass at (Y={y}, training attribute={a})")
+        if share <= 0.0:
+            raise RangeError(f"share of (Y={y}, training attribute={a}) underflows to 0")
+    return EoProgram(objective=_objective(joint), rates=_positive_rates(joint, masses))
 
 
 def derive_predictor(inst: ProblemInstance,

@@ -52,7 +52,7 @@ from fractions import Fraction
 import numpy as np
 
 from eonoise import EmptyCellError, ProblemInstance, RecordsError
-from eonoise.model import A_VALUES, CELLS, Y_VALUES, lift_perturbation
+from eonoise.model import A_VALUES, CELLS, Y_VALUES
 from eonoise.records import (
     RECORD_CSV_HEADER,
     RNG_ALGORITHM,
@@ -135,8 +135,7 @@ def sample_records(inst: ProblemInstance, n: int, seed: int, spec=None,
 
     a_c = None
     if spec is not None:
-        gen = lift_perturbation(spec)
-        gammas = np.asarray(gen.rates)[cell_idx * 2 + (yhat == -1)]
+        gammas = np.asarray(spec.rates)[cell_idx * 2 + (yhat == -1)]
         flips = rng.random(n) < gammas
         a_c = np.where(flips, 1 - a, a).astype(np.int8)
 

@@ -283,6 +283,33 @@ def test_flip_budget_of_a_general_spec_is_a_range_error():
     assert str(excinfo.value) == "flip budget is defined for prediction-independent flips only"
 
 
+def test_general_spec_with_equal_pairs_gets_the_restricted_bound_and_budget():
+    rates = (0.6, 0.7, 0.35, 0.05)
+    general = PerturbationSpec("general", tuple(g for g in rates for _ in (1, -1)))
+    restricted = PerturbationSpec.restricted(*rates)
+    assert general.kind == "restricted" and general == restricted
+    inst = fig1_top_left()
+    for y in (1, -1):
+        assert (corrupted_bias_bound(inst, general, y).hex()
+                == corrupted_bias_bound(inst, restricted, y).hex())
+        assert check_flip_budget(general, y) is check_flip_budget(restricted, y)
+    assert [check_flip_budget(general, y) for y in (1, -1)] == [False, True]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda spec: corrupted_bias_bound(fig1_top_left(), spec, 1),
+     "bias bound is defined for prediction-independent flips only"),
+    (lambda spec: check_flip_budget(spec, 1),
+     "flip budget is defined for prediction-independent flips only"),
+], ids=["bound", "budget"])
+def test_one_unequal_pair_keeps_the_pinned_messages(call, message):
+    # label +1's pairs are equal; label -1's second pair is one ulp apart
+    spec = PerturbationSpec("general", (0.2, 0.2, 0.1, 0.1, 0.3, 0.3, 0.4, math.nextafter(0.4, 1)))
+    with pytest.raises(RangeError) as excinfo:
+        call(spec)
+    assert excinfo.type is RangeError and str(excinfo.value) == message
+
+
 def test_informative_classifier_checker():
     assert check_classifier_informative(fig1_top_left())
     bottom_left = ProblemInstance(base=BALANCED, alpha1=0.9, beta1=0.6, alpha2=0.3, beta2=0.8)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import pytest
@@ -66,34 +67,39 @@ def test_instance_accessors():
     assert inst.joint(1, 0, -1) == pytest.approx(0.01)
 
 
-def test_lift_constant_restricted():
-    spec = PerturbationSpec.uniform(0.2)
-    lifted = lift_perturbation(spec)
-    assert lifted.kind == "general"
-    assert lifted.rates == (0.2,) * 8
-
-
-def test_lift_zero_is_identity():
-    lifted = lift_perturbation(PerturbationSpec.uniform(0.0))
-    assert lifted.rates == (0.0,) * 8
-    assert lifted.is_zero
-
-
-def test_lift_general_unchanged():
-    spec = counterexample_spec()
-    assert lift_perturbation(spec) is spec
-    assert spec.gamma_given_pred(1, 0, -1) == 0.15
-    assert spec.gamma_given_pred(1, 0, 1) == 0.0
+def test_lift_returns_the_spec_itself():
+    for spec in (PerturbationSpec.uniform(0.2), counterexample_spec()):
+        assert lift_perturbation(spec) is spec
 
 
 @given(st.tuples(*[st.floats(0.0, 1.0) for _ in range(4)]))
 @settings(max_examples=200, deadline=None)
-def test_lift_round_trip(gammas):
+def test_restricted_spec_stores_each_rate_once_per_prediction(gammas):
     spec = PerturbationSpec.restricted(*gammas)
-    lifted = lift_perturbation(spec)
+    assert spec.kind == "restricted"
+    assert spec.rates == tuple(g for g in gammas for _ in (1, -1))
     for (y, a), g in zip(CELLS, gammas):
-        assert lifted.gamma_given_pred(y, a, 1) == g
-        assert lifted.gamma_given_pred(y, a, -1) == g
+        assert spec.gamma(y, a) == spec.gamma_given_pred(y, a, 1) == spec.gamma_given_pred(y, a, -1) == g
+
+
+def test_kind_is_read_off_the_eight_rates():
+    rates = (0.1, 0.2, 0.3, 0.4)
+    spec = PerturbationSpec("general", tuple(g for g in rates for _ in (1, -1)))
+    assert spec.kind == "restricted"
+    assert spec == PerturbationSpec.restricted(*rates)
+    assert PerturbationSpec.general().kind == "restricted"
+    assert counterexample_spec().kind == "general"
+    # equal means equal: a pair one ulp apart is prediction-dependent
+    one_ulp = (0.1, 0.1, 0.2, 0.2, 0.3, 0.3, 0.4, math.nextafter(0.4, 1))
+    assert PerturbationSpec("general", one_ulp).kind == "general"
+    with pytest.raises(RangeError, match="restricted spec's two rates differ in some cell"):
+        PerturbationSpec("restricted", one_ulp)
+
+
+def test_spec_round_trips_through_repr_and_replace():
+    for spec in (PerturbationSpec.restricted(0.1, 0.2, 0.3, 0.4), counterexample_spec()):
+        assert eval(repr(spec)) == spec
+        assert dataclasses.replace(spec) == spec
 
 
 def test_spec_validation():

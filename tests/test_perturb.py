@@ -8,17 +8,17 @@ from eonoise.records import RecordSet
 
 def test_equal_schedule():
     spec = schedule_eval(GammaSchedule("equal"), 0.3)
-    assert spec.rates == (0.3, 0.3, 0.3, 0.3)
+    assert spec.rates == (0.3,) * 8
 
 
 def test_halves_schedule():
     spec = schedule_eval(GammaSchedule("halves"), 0.4)
-    assert spec.rates == (0.4, 0.4, 0.2, 0.2)
+    assert spec.rates == (0.4, 0.4, 0.4, 0.4, 0.2, 0.2, 0.2, 0.2)
 
 
 def test_power_halving_schedule():
     spec = schedule_eval(GammaSchedule("power-halving"), 0.4)
-    assert spec.rates == (0.4, 0.2, 0.1, 0.05)
+    assert spec.rates == (0.4, 0.4, 0.2, 0.2, 0.1, 0.1, 0.05, 0.05)
 
 
 @pytest.mark.parametrize("kind", ["equal", "halves", "power-halving", "capped"])
@@ -26,14 +26,14 @@ def test_grid_rates_match_the_scalar_rates(kind):
     schedule = GammaSchedule(kind)
     grid = np.array([0.0, 5e-324, 0.1, 0.3, 0.4, 0.5, 1.0])
     columns = np.stack(schedule.grid_rates(grid), axis=1).tolist()
-    assert columns == [list(schedule_eval(schedule, g).rates) for g in grid.tolist()]
+    assert columns == [list(schedule_eval(schedule, g).rates[::2]) for g in grid.tolist()]
 
 
 def test_capped_schedule():
     spec = schedule_eval(GammaSchedule("capped"), 0.5)
-    assert spec.rates == (0.5, 0.5, 0.8, 0.8)
+    assert spec.rates == (0.5, 0.5, 0.5, 0.5, 0.8, 0.8, 0.8, 0.8)
     spec = schedule_eval(GammaSchedule("capped"), 0.1)
-    assert spec.rates == (0.1, 0.1, 0.2, 0.2)
+    assert spec.rates == (0.1, 0.1, 0.1, 0.1, 0.2, 0.2, 0.2, 0.2)
 
 
 def test_schedule_rejects_out_of_range():

@@ -17,7 +17,7 @@ from eonoise import (
     program_from_table,
 )
 from eonoise import programs
-from eonoise.model import GENERAL_INDEX, GENERAL_KEYS, lift_perturbation
+from eonoise.model import GENERAL_INDEX, GENERAL_KEYS
 from eonoise.programs import build_clean_program, build_corrupted_joint, build_corrupted_program
 from programs_oracle import restricted_corrupted_program
 from support import (
@@ -104,7 +104,7 @@ def test_corrupted_joint_is_a_distribution():
 
 
 def test_counterexample_marginal_flip_rate():
-    spec = lift_perturbation(counterexample_spec())
+    spec = counterexample_spec()
     inst = counterexample_instance()
     marginal = sum(
         spec.gamma_given_pred(1, 0, yt) * inst.joint(1, 0, yt) / inst.cell(1, 0)
@@ -233,8 +233,25 @@ def test_program_from_table_matches_exact_joint():
 def test_program_from_table_empty_cell():
     table = np.ones((2, 2, 2))
     table[0, 1] = 0.0
-    with pytest.raises(EmptyCellError):
+    with pytest.raises(EmptyCellError) as excinfo:
         program_from_table(table)
+    assert str(excinfo.value) == "no mass at (Y=1, training attribute=1)"
+
+
+def _one_huge_cell(tiny, huge):
+    table = np.full((2, 2, 2), tiny)
+    table[1, 0, 0] = huge
+    return table
+
+
+@pytest.mark.parametrize("table", [_one_huge_cell(1e-170, 1e170), _one_huge_cell(1e-300, 1e308)],
+                         ids=["1e-170-by-1e170", "1e-300-by-1e308"])
+def test_program_from_table_names_a_pair_whose_share_underflows(table):
+    # every pair holds mass, but the first one's share of the total rounds to 0
+    with pytest.raises(RangeError) as excinfo:
+        program_from_table(table)
+    assert excinfo.type is RangeError
+    assert str(excinfo.value) == "share of (Y=1, training attribute=0) underflows to 0"
 
 
 @pytest.mark.parametrize("table, cls, message", [
@@ -315,14 +332,11 @@ def test_grid_programs_name_the_first_empty_cell_and_skip_zero_rows():
 
 def _swap_groups(inst, spec):
     """The instance and spec with attribute groups 0 and 1 swapped: base
-    (b1, b0, b3, b2), alpha and beta traded per label, restricted rates
-    (g11, g10, gm11, gm10), general rates permuted by (y, 1 - a, yt)."""
+    (b1, b0, b3, b2), alpha and beta traded per label, and the eight flip
+    rates permuted by (y, 1 - a, yt)."""
     b0, b1, b2, b3 = inst.base
     swapped = ProblemInstance(base=(b1, b0, b3, b2), alpha1=inst.beta1, beta1=inst.alpha1,
                               alpha2=inst.beta2, beta2=inst.alpha2)
-    if spec.kind == "restricted":
-        g10, g11, gm10, gm11 = spec.rates
-        return swapped, PerturbationSpec.restricted(g11, g10, gm11, gm10)
     return swapped, PerturbationSpec("general", tuple(spec.rates[GENERAL_INDEX[(y, 1 - a, yt)]]
                                                       for y, a, yt in GENERAL_KEYS))
 
