@@ -26,7 +26,7 @@ from itertools import combinations, product
 from typing import Sequence
 
 from .errors import RangeError
-from .model import BOUND_TOL, DerivedPredictor
+from .model import BOUND_TOL, DerivedPredictor, _snapped_predictor
 
 RATE_TIE_TOL = 1e-9
 #: Snapping four coordinates by at most BOUND_TOL each moves a row whose
@@ -132,7 +132,9 @@ def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:
     corner's is within ``RESIDUAL_TOL``, as each row's entries sum to zero.  The
     solved points follow in index-table order, right-hand sides summed left to
     right, snapped inline and dropped at the first solved coordinate outside
-    [0, 1]; the key rounds only solved coordinates the snap left off 0.0 and 1.0."""
+    [0, 1]; the key rounds only solved coordinates the snap left off 0.0 and 1.0.
+    Every point is thus its own snap, so the picked one becomes the predictor
+    without ``DerivedPredictor``'s second snap."""
     c0, c1, c2, c3 = program.objective
     rows = program.rows
     feasible = {}
@@ -193,7 +195,7 @@ def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:
     # P[Y=-1] - P[Y=+1].  The test rounds 1 - csum and 1 + csum, so a csum
     # too small to move 1 (1e-17) puts ones first, where csum <= 0 would not.
     csum = sum(program.objective)
-    return DerivedPredictor(_pick(ties, 1.0 - csum >= 1.0 + csum)), len(ties)
+    return _snapped_predictor(_pick(ties, 1.0 - csum >= 1.0 + csum)), len(ties)
 
 
 def solve(program: EoProgram) -> DerivedPredictor:

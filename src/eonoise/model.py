@@ -202,8 +202,9 @@ def snap_probabilities(p: Sequence[float]) -> tuple[float, float, float, float] 
 class DerivedPredictor:
     """Randomized postprocessing rule: predict +1 with probability
     ``p[(prediction, attribute)]`` when the given classifier says
-    ``prediction`` and the true attribute is ``attribute``.  ``p`` is
-    snapped by ``snap_probabilities``.
+    ``prediction`` and the true attribute is ``attribute``.  The constructor
+    snaps ``p`` by ``snap_probabilities``; the solver's point, already its
+    own snap, skips that pass (``_snapped_predictor``).
     """
 
     p: tuple[float, float, float, float]
@@ -213,3 +214,10 @@ class DerivedPredictor:
         if p is None:
             raise RangeError(f"predictor probabilities {self.p!r} must be four values in [0, 1]")
         object.__setattr__(self, "p", p)
+
+
+def _snapped_predictor(p: tuple[float, float, float, float]) -> DerivedPredictor:
+    """``DerivedPredictor(p)`` for four floats that are their own snap, without the snap."""
+    pred = object.__new__(DerivedPredictor)
+    object.__setattr__(pred, "p", p)
+    return pred

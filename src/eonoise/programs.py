@@ -59,7 +59,10 @@ def _rates(joint) -> list[list[float]]:
 
 
 def _clean_joint(inst: ProblemInstance) -> list[list[list[float]]]:
-    return [[[inst.joint(y, a, yt) for yt in Y_VALUES] for a in A_VALUES] for y in Y_VALUES]
+    """Nested joint of (label, attribute, prediction), each entry as ``inst.joint`` computes it."""
+    rates = (inst.alpha1, inst.beta1, inst.alpha2, inst.beta2)
+    cells = [[b * r, b * (1.0 - r)] for b, r in zip(inst.base, rates)]
+    return [cells[0:2], cells[2:4]]
 
 
 def _corrupt(clean, flips) -> list:
@@ -77,18 +80,24 @@ def build_clean_program(inst: ProblemInstance) -> EoProgram:
     return EoProgram(objective=_objective(_clean_joint(inst)), rates=rates)
 
 
+def _corrupted_joint(inst: ProblemInstance, spec: PerturbationSpec) -> list:
+    """Nested-list joint of (label, corrupted attribute, prediction)."""
+    r = spec.rates  # in GENERAL_KEYS order, so it nests as (label, attribute, prediction)
+    return _corrupt(_clean_joint(inst), [[r[0:2], r[2:4]], [r[4:6], r[6:8]]])
+
+
 def build_corrupted_joint(inst: ProblemInstance, spec: PerturbationSpec) -> np.ndarray:
     """Exact (2, 2, 2) distribution of (label, corrupted attribute, prediction):
     P[Y=y, corrupted=a', prediction=yt] = sum over a of
-    P[corrupted=a' | y, a, yt] * P[Y=y, A=a, prediction=yt].
+    P[corrupted=a' | y, a, yt] * P[Y=y, A=a, prediction=yt].  It is
+    ``np.array`` of the nested floats ``build_corrupted_program`` builds from.
     """
-    r = spec.rates  # in GENERAL_KEYS order, so it nests as (label, attribute, prediction)
-    return np.array(_corrupt(_clean_joint(inst), [[r[0:2], r[2:4]], [r[4:6], r[6:8]]]))
+    return np.array(_corrupted_joint(inst, spec))
 
 
 def build_corrupted_program(inst: ProblemInstance, spec: PerturbationSpec) -> EoProgram:
     """LP with the attribute replaced by its corrupted version everywhere."""
-    joint = build_corrupted_joint(inst, spec).tolist()
+    joint = _corrupted_joint(inst, spec)
     return EoProgram(objective=_objective(joint), rates=_rates(joint))
 
 

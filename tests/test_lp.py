@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import pickle
 import re
 from unittest import mock
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from eonoise import PerturbationSpec, ProblemInstance, RangeError, cli, derive_predictor, solve
 from eonoise import lp
 from eonoise.lp import RESIDUAL_TOL, TIE_TOL, EoProgram, _pick, solve_with_ties
-from eonoise.model import BOUND_TOL, snap_probabilities
+from eonoise.model import BOUND_TOL, DerivedPredictor, snap_probabilities
 from eonoise.perturb import GammaSchedule
 from eonoise.programs import build_clean_program, build_corrupted_program, grid_programs
 import lp_oracle
@@ -265,7 +267,7 @@ def test_solver_matches_reference_bit_for_bit(prog):
 @settings(max_examples=400, deadline=None)
 def test_solver_points_are_fixed_points_of_snap(prog):
     # the point the loop picks is already snapped, so DerivedPredictor's own
-    # snap leaves it as it is, bit for bit
+    # snap would leave it as it is, bit for bit, and the solver skips it
     picked = []
 
     def pick(ties, ones_first):
@@ -276,6 +278,13 @@ def test_solver_points_are_fixed_points_of_snap(prog):
         pred = solve(prog)
     assert repr(snap_probabilities(picked[0])) == repr(picked[0]) == repr(pred.p)
     assert repr(snap_probabilities(pred.p)) == repr(pred.p)
+    # built without the snap, it is still an ordinary frozen DerivedPredictor
+    rebuilt = DerivedPredictor(pred.p)
+    assert type(pred) is DerivedPredictor
+    assert pred == rebuilt and hash(pred) == hash(rebuilt) and repr(pred) == repr(rebuilt)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pred.p = rebuilt.p
+    assert pickle.loads(pickle.dumps(pred)) == pred
 
 
 def test_snap_and_key_edges_are_reached():

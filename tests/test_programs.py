@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eonoise import (
     EmptyCellError,
@@ -17,6 +19,7 @@ from eonoise import (
     program_from_table,
 )
 from eonoise import programs
+from eonoise.lp import EoProgram
 from eonoise.model import GENERAL_INDEX, GENERAL_KEYS
 from eonoise.programs import build_clean_program, build_corrupted_joint, build_corrupted_program
 from programs_oracle import restricted_corrupted_program
@@ -103,6 +106,46 @@ def test_corrupted_joint_is_a_distribution():
                         assert joint[yi, a, yti] == inst.joint(y, a, yt)
 
 
+_RATES = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _instances(draw):
+    weights = draw(st.tuples(*[st.floats(0.01, 1.0)] * 4))
+    return ProblemInstance(base=tuple(w / sum(weights) for w in weights), alpha1=draw(_RATES),
+                           beta1=draw(_RATES), alpha2=draw(_RATES), beta2=draw(_RATES))
+
+
+_SPECS = st.one_of(st.tuples(*[_RATES] * 4).map(lambda r: PerturbationSpec("restricted", r)),
+                   st.tuples(*[_RATES] * 8).map(lambda r: PerturbationSpec("general", r)))
+
+
+def _program_or_error(build):
+    try:
+        prog = build()
+    except EmptyCellError as exc:
+        return repr(exc)
+    return repr((prog.objective, prog.rates, prog.rows))
+
+
+def _program_via_array(inst, spec):
+    joint = build_corrupted_joint(inst, spec).tolist()
+    return EoProgram(objective=programs._objective(joint), rates=programs._rates(joint))
+
+
+@given(inst=_instances(), spec=_SPECS)
+@example(inst=fig1_top_left(), spec=PerturbationSpec.restricted(1.0, 0.0, 0.0, 0.0))
+@settings(max_examples=300, deadline=None)
+def test_list_build_matches_array_build_bit_for_bit(inst, spec):
+    # the corrupted program is built from nested floats, never from the
+    # array; repr tells every bit, a zero's sign and an error's message
+    clean = programs._clean_joint(inst)
+    assert repr(clean) == repr([[[inst.joint(y, a, yt) for yt in LABELS] for a in (0, 1)]
+                                for y in LABELS])
+    assert _program_or_error(lambda: build_corrupted_program(inst, spec)) == _program_or_error(
+        lambda: _program_via_array(inst, spec))
+
+
 def test_counterexample_marginal_flip_rate():
     spec = counterexample_spec()
     inst = counterexample_instance()
@@ -116,7 +159,7 @@ def test_counterexample_marginal_flip_rate():
 
 def test_vanishing_corrupted_cell_raises():
     inst = fig1_top_left()
-    with pytest.raises(EmptyCellError):
+    with pytest.raises(EmptyCellError, match=re.escape("no mass at (Y=1, training attribute=0)")):
         build_corrupted_program(inst, PerturbationSpec.restricted(1.0, 0.0, 0.0, 0.0))
 
 

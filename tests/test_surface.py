@@ -209,6 +209,23 @@ def test_only_lp_names_solve_with_ties():
     assert not users, f"{users} name solve_with_ties; call lp.solve instead"
 
 
+def _names(tree, name):
+    """Whether a module's syntax tree reads, imports or looks up ``name``."""
+    return any(getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+               or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+               for node in ast.walk(tree))
+
+
+def test_only_lp_names_the_snapped_predictor_builder():
+    # the builder skips DerivedPredictor's snap, so only the solver, whose
+    # points are their own snap, may call it
+    assert _names(ast.parse("from .model import _snapped_predictor"), "_snapped_predictor")
+    assert _names(ast.parse("model._snapped_predictor(p)"), "_snapped_predictor")
+    users = [source.name for source in SOURCES if source.name != "lp.py"
+             and _names(ast.parse(source.read_text()), "_snapped_predictor")]
+    assert not users, f"{users} name _snapped_predictor; build DerivedPredictor(p) instead"
+
+
 def test_package_sources_found():
     assert len(SOURCES) >= 9
 
