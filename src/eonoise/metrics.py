@@ -16,8 +16,6 @@ from .errors import EmptyCellError, RangeError
 from .model import (CELL_INDEX, CELLS, GIVEN_PREDICTOR_P, DerivedPredictor, PerturbationSpec,
                     ProblemInstance)
 
-INDEPENDENCE_TOL = 1e-12
-
 
 def bias_given(inst: ProblemInstance, y: int) -> float:
     """Group gap of the given classifier: |alpha1 - beta1| for label +1,
@@ -100,7 +98,8 @@ def _shrink(gamma1, gamma2, p):
 
 def corrupted_bias_bound(inst: ProblemInstance, spec: PerturbationSpec, y: int) -> float:
     """Upper bound on the derived predictor's bias for label ``y`` when the
-    training attribute was corrupted with prediction-independent flips.
+    training attribute was corrupted with prediction-independent flips, a
+    spec of kind "restricted"; any other spec is a RangeError.
 
     The bound is the given bias times the shrink factor, whose value equals
     the posterior sum P[A=1 | Y=y, corrupted=0] + P[A=0 | Y=y, corrupted=1];
@@ -109,7 +108,8 @@ def corrupted_bias_bound(inst: ProblemInstance, spec: PerturbationSpec, y: int) 
     """
     if spec.kind != "restricted":
         raise RangeError("bias bound is defined for prediction-independent flips only")
-    g0, g1 = spec.gamma(y, 0), spec.gamma(y, 1)
+    flips = spec.rates[::2]
+    g0, g1 = flips[CELL_INDEX[(y, 0)]], flips[CELL_INDEX[(y, 1)]]
     return bias_given(inst, y) * bias_shrink_factor(g1, g0, inst.attr_given_label(y))
 
 
@@ -131,13 +131,11 @@ def corrupted_bias_bound_grid(inst: ProblemInstance, flips, y: int) -> np.ndarra
 
 
 def check_flip_independence(spec: PerturbationSpec) -> tuple[bool, float]:
-    """Whether flip rates ignore the prediction, with the largest gap found.
-
-    True (gap 0 up to 1e-12) exactly when, for every (label, attribute)
-    cell, the flip probability is the same for both prediction values.
-    """
+    """Whether flip rates ignore the prediction, ``spec.kind == "restricted"``,
+    with the largest gap between a cell's two rates; any gap, one ulp
+    included, makes the flips prediction-dependent."""
     gap = max(abs(g - h) for g, h in zip(spec.rates[::2], spec.rates[1::2]))
-    return gap <= INDEPENDENCE_TOL, gap
+    return spec.kind == "restricted", gap
 
 
 def check_flip_budget(spec: PerturbationSpec, y: int) -> bool:
@@ -175,10 +173,14 @@ def independence_measure(table) -> float:
         raise RangeError(f"table must be (2, 2, 2, 2), got {t.shape}")
     if not (np.isfinite(t) & (t >= 0)).all():
         raise RangeError("table cells must be finite and nonnegative")
-    mass = t.sum(axis=(2, 3), keepdims=True)
+    with np.errstate(over="ignore"):
+        mass = t.sum(axis=(2, 3), keepdims=True)
     for (y, a), m in zip(CELLS, mass.ravel().tolist()):
         if m <= 0.0:
             raise EmptyCellError(f"no mass in conditioning cell (Y={y}, A={a})")
+    if np.isinf(mass).any():  # a block of finite cells overflows; a power of two scales exactly
+        t = np.where(np.isinf(mass), t * 2.0**-4, t)
+        mass = t.sum(axis=(2, 3), keepdims=True)
     cond = t / mass
     product = cond.sum(axis=3, keepdims=True) * cond.sum(axis=2, keepdims=True)
     return float(np.abs(cond - product).max())

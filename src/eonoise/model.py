@@ -111,9 +111,10 @@ class ProblemInstance:
 class PerturbationSpec:
     """Conditional flip probabilities of the attribute seen in training.
 
-    ``rates`` holds P[corrupted != A | Y=y, A=a, prediction=yt] for the eight
-    ``GENERAL_KEYS``; ``kind`` is read off them: "restricted" exactly when each
-    cell's two rates are equal, so the flips ignore the prediction.  As input,
+    A spec is read through its two fields.  ``rates`` holds P[corrupted != A |
+    Y=y, A=a, prediction=yt] for the eight ``GENERAL_KEYS``; ``kind`` is read
+    off them: "restricted" exactly when each cell's two rates are equal, the
+    package's one rule for flips that ignore the prediction.  As input,
     "general" takes eight rates and "restricted" four per-cell rates in
     ``CELLS`` order, stored once per prediction, or eight with equal pairs.
     """
@@ -158,17 +159,6 @@ class PerturbationSpec:
         for key, value in (entries or {}).items():
             rates[GENERAL_INDEX[key]] = float(value)
         return cls("general", rates)
-
-    def gamma(self, y: int, a: int) -> float:
-        """P[corrupted != A | Y=y, A=a], for a cell whose two rates are equal."""
-        i = 2 * CELL_INDEX[(y, a)]  # GENERAL_KEYS lists prediction +1, then -1, per cell
-        if self.rates[i] != self.rates[i + 1]:
-            raise RangeError(f"flip rate of cell {(y, a)} depends on the prediction")
-        return self.rates[i]
-
-    def gamma_given_pred(self, y: int, a: int, yt: int) -> float:
-        """P[corrupted != A | Y=y, A=a, prediction=yt]."""
-        return self.rates[GENERAL_INDEX[(y, a, yt)]]
 
     @property
     def is_zero(self) -> bool:

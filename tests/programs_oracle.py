@@ -10,7 +10,7 @@ in closed form, and never forms the joint.
 
 from eonoise import EmptyCellError, PerturbationSpec, ProblemInstance, RangeError
 from eonoise.lp import EoProgram
-from eonoise.model import A_VALUES, Y_VALUES
+from eonoise.model import A_VALUES, CELL_INDEX, Y_VALUES
 
 
 def restricted_corrupted_program(inst: ProblemInstance, spec: PerturbationSpec) -> EoProgram:
@@ -20,7 +20,7 @@ def restricted_corrupted_program(inst: ProblemInstance, spec: PerturbationSpec) 
     mass = {}
     post = {}
     for y in Y_VALUES:
-        g0, g1 = spec.gamma(y, 0), spec.gamma(y, 1)
+        g0, g1 = (spec.rates[::2][CELL_INDEX[(y, a)]] for a in A_VALUES)
         p0, p1 = inst.cell(y, 0), inst.cell(y, 1)
         mass[(y, 0)] = (1.0 - g0) * p0 + g1 * p1
         mass[(y, 1)] = g0 * p0 + (1.0 - g1) * p1

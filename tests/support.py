@@ -3,6 +3,7 @@
 import numpy as np
 
 from eonoise import PerturbationSpec, ProblemInstance
+from eonoise.model import GENERAL_INDEX
 from eonoise.programs import build_clean_program, build_corrupted_program
 
 BALANCED = (0.25, 0.25, 0.25, 0.25)
@@ -15,7 +16,7 @@ def population_fourway(inst: ProblemInstance, spec: PerturbationSpec) -> np.ndar
     for yi, y in enumerate((1, -1)):
         for a in (0, 1):
             for yti, yt in enumerate((1, -1)):
-                flip = spec.gamma_given_pred(y, a, yt)
+                flip = spec.rates[GENERAL_INDEX[(y, a, yt)]]
                 mass = inst.joint(y, a, yt)
                 table[yi, a, yti, 1 - a] += flip * mass
                 table[yi, a, yti, a] += (1.0 - flip) * mass

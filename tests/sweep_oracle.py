@@ -23,6 +23,7 @@ from eonoise.metrics import (
     error_derived,
     error_given,
 )
+from eonoise.model import CELL_INDEX
 from eonoise.perturb import schedule_eval
 from eonoise.programs import derive_predictor
 
@@ -42,13 +43,14 @@ def run_sweep(config: SweepConfig) -> np.ndarray:
     for g10 in grid_points(*config.grid):
         spec = schedule_eval(config.schedule, g10)
         predictor = derive_predictor(inst, spec)
+        flips = spec.rates[::2]  # one rate per cell, in CELLS order as the columns
         err_corr = error_derived(inst, predictor)
         biases = (bias_derived(inst, predictor, 1), bias_derived(inst, predictor, -1))
         # The bound is undefined when a flip rate of the label's class is 1,
         # outside bias_shrink_factor's domain [0, 1).
         bounds = []
         for y, bias in zip((1, -1), biases):
-            if spec.gamma(y, 0) < 1.0 and spec.gamma(y, 1) < 1.0:
+            if flips[CELL_INDEX[(y, 0)]] < 1.0 and flips[CELL_INDEX[(y, 1)]] < 1.0:
                 bound = corrupted_bias_bound(inst, spec, y)
                 if bias > bound + 1e-9:
                     raise DegenerateProgramError(
@@ -58,7 +60,7 @@ def run_sweep(config: SweepConfig) -> np.ndarray:
             else:
                 bounds.append(math.nan)
         rows.append([
-            g10, spec.gamma(1, 1), spec.gamma(-1, 0), spec.gamma(-1, 1),
+            g10, *flips[1:],
             *biases, err_corr, *given, *bounds,
             check_flip_budget(spec, 1), check_flip_budget(spec, -1), a2,
             err_corr <= error_true + 1e-12,

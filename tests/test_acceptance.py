@@ -23,6 +23,7 @@ from eonoise import (
     solve,
 )
 from eonoise.cli import SWEEP_COLUMNS, SweepConfig, run_dataset, run_sweep
+from eonoise.model import CELL_INDEX
 from eonoise.perturb import GammaSchedule, RecordScenario
 from exact_oracle import exact_minimum
 from metrics_oracle import balanced_uniform_predictor
@@ -128,7 +129,7 @@ def test_criterion_4_bias_reduction_suite():
                 given = bias_given(inst, y)
                 corrupted = bias_derived(inst, pred, y)
                 assert corrupted <= given + 1e-9
-                g0, g1 = spec.gamma(y, 0), spec.gamma(y, 1)
+                g0, g1 = (spec.rates[::2][CELL_INDEX[(y, a)]] for a in (0, 1))
                 if given > 1e-6 and g0 + g1 < 1.0 - 1e-6:
                     assert corrupted < given
                     strict_checked += 1

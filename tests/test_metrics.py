@@ -34,6 +34,7 @@ from eonoise.metrics import (
     corrupted_bias_bound_grid,
     error_at,
 )
+from eonoise.model import CELL_INDEX
 import metrics_oracle
 from metrics_oracle import PreconditionError, balanced_uniform_predictor
 from support import (
@@ -264,9 +265,50 @@ def test_flip_independence_checker():
     ok, gap = check_flip_independence(counterexample_spec())
     assert not ok
     assert gap == pytest.approx(0.15, abs=1e-12)
+    # no tolerance: a gap of 1e-15 makes the flips prediction-dependent
     nearly = PerturbationSpec.general({(1, 0, 1): 1e-15})
     ok, gap = check_flip_independence(nearly)
-    assert ok and gap <= 1e-12
+    assert not ok and gap == 1e-15
+
+
+@st.composite
+def _rate_pair(draw):
+    """A cell's two flip rates in [0, 1): equal, one ulp apart, 1e-15 apart
+    or drawn independently, in either order."""
+    g = draw(st.floats(0.0, 1.0, exclude_max=True))
+    how = draw(st.sampled_from(["equal", "ulp", "1e-15", "drawn"]))
+    if how == "equal":
+        h = g
+    elif how == "ulp":
+        h = math.nextafter(g, 0.0) if g > 0.0 else math.nextafter(g, 1.0)
+    elif how == "1e-15":
+        h = g + 1e-15 if g < 0.5 else g - 1e-15
+    else:
+        h = draw(st.floats(0.0, 1.0, exclude_max=True))
+    return (g, h) if draw(st.booleans()) else (h, g)
+
+
+@given(st.tuples(*[_rate_pair() for _ in range(4)]))
+@example(((0.1, 0.1), (0.2, 0.2), (0.3, 0.3), (0.4, 0.4)))
+@example(((1e-15, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)))
+@settings(max_examples=300, deadline=None)
+def test_one_rule_for_prediction_independent_flips(pairs):
+    # the checker, the bound and the budget all read spec.kind: equal pairs
+    spec = PerturbationSpec("general", [g for pair in pairs for g in pair])
+    verdict = check_flip_independence(spec)
+    assert verdict == (spec.kind == "restricted", max(abs(g - h) for g, h in pairs))
+    assert verdict[0] == all(g == h for g, h in pairs)
+    inst = fig1_top_left()
+    for y in (1, -1):
+        for call, what in ((lambda: corrupted_bias_bound(inst, spec, y), "bias bound"),
+                           (lambda: check_flip_budget(spec, y), "flip budget")):
+            if verdict[0]:
+                call()  # every rate is below 1, so both are defined
+            else:
+                with pytest.raises(RangeError) as excinfo:
+                    call()
+                assert str(excinfo.value) == (
+                    f"{what} is defined for prediction-independent flips only")
 
 
 def test_flip_budget_checker():
@@ -353,6 +395,14 @@ def test_independence_measure_empty_cell():
     table[1, 0] = 0.0
     with pytest.raises(EmptyCellError):
         independence_measure(table)
+
+
+def test_independence_measure_scales_a_block_whose_sum_overflows():
+    # finite cells whose block sum overflows: the measure of the same table
+    # scaled by a power of two, and no overflow RuntimeWarning (an error here)
+    table = np.ones((2, 2, 2, 2))
+    table[0, 0, 0, 0] = table[0, 0, 1, 1] = 1.7e308
+    assert independence_measure(table) == independence_measure(table * 2.0**-4) == 0.25
 
 
 @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
@@ -442,7 +492,8 @@ def test_grid_metrics_match_the_scalar_functions_bit_for_bit():
                 bias_derived(inst, d, y) for d in predictors]
             assert check_flip_budget_grid(columns, y).tolist() == [
                 check_flip_budget(s, y) for s in specs]
-            want = [corrupted_bias_bound(inst, s, y) if s.gamma(y, 0) < 1.0 and s.gamma(y, 1) < 1.0
+            want = [corrupted_bias_bound(inst, s, y)
+                    if all(s.rates[::2][CELL_INDEX[(y, a)]] < 1.0 for a in (0, 1))
                     else None for s in specs]
             got = corrupted_bias_bound_grid(inst, columns, y).tolist()
             assert [None if math.isnan(b) else b for b in got] == want

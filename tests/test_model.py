@@ -17,7 +17,7 @@ from eonoise import (
     check_flip_budget,
     corrupted_bias_bound,
 )
-from eonoise.model import CELLS, lift_perturbation
+from eonoise.model import lift_perturbation
 from support import BALANCED, counterexample_spec
 
 
@@ -78,8 +78,6 @@ def test_restricted_spec_stores_each_rate_once_per_prediction(gammas):
     spec = PerturbationSpec.restricted(*gammas)
     assert spec.kind == "restricted"
     assert spec.rates == tuple(g for g in gammas for _ in (1, -1))
-    for (y, a), g in zip(CELLS, gammas):
-        assert spec.gamma(y, a) == spec.gamma_given_pred(y, a, 1) == spec.gamma_given_pred(y, a, -1) == g
 
 
 def test_kind_is_read_off_the_eight_rates():
@@ -127,23 +125,14 @@ _RESTRICTED = PerturbationSpec.restricted(0.1, 0.2, 0.3, 0.4)
     lambda: _INST.joint(1, 0, 0),
     lambda: bias_given(_INST, 0),
     lambda: bias_derived(_INST, _PRED, 0),
-    lambda: _RESTRICTED.gamma(0, 0),
-    lambda: _RESTRICTED.gamma_given_pred(1, 0, 0),
-    lambda: counterexample_spec().gamma_given_pred(1, 0, 0),
     lambda: corrupted_bias_bound(_INST, _RESTRICTED, 0),
     lambda: check_flip_budget(_RESTRICTED, 0),
     lambda: PerturbationSpec.general({(1, 0, 0): 0.5}),
 ], ids=["rate-label", "rate-attribute", "cell", "label_prob", "attr_given_label", "joint-prediction",
-        "bias_given", "bias_derived", "gamma", "gamma_given_pred-restricted",
-        "gamma_given_pred-general", "corrupted_bias_bound", "check_flip_budget", "general"])
+        "bias_given", "bias_derived", "corrupted_bias_bound", "check_flip_budget", "general"])
 def test_label_outside_plus_minus_one_is_a_range_error(call):
     with pytest.raises(RangeError, match=r"labels and predictions are \+1 or -1, attributes 0 or 1"):
         call()
-
-
-def test_restricted_rate_lookup_requires_restricted():
-    with pytest.raises(RangeError):
-        counterexample_spec().gamma(1, 0)
 
 
 def test_predictor_validation_and_snapping():

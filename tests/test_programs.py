@@ -150,7 +150,7 @@ def test_counterexample_marginal_flip_rate():
     spec = counterexample_spec()
     inst = counterexample_instance()
     marginal = sum(
-        spec.gamma_given_pred(1, 0, yt) * inst.joint(1, 0, yt) / inst.cell(1, 0)
+        spec.rates[GENERAL_INDEX[(1, 0, yt)]] * inst.joint(1, 0, yt) / inst.cell(1, 0)
         for yt in (1, -1)
     )
     assert marginal == pytest.approx(0.15 * 0.35, abs=1e-12)

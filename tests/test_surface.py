@@ -5,8 +5,8 @@ benchmark run, a demo or a reader's terminal, and a command line in the
 README that the parser no longer accepts fails here too.  The public ``__all__`` holds only
 names something uses: the CLI, a demo, the README or the benchmark worker,
 or, for an exception, the package itself by raising it.  Also the package's
-promise that its checks still run under ``python -O``, and that each module
-imports only names it uses."""
+promise that its checks still run under ``python -O``, that each module
+imports only names it uses, and that every top-level name has a reader."""
 
 import ast
 import importlib
@@ -224,6 +224,52 @@ def test_only_lp_names_the_snapped_predictor_builder():
     users = [source.name for source in SOURCES if source.name != "lp.py"
              and _names(ast.parse(source.read_text()), "_snapped_predictor")]
     assert not users, f"{users} name _snapped_predictor; build DerivedPredictor(p) instead"
+
+
+#: Where a top-level name may be read from outside ``src/``; tests do not count.
+OUTSIDE_READERS = [*DEMOS, ROOT / "README.md",
+                   *(path for path in sorted((ROOT / "perfbench").rglob("*")) if path.is_file())]
+
+
+def _own_names(node) -> set[str]:
+    """The names a top-level statement defines: a function, a class or the
+    targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return {name.id for target in targets if target for name in ast.walk(target)
+            if isinstance(name, ast.Name)}
+
+
+def _unread_names(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each top-level function, class or constant of the
+    package sources (file name to text) that nothing reads: no load or
+    attribute in the package outside its own definition, no import by a
+    module other than ``__init__.py``, and no mention in ``OUTSIDE_READERS``."""
+    defined, read = [], set()
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            own = _own_names(node)
+            defined += [(module, name) for name in sorted(own - {"__all__", "__version__"})]
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id not in own:
+                    read.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    read.add(sub.attr)
+                elif isinstance(sub, ast.alias) and module != "__init__.py":
+                    read.add(sub.name)
+    outside = "\n".join(path.read_text(errors="replace") for path in OUTSIDE_READERS)
+    return [f"{module}: {name}" for module, name in defined
+            if name not in read and not re.search(rf"\b{re.escape(name)}\b", outside)]
+
+
+def test_every_top_level_name_has_a_reader():
+    sources = {source.name: source.read_text() for source in SOURCES}
+    # a planted constant and a function that only calls itself are flagged
+    planted = {**sources, "metrics.py": sources["metrics.py"]
+               + "\nUNREAD_TOL = 1e-12\n\ndef _unread(n):\n    return _unread(n - 1)\n"}
+    assert _unread_names(planted) == ["metrics.py: UNREAD_TOL", "metrics.py: _unread"]
+    assert _unread_names(sources) == []
 
 
 def test_package_sources_found():
