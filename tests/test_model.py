@@ -17,7 +17,7 @@ from eonoise import (
     check_flip_budget,
     corrupted_bias_bound,
 )
-from eonoise.model import lift_perturbation
+from eonoise.model import CELL_INDEX, GENERAL_INDEX, lift_perturbation
 from support import BALANCED, counterexample_spec
 
 
@@ -125,11 +125,16 @@ _RESTRICTED = PerturbationSpec.restricted(0.1, 0.2, 0.3, 0.4)
     lambda: _INST.joint(1, 0, 0),
     lambda: bias_given(_INST, 0),
     lambda: bias_derived(_INST, _PRED, 0),
+    # a spec's rates are read by CELL_INDEX (one per cell) or GENERAL_INDEX
+    lambda: _RESTRICTED.rates[::2][CELL_INDEX[(0, 0)]],
+    lambda: _RESTRICTED.rates[GENERAL_INDEX[(1, 0, 0)]],
+    lambda: counterexample_spec().rates[GENERAL_INDEX[(1, 0, 0)]],
     lambda: corrupted_bias_bound(_INST, _RESTRICTED, 0),
     lambda: check_flip_budget(_RESTRICTED, 0),
     lambda: PerturbationSpec.general({(1, 0, 0): 0.5}),
 ], ids=["rate-label", "rate-attribute", "cell", "label_prob", "attr_given_label", "joint-prediction",
-        "bias_given", "bias_derived", "corrupted_bias_bound", "check_flip_budget", "general"])
+        "bias_given", "bias_derived", "gamma", "gamma_given_pred-restricted",
+        "gamma_given_pred-general", "corrupted_bias_bound", "check_flip_budget", "general"])
 def test_label_outside_plus_minus_one_is_a_range_error(call):
     with pytest.raises(RangeError, match=r"labels and predictions are \+1 or -1, attributes 0 or 1"):
         call()
