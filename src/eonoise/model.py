@@ -63,7 +63,7 @@ class ProblemInstance:
     beta1: float
     alpha2: float
     beta2: float
-    # the four rates in CELLS order, built once for rate() and joint()
+    # the four rates in CELLS order, built once for rate()
     _rates: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -98,13 +98,6 @@ class ProblemInstance:
     def attr_given_label(self, y: int) -> float:
         """P[A=1 | Y=y]."""
         return self.cell(y, 1) / self.label_prob(y)
-
-    def joint(self, y: int, a: int, yt: int) -> float:
-        """P[Y=y, A=a, prediction=yt]."""
-        # GENERAL_KEYS lists prediction +1 then -1 inside each cell of CELLS
-        i, pred_neg = divmod(GENERAL_INDEX[(y, a, yt)], 2)
-        r = self._rates[i]
-        return self.base[i] * (1.0 - r if pred_neg else r)
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,7 +27,6 @@ from .model import (
     DerivedPredictor,
     PerturbationSpec,
     ProblemInstance,
-    Y_VALUES,
 )
 
 
@@ -49,26 +48,18 @@ def _positive_rates(joint, masses) -> list:
             for by_attr, by_mass in zip(joint, masses)]
 
 
-def _rates(joint) -> list[list[float]]:
-    """P[prediction=+1 | Y=y, attribute=a] of a nested-list joint."""
-    masses = _masses(joint)
-    for (y, a), mass in zip(CELLS, masses[0] + masses[1]):
-        if mass <= 0.0:
-            raise EmptyCellError(f"no mass at (Y={y}, training attribute={a})")
-    return _positive_rates(joint, masses)
-
-
 def _clean_joint(inst: ProblemInstance) -> list[list[list[float]]]:
-    """Nested joint of (label, attribute, prediction), each entry as ``inst.joint`` computes it."""
+    """Nested joint of (label, attribute, prediction): P[Y=y, A=a] times the
+    rate of prediction +1, or one minus it for -1."""
     rates = (inst.alpha1, inst.beta1, inst.alpha2, inst.beta2)
     cells = [[b * r, b * (1.0 - r)] for b, r in zip(inst.base, rates)]
     return [cells[0:2], cells[2:4]]
 
 
 def _corrupt(clean, flips) -> list:
-    """``build_corrupted_joint``'s sum from a nested clean joint and nested
-    flip rates of floats or arrays, both indexed (label, attribute,
-    prediction)."""
+    """Nested corrupted joint from a nested clean joint and nested flip rates
+    of floats or arrays, both indexed (label, attribute, prediction): the
+    mass kept in each attribute plus the mass flipped into it."""
     return [[[(1.0 - f[0][t]) * c[0][t] + f[1][t] * c[1][t] for t in (0, 1)],
              [f[0][t] * c[0][t] + (1.0 - f[1][t]) * c[1][t] for t in (0, 1)]]
             for c, f in zip(clean, flips)]
@@ -76,29 +67,27 @@ def _corrupt(clean, flips) -> list:
 
 def build_clean_program(inst: ProblemInstance) -> EoProgram:
     """LP that the postprocessing method solves with the true attribute."""
-    rates = [[inst.rate(y, a) for a in A_VALUES] for y in Y_VALUES]
+    rates = ((inst.alpha1, inst.beta1), (inst.alpha2, inst.beta2))
     return EoProgram(objective=_objective(_clean_joint(inst)), rates=rates)
 
 
-def _corrupted_joint(inst: ProblemInstance, spec: PerturbationSpec) -> list:
-    """Nested-list joint of (label, corrupted attribute, prediction)."""
+def build_corrupted_joint(inst: ProblemInstance, spec: PerturbationSpec) -> list:
+    """Exact distribution of (label, corrupted attribute, prediction) as
+    nested floats, ``np.array`` of which is the (2, 2, 2) array:
+    P[Y=y, corrupted=a', prediction=yt] = sum over a of
+    P[corrupted=a' | y, a, yt] * P[Y=y, A=a, prediction=yt]."""
     r = spec.rates  # in GENERAL_KEYS order, so it nests as (label, attribute, prediction)
     return _corrupt(_clean_joint(inst), [[r[0:2], r[2:4]], [r[4:6], r[6:8]]])
 
 
-def build_corrupted_joint(inst: ProblemInstance, spec: PerturbationSpec) -> np.ndarray:
-    """Exact (2, 2, 2) distribution of (label, corrupted attribute, prediction):
-    P[Y=y, corrupted=a', prediction=yt] = sum over a of
-    P[corrupted=a' | y, a, yt] * P[Y=y, A=a, prediction=yt].  It is
-    ``np.array`` of the nested floats ``build_corrupted_program`` builds from.
-    """
-    return np.array(_corrupted_joint(inst, spec))
-
-
 def build_corrupted_program(inst: ProblemInstance, spec: PerturbationSpec) -> EoProgram:
     """LP with the attribute replaced by its corrupted version everywhere."""
-    joint = _corrupted_joint(inst, spec)
-    return EoProgram(objective=_objective(joint), rates=_rates(joint))
+    joint = build_corrupted_joint(inst, spec)
+    masses = _masses(joint)
+    for (y, a), mass in zip(CELLS, masses[0] + masses[1]):
+        if mass <= 0.0:
+            raise EmptyCellError(f"no mass at (Y={y}, training attribute={a})")
+    return EoProgram(objective=_objective(joint), rates=_positive_rates(joint, masses))
 
 
 def grid_programs(inst: ProblemInstance, flips) -> Iterator[EoProgram]:

@@ -9,6 +9,14 @@ from eonoise.programs import build_clean_program, build_corrupted_program
 BALANCED = (0.25, 0.25, 0.25, 0.25)
 
 
+def clean_cell(inst: ProblemInstance, y: int, a: int, yt: int) -> float:
+    """P[Y=y, A=a, prediction=yt]: the base cell times the given classifier's
+    rate of prediction +1 in it, or one minus that rate for prediction -1."""
+    rate = {(1, 0): inst.alpha1, (1, 1): inst.beta1,
+            (-1, 0): inst.alpha2, (-1, 1): inst.beta2}[(y, a)]
+    return inst.cell(y, a) * (rate if yt == 1 else 1.0 - rate)
+
+
 def population_fourway(inst: ProblemInstance, spec: PerturbationSpec) -> np.ndarray:
     """Exact (label, attribute, prediction, corrupted attribute) table of the
     generative model, for feeding the independence measure."""
@@ -17,7 +25,7 @@ def population_fourway(inst: ProblemInstance, spec: PerturbationSpec) -> np.ndar
         for a in (0, 1):
             for yti, yt in enumerate((1, -1)):
                 flip = spec.rates[GENERAL_INDEX[(y, a, yt)]]
-                mass = inst.joint(y, a, yt)
+                mass = clean_cell(inst, y, a, yt)
                 table[yi, a, yti, 1 - a] += flip * mass
                 table[yi, a, yti, a] += (1.0 - flip) * mass
     return table

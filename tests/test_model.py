@@ -63,8 +63,6 @@ def test_instance_accessors():
     assert inst.rate(-1, 0) == 0.4
     assert inst.label_prob(1) == pytest.approx(0.3)
     assert inst.attr_given_label(-1) == pytest.approx(0.4 / 0.7)
-    assert inst.joint(1, 0, 1) == pytest.approx(0.09)
-    assert inst.joint(1, 0, -1) == pytest.approx(0.01)
 
 
 def test_lift_returns_the_spec_itself():
@@ -122,7 +120,6 @@ _RESTRICTED = PerturbationSpec.restricted(0.1, 0.2, 0.3, 0.4)
     lambda: _INST.cell(0, 0),
     lambda: _INST.label_prob(0),
     lambda: _INST.attr_given_label(0),
-    lambda: _INST.joint(1, 0, 0),
     lambda: bias_given(_INST, 0),
     lambda: bias_derived(_INST, _PRED, 0),
     # a spec's rates are read by CELL_INDEX (one per cell) or GENERAL_INDEX
@@ -132,9 +129,9 @@ _RESTRICTED = PerturbationSpec.restricted(0.1, 0.2, 0.3, 0.4)
     lambda: corrupted_bias_bound(_INST, _RESTRICTED, 0),
     lambda: check_flip_budget(_RESTRICTED, 0),
     lambda: PerturbationSpec.general({(1, 0, 0): 0.5}),
-], ids=["rate-label", "rate-attribute", "cell", "label_prob", "attr_given_label", "joint-prediction",
-        "bias_given", "bias_derived", "gamma", "gamma_given_pred-restricted",
-        "gamma_given_pred-general", "corrupted_bias_bound", "check_flip_budget", "general"])
+], ids=["rate-label", "rate-attribute", "cell", "label_prob", "attr_given_label", "bias_given",
+        "bias_derived", "gamma", "gamma_given_pred-restricted", "gamma_given_pred-general",
+        "corrupted_bias_bound", "check_flip_budget", "general"])
 def test_label_outside_plus_minus_one_is_a_range_error(call):
     with pytest.raises(RangeError, match=r"labels and predictions are \+1 or -1, attributes 0 or 1"):
         call()

@@ -25,6 +25,7 @@ from eonoise.programs import build_clean_program, build_corrupted_joint, build_c
 from programs_oracle import restricted_corrupted_program
 from support import (
     BALANCED,
+    clean_cell,
     fig1_top_left,
     counterexample_instance,
     counterexample_spec,
@@ -71,11 +72,11 @@ def test_clean_solution_has_zero_bias():
 def test_zero_perturbation_joint_is_clean_table():
     inst = fig1_top_left()
     spec = PerturbationSpec.uniform(0.0)
-    joint = build_corrupted_joint(inst, spec)
+    joint = np.array(build_corrupted_joint(inst, spec))
     for yi, y in enumerate(LABELS):
         for a in (0, 1):
             for yti, yt in enumerate(LABELS):
-                assert joint[yi, a, yti] == pytest.approx(inst.joint(y, a, yt), abs=1e-15)
+                assert joint[yi, a, yti] == pytest.approx(clean_cell(inst, y, a, yt), abs=1e-15)
             assert joint[yi, a, 0] / joint[yi, a].sum() == pytest.approx(inst.rate(y, a), abs=1e-12)
         assert _attr_posterior(inst, spec, y, 0) == 0.0
         assert _attr_posterior(inst, spec, y, 1) == 1.0
@@ -94,7 +95,7 @@ def test_corrupted_joint_is_a_distribution():
     for _ in range(200):
         inst = random_instance(rng)
         for spec in (random_restricted(rng), random_general(rng)):
-            joint = build_corrupted_joint(inst, spec)
+            joint = np.array(build_corrupted_joint(inst, spec))
             assert joint.shape == (2, 2, 2)
             assert (joint >= 0.0).all()
             assert joint.sum() == pytest.approx(1.0, abs=1e-12)
@@ -103,7 +104,7 @@ def test_corrupted_joint_is_a_distribution():
             for yi, y in enumerate(LABELS):
                 for a in (0, 1):
                     for yti, yt in enumerate(LABELS):
-                        assert joint[yi, a, yti] == inst.joint(y, a, yt)
+                        assert joint[yi][a][yti] == clean_cell(inst, y, a, yt)
 
 
 _RATES = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
@@ -128,29 +129,39 @@ def _program_or_error(build):
     return repr((prog.objective, prog.rates, prog.rows))
 
 
-def _program_via_array(inst, spec):
-    joint = build_corrupted_joint(inst, spec).tolist()
-    return EoProgram(objective=programs._objective(joint), rates=programs._rates(joint))
+def _oracle_program(joint):
+    """Program of a nested (label, attribute, prediction) joint, spelled out:
+    each prediction's and attribute's mass gap between the labels, and each
+    (label, attribute) pair's positive rate."""
+    rates = []
+    for y, by_attr in zip(LABELS, joint):
+        for a, (pos, neg) in enumerate(by_attr):
+            if pos + neg <= 0.0:
+                raise EmptyCellError(f"no mass at (Y={y}, training attribute={a})")
+        rates.append([pos / (pos + neg) for pos, neg in by_attr])
+    objective = [joint[1][a][yti] - joint[0][a][yti] for yti in (0, 1) for a in (0, 1)]
+    return EoProgram(objective=objective, rates=rates)
 
 
 @given(inst=_instances(), spec=_SPECS)
 @example(inst=fig1_top_left(), spec=PerturbationSpec.restricted(1.0, 0.0, 0.0, 0.0))
 @settings(max_examples=300, deadline=None)
-def test_list_build_matches_array_build_bit_for_bit(inst, spec):
-    # the corrupted program is built from nested floats, never from the
-    # array; repr tells every bit, a zero's sign and an error's message
-    clean = programs._clean_joint(inst)
-    assert repr(clean) == repr([[[inst.joint(y, a, yt) for yt in LABELS] for a in (0, 1)]
-                                for y in LABELS])
+def test_joints_and_corrupted_program_match_the_cell_oracle_bit_for_bit(inst, spec):
+    # repr tells every bit, a zero's sign and an error's message
+    clean = [[[clean_cell(inst, y, a, yt) for yt in LABELS] for a in (0, 1)] for y in LABELS]
+    assert repr(programs._clean_joint(inst)) == repr(clean)
+    # the four-way table summed over the true attribute, as (label, corrupted, prediction)
+    corrupted = population_fourway(inst, spec).sum(axis=1).transpose(0, 2, 1).tolist()
+    assert repr(build_corrupted_joint(inst, spec)) == repr(corrupted)
     assert _program_or_error(lambda: build_corrupted_program(inst, spec)) == _program_or_error(
-        lambda: _program_via_array(inst, spec))
+        lambda: _oracle_program(corrupted))
 
 
 def test_counterexample_marginal_flip_rate():
     spec = counterexample_spec()
     inst = counterexample_instance()
     marginal = sum(
-        spec.rates[GENERAL_INDEX[(1, 0, yt)]] * inst.joint(1, 0, yt) / inst.cell(1, 0)
+        spec.rates[GENERAL_INDEX[(1, 0, yt)]] * clean_cell(inst, 1, 0, yt) / inst.cell(1, 0)
         for yt in (1, -1)
     )
     assert marginal == pytest.approx(0.15 * 0.35, abs=1e-12)
@@ -266,7 +277,8 @@ def test_half_noise_returns_given_classifier_metrics():
 def test_program_from_table_matches_exact_joint():
     inst = fig1_top_left()
     spec = PerturbationSpec.restricted(0.2, 0.1, 0.3, 0.05)
-    scaled = build_corrupted_joint(inst, spec) * 12345.0  # counts-like scaling must not matter
+    # counts-like scaling must not matter
+    scaled = np.array(build_corrupted_joint(inst, spec)) * 12345.0
     prog = program_from_table(scaled)
     ref = build_corrupted_program(inst, spec)
     assert np.allclose(prog.objective, ref.objective, atol=1e-12)

@@ -84,6 +84,9 @@ def test_traced_pass_makes_the_expected_calls(workload, tmp_path):
                     for inst, spec in work_pass.pairs]
         tied = sum(lp_oracle.solve_with_ties(program)[1] > 1 for program in programs)
         assert stats[tracing.TIED_SOLVES] == tied
+        flipping = sum(not spec.is_zero for _, spec in work_pass.pairs)
+        assert stats["programs.build_corrupted_joint.calls"] == flipping
+        assert stats["programs.build_clean_program.calls"] == len(work_pass.pairs) - flipping
 
 
 @pytest.mark.parametrize("name", ["PRESETS", "SWEEP_COLUMNS", "DATASET_COLUMNS", "main"])
