@@ -20,7 +20,7 @@ from eonoise import (
 )
 from eonoise import programs
 from eonoise.lp import EoProgram
-from eonoise.model import GENERAL_INDEX, GENERAL_KEYS
+from eonoise.model import CELLS, GENERAL_INDEX, GENERAL_KEYS
 from eonoise.programs import build_clean_program, build_corrupted_joint, build_corrupted_program
 from programs_oracle import restricted_corrupted_program
 from support import (
@@ -172,6 +172,15 @@ def test_vanishing_corrupted_cell_raises():
     inst = fig1_top_left()
     with pytest.raises(EmptyCellError, match=re.escape("no mass at (Y=1, training attribute=0)")):
         build_corrupted_program(inst, PerturbationSpec.restricted(1.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("cell", CELLS[1:], ids=["y+1-a1", "y-1-a0", "y-1-a1"])
+def test_other_vanishing_corrupted_cells_are_named(cell):
+    # flipping all of one (label, attribute) pair and nothing into it empties that pair
+    rates = [1.0 if c == cell else 0.0 for c in CELLS]
+    y, a = cell
+    with pytest.raises(EmptyCellError, match=re.escape(f"no mass at (Y={y}, training attribute={a})")):
+        build_corrupted_program(fig1_top_left(), PerturbationSpec.restricted(*rates))
 
 
 def test_zero_perturbation_program_equals_clean():
