@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -439,6 +440,7 @@ def parse_grid(text: str) -> list[float]:
     return grid_points(*numbers)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eonoise",

@@ -7,13 +7,13 @@ two attribute groups receive the same probability of a positive output.
 Near-equal rates follow one rule: two label classes whose rate pairs lie within
 ``RATE_TIE_TOL`` of each other in both coordinates give one constraint, and
 otherwise they give two (see ``EoProgram``).  The problem is fixed-size, so the
-solver enumerates every candidate vertex exactly: the box corners, checked by
-their residual alone, read off a table of each row's subset sums, and every
-point with ``4 - len(rows)`` coordinates fixed at a bound, not all at 0.0 (that
-gives the zero corner), and the rest solved from the rows.  The snap to a bound
-touches only the solved coordinates, and the 12-digit dedupe key rounds only
-those strictly inside (0, 1): 0.0 and 1.0 are their own snap and key, so the
-result is exactly that of snapping and rounding all four coordinates.
+solver enumerates every candidate vertex exactly.  Each box corner is decided
+once, by its residual alone, read off a table of each row's subset sums.  The
+other candidates fix ``4 - len(rows)`` coordinates at a bound, not all at 0.0
+(that gives the zero corner), and solve the rest from the rows.  Only solved
+coordinates are snapped; a point whose solved ones all snap to 0.0 or 1.0 is a
+corner, already decided, and is skipped.  The 12-digit dedupe key rounds only
+those strictly inside (0, 1), as 0.0 and 1.0 are their own snap and key.
 ``tests/lp_oracle.py``, the loop's bit-for-bit reference, takes none of these
 shortcuts.
 """
@@ -40,10 +40,10 @@ _ZEROS = (0.0, 0.0, 0.0, 0.0)
 #: The 16 corners of the box [0, 1]^4, bit k of the index giving coordinate k.
 _CORNERS = tuple(tuple(float((bits >> k) & 1) for k in range(4)) for bits in range(16))
 #: Index tables of ``solve_with_ties``: fixed coordinates in ``combinations`` order,
-#: then the free ones; the bounds they take in ``product`` order, bar all-zero.
+#: then the free ones; the bounds three of them take in ``product`` order, bar all-zero.
 _FIX_ONE_ROW, _FIX_TWO_ROWS = (tuple(f + tuple(k for k in range(4) if k not in f)
                                      for f in combinations(range(4), n)) for n in (3, 2))
-_BOUNDS_THREE, _BOUNDS_TWO = (tuple(product((0.0, 1.0), repeat=n))[1:] for n in (3, 2))
+_BOUNDS_THREE = tuple(product((0.0, 1.0), repeat=3))[1:]
 
 
 @dataclass(frozen=True)
@@ -126,62 +126,64 @@ def _pick(ties: Sequence[tuple[float, ...]], ones_first: bool) -> tuple[float, .
 def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:
     """Solve the program; also report how many distinct optima tied.
 
-    A box corner's residual is its ``_corner_sums`` entry (up to the sign of a
-    zero, which ``abs`` drops), and each feasible corner is its own key.  The
-    zero corner's is exactly 0.0, so the feasible set is never empty; the ones
-    corner's is within ``RESIDUAL_TOL``, as each row's entries sum to zero.  The
-    solved points follow in index-table order, right-hand sides summed left to
-    right, snapped inline and dropped at the first solved coordinate outside
-    [0, 1]; the key rounds only solved coordinates the snap left off 0.0 and 1.0.
-    Every point is thus its own snap, so the picked one becomes the predictor
-    without ``DerivedPredictor``'s second snap."""
+    Each box corner is decided once, by its ``_corner_sums`` entry: that is its
+    dot-product residual up to the sign of a zero, and a feasible corner is its
+    own key.  The zero corner's is exactly 0.0, so the feasible set is never
+    empty; the ones corner's is within ``RESIDUAL_TOL``, as each row's entries
+    sum to zero.  The solved points follow in index-table order, right-hand
+    sides summed left to right, snapped inline, dropped at the first solved
+    coordinate outside [0, 1], and skipped when all snap onto a corner: such a
+    corner is already kept under its own key, or rightly left out.  The key
+    rounds only solved coordinates strictly inside (0, 1).  Every point is thus
+    its own snap, so the picked one becomes the predictor without
+    ``DerivedPredictor``'s second snap."""
     c0, c1, c2, c3 = program.objective
     rows = program.rows
     feasible = {}
     if len(rows) == 1:
         r0, r1, r2, r3 = r = rows[0]
         for c, v in zip(_CORNERS, _corner_sums(r)):
-            if abs(v) <= RESIDUAL_TOL:
+            if -RESIDUAL_TOL <= v <= RESIDUAL_TOL:
                 feasible[c] = c
         for i0, i1, i2, f in _FIX_ONE_ROW:
             det = r[f]
-            if abs(det) < SINGULAR_TOL:
+            if -SINGULAR_TOL < det < SINGULAR_TOL:
                 continue
             for b0, b1, b2 in _BOUNDS_THREE:
                 v = -(r[i0] * b0 + r[i1] * b1 + r[i2] * b2) / det
-                v = 0.0 if abs(v) <= BOUND_TOL else 1.0 if abs(v - 1.0) <= BOUND_TOL else v
-                if not 0.0 <= v <= 1.0:
+                v = 0.0 if -BOUND_TOL <= v <= BOUND_TOL else 1.0 if -BOUND_TOL <= v - 1.0 <= BOUND_TOL else v
+                if not 0.0 < v < 1.0:
                     continue
                 p = [0.0, 0.0, 0.0, 0.0]
                 p[i0], p[i1], p[i2], p[f] = b0, b1, b2, v
-                if abs(r0 * p[0] + r1 * p[1] + r2 * p[2] + r3 * p[3]) <= RESIDUAL_TOL:
+                if -RESIDUAL_TOL <= r0 * p[0] + r1 * p[1] + r2 * p[2] + r3 * p[3] <= RESIDUAL_TOL:
                     point = tuple(p)
-                    p[f] = round(v, 12) if 0.0 < v < 1.0 else v
+                    p[f] = round(v, 12)
                     feasible.setdefault(tuple(p), point)
     else:
         (r0, r1, r2, r3), (s0, s1, s2, s3) = r, s = rows
         for c, v, u in zip(_CORNERS, _corner_sums(r), _corner_sums(s)):
-            if abs(v) <= RESIDUAL_TOL and abs(u) <= RESIDUAL_TOL:
+            if -RESIDUAL_TOL <= v <= RESIDUAL_TOL and -RESIDUAL_TOL <= u <= RESIDUAL_TOL:
                 feasible[c] = c
         for i0, i1, f0, f1 in _FIX_TWO_ROWS:
             a00, a01, a10, a11 = r[f0], r[f1], s[f0], s[f1]
             det = a00 * a11 - a01 * a10
-            if abs(det) < SINGULAR_TOL:
+            if -SINGULAR_TOL < det < SINGULAR_TOL:
                 continue
-            for b0, b1 in _BOUNDS_TWO:
-                e0, e1 = -(r[i0] * b0 + r[i1] * b1), -(s[i0] * b0 + s[i1] * b1)
+            for b0, b1, e0, e1 in ((0.0, 1.0, -r[i1], -s[i1]), (1.0, 0.0, -r[i0], -s[i0]),
+                                   (1.0, 1.0, -(r[i0] + r[i1]), -(s[i0] + s[i1]))):
                 v = (e0 * a11 - a01 * e1) / det
-                v = 0.0 if abs(v) <= BOUND_TOL else 1.0 if abs(v - 1.0) <= BOUND_TOL else v
+                v = 0.0 if -BOUND_TOL <= v <= BOUND_TOL else 1.0 if -BOUND_TOL <= v - 1.0 <= BOUND_TOL else v
                 if not 0.0 <= v <= 1.0:
                     continue
                 w = (a00 * e1 - e0 * a10) / det
-                w = 0.0 if abs(w) <= BOUND_TOL else 1.0 if abs(w - 1.0) <= BOUND_TOL else w
-                if not 0.0 <= w <= 1.0:
+                w = 0.0 if -BOUND_TOL <= w <= BOUND_TOL else 1.0 if -BOUND_TOL <= w - 1.0 <= BOUND_TOL else w
+                if not 0.0 <= w <= 1.0 or not (0.0 < v < 1.0 or 0.0 < w < 1.0):
                     continue
                 p = [0.0, 0.0, 0.0, 0.0]
                 p[i0], p[i1], p[f0], p[f1] = b0, b1, v, w
-                if (abs(r0 * p[0] + r1 * p[1] + r2 * p[2] + r3 * p[3]) <= RESIDUAL_TOL
-                        and abs(s0 * p[0] + s1 * p[1] + s2 * p[2] + s3 * p[3]) <= RESIDUAL_TOL):
+                if (-RESIDUAL_TOL <= r0 * p[0] + r1 * p[1] + r2 * p[2] + r3 * p[3] <= RESIDUAL_TOL
+                        and -RESIDUAL_TOL <= s0 * p[0] + s1 * p[1] + s2 * p[2] + s3 * p[3] <= RESIDUAL_TOL):
                     point = tuple(p)
                     p[f0] = round(v, 12) if 0.0 < v < 1.0 else v
                     p[f1] = round(w, 12) if 0.0 < w < 1.0 else w

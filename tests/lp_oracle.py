@@ -15,9 +15,15 @@ same dedupe, every program must give the same ``p`` and tie count from both,
 so the oracle checks the shortcuts rather than repeating them.
 It keeps its own tie-break (``_pick``): the four-branch rule on the two label
 priors that ``lp._pick``'s one ordered scan replaced.
+
+Run as a script (``PYTHONPATH=src python tests/lp_oracle.py``), it makes the
+same comparison at full scale, on every program of a ``sweep-presets`` pass and
+of ``derive-single`` seeds 0 and 1, and times the solver on them.
 """
 
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
 from eonoise.errors import DegenerateProgramError
 from eonoise.lp import _CORNERS, RESIDUAL_TOL, SINGULAR_TOL, TIE_TOL, EoProgram
@@ -101,3 +107,73 @@ def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:
     prior_pos = (1.0 - csum) / 2.0
     prior_neg = (1.0 + csum) / 2.0
     return DerivedPredictor(_pick(ties, prior_pos, prior_neg)), len(ties)
+
+
+def sweep_programs(step: float):
+    """The grid programs of ``eonoise sweep`` over every preset on the grid
+    0:0.5:``step``, built as ``cli.run_sweep`` builds them; a ``sweep-presets``
+    pass solves the 12,024 of step 0.001."""
+    import numpy as np
+
+    from eonoise import ProblemInstance, cli
+    from eonoise.perturb import GammaSchedule
+    from eonoise.programs import grid_programs
+
+    gamma10 = np.array(cli.grid_points(0.0, 0.5, step))
+    programs = []
+    for preset in cli.PRESETS.values():
+        inst = ProblemInstance(base=cli.BALANCED_BASE, alpha1=preset["alpha1"],
+                               beta1=preset["beta1"], alpha2=preset["alpha2"],
+                               beta2=preset["beta2"])
+        programs += grid_programs(inst, GammaSchedule(preset["schedule"]).grid_rates(gamma10))
+    return programs
+
+
+def _derive_programs(seed):
+    """The 10,000 programs one ``derive-single`` pass solves, built as
+    ``derive_predictor`` builds them from the benchmark's seeded inputs."""
+    import eonoise
+    from eonoise.programs import build_clean_program, build_corrupted_program
+    from worker import draw_derive_inputs
+
+    return [build_clean_program(inst) if spec.is_zero else build_corrupted_program(inst, spec)
+            for inst, spec in draw_derive_inputs(eonoise, seed)]
+
+
+def _main() -> int:
+    """Compare ``lp.solve_with_ties`` with this oracle, bit for bit (``repr`` of
+    ``p`` and the tie count), on the benchmark's programs, and time the solver.
+
+        PYTHONPATH=src python tests/lp_oracle.py
+
+    Prints one line per program set and exits 1 on any mismatch."""
+    import time
+
+    from eonoise import lp
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    sets = {"sweep-presets": sweep_programs(0.001),
+            "derive-single seed 0": _derive_programs(0),
+            "derive-single seed 1": _derive_programs(1)}
+    failed = False
+    for name, programs in sets.items():
+        mismatches = tied = 0
+        for prog in programs:
+            pred, ties = lp.solve_with_ties(prog)
+            ref, ref_ties = solve_with_ties(prog)
+            mismatches += (repr(pred.p), ties) != (repr(ref.p), ref_ties)
+            tied += ties > 1
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            for prog in programs:
+                lp.solve_with_ties(prog)
+            best = min(best, time.perf_counter() - start)
+        print(f"{name}: {len(programs)} programs, {tied} tied, {mismatches} mismatches, "
+              f"{best / len(programs) * 1e6:.1f} us per solve (best of 5)")
+        failed |= mismatches > 0
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(_main())

@@ -1,8 +1,12 @@
 import codecs
 import inspect
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +45,8 @@ from eonoise.perturb import SCENARIO_KINDS, SCHEDULE_KINDS, GammaSchedule, Recor
 from eonoise.records import RecordSet, estimate_instance, read_records_csv
 import sweep_oracle
 from support import fig1_top_left, random_instance
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TOP_LEFT_CONFIG = """
 # reference sweep
@@ -401,6 +407,49 @@ def test_usable_out_reaches_the_work(tmp_path, monkeypatch, command):
 def test_bound_where_the_denominator_underflows(capsys):
     assert main(["bound", "0.9999999999999999", "0", "5e-324"]) == 0
     assert capsys.readouterr() == ("0\n", "")
+
+
+# main in a fresh process, which must not have built the parser at import
+_FRESH_MAIN = """
+import sys
+from eonoise.cli import build_parser, main
+if build_parser.cache_info().currsize:
+    raise SystemExit("the parser was built at import")
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+def test_main_called_again_in_one_process_behaves_as_in_fresh_ones(tmp_path, capsys):
+    # main builds its parser once per process, so an argparse error (exit 2)
+    # must leave nothing behind for the calls after it
+    out = tmp_path / "out.csv"
+    calls = [["bound", "0.2", "x", "0.5"],
+             ["sweep", "--config", str(_write_config(tmp_path)), "--out", str(out)],
+             ["bound", "0.2", "0.3", "0.5"],
+             ["sweep"]]
+
+    def written():
+        data = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return data
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    fresh = []
+    for argv in calls:
+        done = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        fresh.append((done.returncode, done.stdout, done.stderr, written()))
+    one_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        one_process.append((code, captured.out, captured.err, written()))
+    assert [call[0] for call in fresh] == [2, 0, 0, 2]
+    assert one_process == fresh
+    assert eonoise.cli.build_parser() is eonoise.cli.build_parser()
 
 
 def test_bound_subcommand_prints_value(capsys):

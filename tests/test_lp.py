@@ -10,12 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eonoise import PerturbationSpec, ProblemInstance, RangeError, cli, derive_predictor, solve
+from eonoise import PerturbationSpec, ProblemInstance, RangeError, derive_predictor, solve
 from eonoise import lp
 from eonoise.lp import RESIDUAL_TOL, TIE_TOL, EoProgram, _pick, solve_with_ties
 from eonoise.model import BOUND_TOL, DerivedPredictor, snap_probabilities
-from eonoise.perturb import GammaSchedule
-from eonoise.programs import build_clean_program, build_corrupted_program, grid_programs
+from eonoise.programs import build_clean_program, build_corrupted_program
 import lp_oracle
 from exact_oracle import exact_minimum
 from grid_oracle import grid_minimum
@@ -213,7 +212,12 @@ def _uninformative_program(draw):
 # grid program).  A second solved coordinate of 1.0000000000000002 snaps to
 # 1.0, and one of 1.0000000000019849 drops its point.  Two distinct solved
 # points, (0, 0, 1.6188802855277436e-12, 1) and (0, 0, 1.618880285524506e-12,
-# 1), share a 12-digit key, and the first found is kept and returned.
+# 1), share a 12-digit key, and the first found is kept and returned.  Last,
+# two zero objectives, under which every feasible point ties, each with a
+# solved coordinate that snaps to 1.0 next to one inside (0, 1), so the point
+# is no corner and is counted among the ties: the second solved coordinate of
+# (0, 0.5000000000005, 1, 1.0000000000005), then the first of
+# (1.000000000000523, 0, 0.9999999999989999, 1).
 _SNAP_AND_KEY_EDGES = [
     ((-0.15000000000000002, -0.15000000000000002, 0.15000000000000002, 0.15000000000000002),
      ((0.8500000000000001, 0.8500000000000001), (0.25, 0.25))),
@@ -223,6 +227,8 @@ _SNAP_AND_KEY_EDGES = [
      ((0.9419524971838148, 0.7760479246241054), (0.9429643488988901, 0.7631225324031727))),
     ((0.29575806189423637, 0.7614560943496136, -0.9168422772451641, -0.13512106422475512),
      ((0.3823027636925417, 0.999999999999), (0.999999999998, 1.0))),
+    ((0.0, 0.0, 0.0, 0.0), ((0.0, 1e-12), (7.5e-10, 1.501e-09))),
+    ((0.0, 0.0, 0.0, 0.0), ((0.0, 1e-12), (0.6566694724396865, 0.0))),
 ]
 
 
@@ -242,11 +248,31 @@ _CORNER_EDGES = [
     ((1.0, -1.0, 1.0, 1.0), ((0.3, 0.0), (0.3, 0.0))),
 ]
 
+# (objective, rates) pairs whose optimum is a box corner that a solved
+# candidate snaps onto, so the loop skips that candidate and the corner table
+# alone finds the optimum.  One row, where the solved point (1, 1, -0.0, 0) is
+# the corner (1, 1, 0, 0); then two rows (a seed-0 derive-single program), where
+# (1, 1, 1.0000000000000002, 1.0000000000000002) is the ones corner.
+_SNAPS_ONTO_A_CORNER = [
+    ((-1.0, -1.0, 1.0, 1.0), ((0.3, 0.3), (0.3, 0.3))),
+    ((-0.0650277371180652, -0.06700163165548834, -0.0125368122074285, -0.006074765693668431),
+     ((0.8887022429727226, 0.8512260604824452), (0.9077120697351018, 0.8293524000916458))),
+]
+
+# A seed-1 derive-single program with two tied optima: the ones corner and
+# (1, 1, 1, 0.9999999999956712), which only the bounds (1, 1) on the first two
+# coordinates reach, so its tie count checks the right-hand side -(r0 + r1).
+_TIED_AT_BOTH_BOUNDS_ONE = [
+    ((-0.13258012981975598, -0.1116738830449997, -0.056459573785200154, -0.05523552071477966),
+     ((0.6482177530006114, 0.68405456081798), (0.6010934767919718, 0.7070133400475941))),
+]
+
 _SOLVER_INPUTS = st.one_of(st.builds(EoProgram, objective=_OBJECTIVE, rates=_RATES),
                            st.builds(EoProgram, objective=_OBJECTIVE, rates=_PAIR.map(lambda h: (h, h))),
                            _uninformative_program())
 _PINNED_PROGRAMS = ([EoProgram(objective, rates)
-                     for objective, rates in _HARD_PROGRAMS + _SNAP_AND_KEY_EDGES + _CORNER_EDGES]
+                     for objective, rates in (_HARD_PROGRAMS + _SNAP_AND_KEY_EDGES + _CORNER_EDGES
+                                              + _SNAPS_ONTO_A_CORNER + _TIED_AT_BOTH_BOUNDS_ONE)]
                     + [_ONE_SNAP_FROM_A_BOUND, build_clean_program(_RATE_1E_12)])
 
 
@@ -287,6 +313,35 @@ def test_solver_points_are_fixed_points_of_snap(prog):
     assert pickle.loads(pickle.dumps(pred)) == pred
 
 
+@given(prog=_SOLVER_INPUTS)
+@_with_examples([(prog,) for prog in _PINNED_PROGRAMS])
+@settings(max_examples=400, deadline=None)
+def test_a_candidate_on_a_corner_is_decided_by_the_corner_table(prog):
+    # the loop skips a solved point that snaps onto a box corner, which is
+    # exact only if the corner's full residual passes RESIDUAL_TOL just when
+    # every row's subset sum for that corner does: the two are equal but for
+    # the sign of a zero
+    sums = [lp._corner_sums(row) for row in prog.rows]
+    for p in map(snap_probabilities, lp_oracle._candidates(prog)):
+        if p is None or not all(v in (0.0, 1.0) for v in p):
+            continue
+        index = sum(1 << k for k in range(4) if p[k] == 1.0)  # bit k is coordinate k
+        entries = [t[index] for t in sums]
+        assert prog.residual(p) == max(abs(e) for e in entries)
+        assert (prog.residual(p) <= RESIDUAL_TOL) == all(-RESIDUAL_TOL <= e <= RESIDUAL_TOL
+                                                         for e in entries)
+
+
+@pytest.mark.parametrize("objective, rates", _SNAPS_ONTO_A_CORNER, ids=["one-row", "two-rows"])
+def test_an_optimum_on_a_corner_that_a_solved_point_snaps_onto(objective, rates):
+    prog = EoProgram(objective, rates)
+    corner = {1: (1.0, 1.0, 0.0, 0.0), 2: (1.0, 1.0, 1.0, 1.0)}[len(prog.rows)]
+    solved = lp_oracle._candidates(prog)[len(lp._CORNERS):]
+    assert any(snap_probabilities(p) == corner and repr(p) != repr(corner) for p in solved)
+    assert solve_with_ties(prog) == lp_oracle.solve_with_ties(prog) == (DerivedPredictor(corner), 1)
+    assert abs(prog.value(corner) - float(exact_minimum(prog))) <= 1e-9
+
+
 def test_snap_and_key_edges_are_reached():
     # each pinned program still reaches its edge, read off the oracle's raw
     # candidate points, and the shared key keeps the first point found
@@ -303,6 +358,11 @@ def test_snap_and_key_edges_are_reached():
     shared = [points for points in by_key.values() if len(set(points)) > 1]
     assert len(shared) == 1
     assert solve(prog).p == shared[0][0] == (0.0, 0.0, 1.6188802855277436e-12, 1.0)
+    for prog, point, ties in zip(programs[4:], [(0.0, 0.5000000000005, 1.0, 1.0000000000005),
+                                                (1.000000000000523, 0.0, 0.9999999999989999, 1.0)],
+                                 [5, 8]):
+        assert point in lp_oracle._candidates(prog)
+        assert solve_with_ties(prog)[1] == ties
 
 
 @given(rates=st.one_of(_RATES, _PAIR.map(lambda h: (h, h))))
@@ -501,13 +561,7 @@ def test_rate_tie_rule_is_not_invariant_under_the_prediction_swap():
 
 def test_solver_matches_reference_on_every_preset_grid():
     # the sweep's own programs: all 24 presets on the grid 0:0.5:0.01
-    gamma10 = np.array(cli.grid_points(0.0, 0.5, 0.01))
-    programs = []
-    for preset in cli.PRESETS.values():
-        inst = ProblemInstance(base=cli.BALANCED_BASE, alpha1=preset["alpha1"],
-                               beta1=preset["beta1"], alpha2=preset["alpha2"],
-                               beta2=preset["beta2"])
-        programs += grid_programs(inst, GammaSchedule(preset["schedule"]).grid_rates(gamma10))
+    programs = lp_oracle.sweep_programs(0.01)
     assert len(programs) == 1224
     mismatches = []
     for prog in programs:
