@@ -7,15 +7,10 @@ two attribute groups receive the same probability of a positive output.
 Near-equal rates follow one rule: two label classes whose rate pairs lie within
 ``RATE_TIE_TOL`` of each other in both coordinates give one constraint, and
 otherwise they give two (see ``EoProgram``).  The problem is fixed-size, so the
-solver enumerates every candidate vertex exactly.  Each box corner is decided
-once, by its residual alone, read off a table of each row's subset sums.  The
-other candidates fix ``4 - len(rows)`` coordinates at a bound, not all at 0.0
-(that gives the zero corner), and solve the rest from the rows.  Only solved
-coordinates are snapped; a point whose solved ones all snap to 0.0 or 1.0 is a
-corner, already decided, and is skipped.  The 12-digit dedupe key rounds only
-those strictly inside (0, 1), as 0.0 and 1.0 are their own snap and key.
-``tests/lp_oracle.py``, the loop's bit-for-bit reference, takes none of these
-shortcuts.
+solver enumerates every candidate vertex exactly, reading every right-hand side
+off one table per row of the row's sums over the 16 box corners (see
+``solve_with_ties``).  ``tests/lp_oracle.py``, the loop's bit-for-bit reference,
+forms them as products instead and takes none of the loop's shortcuts.
 """
 
 from __future__ import annotations
@@ -39,11 +34,12 @@ _ONES = (1.0, 1.0, 1.0, 1.0)
 _ZEROS = (0.0, 0.0, 0.0, 0.0)
 #: The 16 corners of the box [0, 1]^4, bit k of the index giving coordinate k.
 _CORNERS = tuple(tuple(float((bits >> k) & 1) for k in range(4)) for bits in range(16))
-#: Index tables of ``solve_with_ties``: fixed coordinates in ``combinations`` order,
-#: then the free ones; the bounds three of them take in ``product`` order, bar all-zero.
-_FIX_ONE_ROW, _FIX_TWO_ROWS = (tuple(f + tuple(k for k in range(4) if k not in f)
-                                     for f in combinations(range(4), n)) for n in (3, 2))
-_BOUNDS_THREE = tuple(product((0.0, 1.0), repeat=3))[1:]
+#: Per row count n, the solved candidates of ``solve_with_ties``: the n free coordinates,
+#: then the corners over the fixed ones (``combinations`` order, then ``product``, bar 0).
+_SOLVED = {n: tuple((tuple(k for k in range(4) if k not in fixed),
+                     tuple(sum(b << k for b, k in zip(bits, fixed))
+                           for bits in product((0, 1), repeat=4 - n))[1:])
+                    for fixed in combinations(range(4), 4 - n)) for n in (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -126,52 +122,55 @@ def _pick(ties: Sequence[tuple[float, ...]], ones_first: bool) -> tuple[float, .
 def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:
     """Solve the program; also report how many distinct optima tied.
 
-    Each box corner is decided once, by its ``_corner_sums`` entry: that is its
-    dot-product residual up to the sign of a zero, and a feasible corner is its
-    own key.  The zero corner's is exactly 0.0, so the feasible set is never
-    empty; the ones corner's is within ``RESIDUAL_TOL``, as each row's entries
-    sum to zero.  The solved points follow in index-table order, right-hand
-    sides summed left to right, snapped inline, dropped at the first solved
-    coordinate outside [0, 1], and skipped when all snap onto a corner: such a
-    corner is already kept under its own key, or rightly left out.  The key
-    rounds only solved coordinates strictly inside (0, 1).  Every point is thus
-    its own snap, so the picked one becomes the predictor without
-    ``DerivedPredictor``'s second snap."""
+    One ``_corner_sums`` table per row drives every candidate.  A box corner
+    is decided once, by its entries: its dot-product residual up to the sign
+    of a zero.  The zero corner's are 0.0, so the feasible set is never empty.
+    Each solved point is a corner ``m`` over its fixed coordinates, with
+    right-hand sides ``-sums[m]`` and ``-tums[m]``: the products with 0.0 and
+    1.0 add the same values left to right, so may differ only in a zero's
+    sign, which the snap makes +0.0.  Solved coordinates are snapped inline;
+    a point is dropped at the first outside [0, 1], and skipped when all snap
+    onto a corner, already decided.  A one-row point left is kept as is: its
+    solved coordinate is unsnapped, so its residual is rounding alone, and is
+    its only one inside (0, 1), so two points differ there or at a fixed one
+    and need no key.  A two-row point must pass its residual, and its key rounds
+    only solved coordinates strictly inside (0, 1).  Every point is its own
+    snap, so the picked one becomes the predictor without a second snap."""
     c0, c1, c2, c3 = program.objective
     rows = program.rows
     feasible = {}
     if len(rows) == 1:
-        r0, r1, r2, r3 = r = rows[0]
-        for c, v in zip(_CORNERS, _corner_sums(r)):
+        r = rows[0]
+        sums = _corner_sums(r)
+        for c, v in zip(_CORNERS, sums):
             if -RESIDUAL_TOL <= v <= RESIDUAL_TOL:
                 feasible[c] = c
-        for i0, i1, i2, f in _FIX_ONE_ROW:
+        for (f,), corners in _SOLVED[1]:
             det = r[f]
             if -SINGULAR_TOL < det < SINGULAR_TOL:
                 continue
-            for b0, b1, b2 in _BOUNDS_THREE:
-                v = -(r[i0] * b0 + r[i1] * b1 + r[i2] * b2) / det
+            for m in corners:
+                v = -sums[m] / det
                 v = 0.0 if -BOUND_TOL <= v <= BOUND_TOL else 1.0 if -BOUND_TOL <= v - 1.0 <= BOUND_TOL else v
                 if not 0.0 < v < 1.0:
                     continue
-                p = [0.0, 0.0, 0.0, 0.0]
-                p[i0], p[i1], p[i2], p[f] = b0, b1, b2, v
-                if -RESIDUAL_TOL <= r0 * p[0] + r1 * p[1] + r2 * p[2] + r3 * p[3] <= RESIDUAL_TOL:
-                    point = tuple(p)
-                    p[f] = round(v, 12)
-                    feasible.setdefault(tuple(p), point)
+                p = list(_CORNERS[m])
+                p[f] = v
+                point = tuple(p)
+                feasible[point] = point
     else:
         (r0, r1, r2, r3), (s0, s1, s2, s3) = r, s = rows
-        for c, v, u in zip(_CORNERS, _corner_sums(r), _corner_sums(s)):
+        sums, tums = _corner_sums(r), _corner_sums(s)
+        for c, v, u in zip(_CORNERS, sums, tums):
             if -RESIDUAL_TOL <= v <= RESIDUAL_TOL and -RESIDUAL_TOL <= u <= RESIDUAL_TOL:
                 feasible[c] = c
-        for i0, i1, f0, f1 in _FIX_TWO_ROWS:
+        for (f0, f1), corners in _SOLVED[2]:
             a00, a01, a10, a11 = r[f0], r[f1], s[f0], s[f1]
             det = a00 * a11 - a01 * a10
             if -SINGULAR_TOL < det < SINGULAR_TOL:
                 continue
-            for b0, b1, e0, e1 in ((0.0, 1.0, -r[i1], -s[i1]), (1.0, 0.0, -r[i0], -s[i0]),
-                                   (1.0, 1.0, -(r[i0] + r[i1]), -(s[i0] + s[i1]))):
+            for m in corners:
+                e0, e1 = -sums[m], -tums[m]
                 v = (e0 * a11 - a01 * e1) / det
                 v = 0.0 if -BOUND_TOL <= v <= BOUND_TOL else 1.0 if -BOUND_TOL <= v - 1.0 <= BOUND_TOL else v
                 if not 0.0 <= v <= 1.0:
@@ -180,8 +179,8 @@ def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:
                 w = 0.0 if -BOUND_TOL <= w <= BOUND_TOL else 1.0 if -BOUND_TOL <= w - 1.0 <= BOUND_TOL else w
                 if not 0.0 <= w <= 1.0 or not (0.0 < v < 1.0 or 0.0 < w < 1.0):
                     continue
-                p = [0.0, 0.0, 0.0, 0.0]
-                p[i0], p[i1], p[f0], p[f1] = b0, b1, v, w
+                p = list(_CORNERS[m])
+                p[f0], p[f1] = v, w
                 if (-RESIDUAL_TOL <= r0 * p[0] + r1 * p[1] + r2 * p[2] + r3 * p[3] <= RESIDUAL_TOL
                         and -RESIDUAL_TOL <= s0 * p[0] + s1 * p[1] + s2 * p[2] + s3 * p[3] <= RESIDUAL_TOL):
                     point = tuple(p)

@@ -1,24 +1,28 @@
 """Bit-for-bit reference for ``lp.solve_with_ties``: the vertex enumerator
 written with ``combinations``/``product`` over the fixed coordinates.
 
-It enumerates the candidates in the order, and with the arithmetic, of the
-package's inlined loop over its index tables, but without its shortcuts: it
-sends every box corner through the package's snap rule
-(``model.snap_probabilities``) and its full dot-product residual
-(``EoProgram.residual``), where the package checks a corner's residual alone
-and reads it off a table of each row's subset sums; it builds the points whose
-fixed coordinates are all 0.0, which the package skips as the zero corner; and
-it snaps and rounds all four coordinates of every solved point, where the
-package snaps only the solved ones and rounds only those the snap left
-strictly inside (0, 1), as 0.0 and 1.0 are their own snap and key.  With the
-same dedupe, every program must give the same ``p`` and tie count from both,
-so the oracle checks the shortcuts rather than repeating them.
+It enumerates the candidates in the order of the package's loop over its index
+table, but forms each right-hand side itself, as minus the products of the row
+entries with the bounds 0.0 and 1.0 summed left to right, where the package
+reads it off its table of each row's sums over the 16 box corners.  It takes
+none of the package's shortcuts: it sends every box corner through the
+package's snap rule (``model.snap_probabilities``) and its full dot-product
+residual (``EoProgram.residual``), where the package checks a corner's table
+entries alone; it builds the points whose fixed coordinates are all 0.0, which
+the package skips as the zero corner; and it snaps, checks and rounds all four
+coordinates of every solved point, where the package snaps only the solved
+ones, keeps a one-row point with no residual test or key, and rounds a
+two-row point's solved coordinates only where the snap left them strictly
+inside (0, 1), as 0.0 and 1.0 are their own snap and key.  With the same
+dedupe, every program must give the same ``p`` and tie count from both, so the
+oracle checks the shortcuts rather than repeating them.
 It keeps its own tie-break (``_pick``): the four-branch rule on the two label
 priors that ``lp._pick``'s one ordered scan replaced.
 
 Run as a script (``PYTHONPATH=src python tests/lp_oracle.py``), it makes the
-same comparison at full scale, on every program of a ``sweep-presets`` pass and
-of ``derive-single`` seeds 0 and 1, and times the solver on them.
+same comparison at full scale, on every program of a ``sweep-presets`` pass, of
+``derive-single`` seeds 0 and 1 and of a seeded set of one-row programs, and
+times the solver on them.
 """
 
 import sys
@@ -28,6 +32,13 @@ from pathlib import Path
 from eonoise.errors import DegenerateProgramError
 from eonoise.lp import _CORNERS, RESIDUAL_TOL, SINGULAR_TOL, TIE_TOL, EoProgram
 from eonoise.model import DerivedPredictor, snap_probabilities
+
+
+def _right_hand_sides(rows, fixed, bounds):
+    """Each row's right-hand side with coordinates ``fixed`` at ``bounds``:
+    minus the sum of the products of its entries with the bounds, added left to
+    right."""
+    return [-sum(row[i] * b for i, b in zip(fixed, bounds)) for row in rows]
 
 
 def _candidates(program: EoProgram):
@@ -45,7 +56,7 @@ def _candidates(program: EoProgram):
         if abs(det) < SINGULAR_TOL:
             continue
         for bounds in product((0.0, 1.0), repeat=len(fixed)):
-            r = [-sum(row[i] * b for i, b in zip(fixed, bounds)) for row in rows]
+            r = _right_hand_sides(rows, fixed, bounds)
             if len(rows) == 1:
                 solved = (r[0] / det,)
             else:
@@ -140,9 +151,33 @@ def _derive_programs(seed):
             for inst, spec in draw_derive_inputs(eonoise, seed)]
 
 
+def one_row_programs(count: int, seed: int = 0):
+    """``count`` seeded programs with one row, which the benchmark's sets hold
+    few of: each rate is 0, 1, 1e-12 or 1 - 1e-12 three times in ten and
+    uniform otherwise, the second pair lies within 0 to 5e-10 of the first
+    (under ``RATE_TIE_TOL``), and three objectives in ten are quarters, so
+    optima tie."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    edges = (0.0, 1.0, 1e-12, 1.0 - 1e-12)
+    programs = []
+    for _ in range(count):
+        first = [float(rng.choice(edges)) if rng.random() < 0.3 else rng.random() for _ in range(2)]
+        shift = float(rng.choice((0.0, 1e-16, 1e-12, 1e-10, 5e-10)))
+        second = [min(max(h + shift * rng.uniform(-1.0, 1.0), 0.0), 1.0) for h in first]
+        objective = rng.uniform(-1.0, 1.0, 4)
+        if rng.random() < 0.3:
+            objective = np.round(objective * 4.0) / 4.0
+        programs.append(EoProgram(tuple(objective), (tuple(first), tuple(second))))
+        assert len(programs[-1].rows) == 1
+    return programs
+
+
 def _main() -> int:
     """Compare ``lp.solve_with_ties`` with this oracle, bit for bit (``repr`` of
-    ``p`` and the tie count), on the benchmark's programs, and time the solver.
+    ``p`` and the tie count), on the benchmark's programs and on 30,000 one-row
+    programs, and time the solver.
 
         PYTHONPATH=src python tests/lp_oracle.py
 
@@ -154,7 +189,8 @@ def _main() -> int:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     sets = {"sweep-presets": sweep_programs(0.001),
             "derive-single seed 0": _derive_programs(0),
-            "derive-single seed 1": _derive_programs(1)}
+            "derive-single seed 1": _derive_programs(1),
+            "one-row seed 0": one_row_programs(30000)}
     failed = False
     for name, programs in sets.items():
         mismatches = tied = 0

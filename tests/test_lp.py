@@ -332,6 +332,43 @@ def test_a_candidate_on_a_corner_is_decided_by_the_corner_table(prog):
                                                          for e in entries)
 
 
+@given(prog=_SOLVER_INPUTS)
+@_with_examples([(prog,) for prog in _PINNED_PROGRAMS])
+@settings(max_examples=400, deadline=None)
+def test_a_solved_candidate_reads_its_right_hand_sides_off_the_corner_table(prog):
+    # each solved candidate fixes its coordinates at a box corner's, and the
+    # loop reads its right-hand sides off that corner's entries in the rows'
+    # corner tables: exact only if they equal the oracle's products with 0.0
+    # and 1.0 negated, but for the sign of a zero, which == does not tell
+    sums = [lp._corner_sums(row) for row in prog.rows]
+    for fixed in itertools.combinations(range(4), 4 - len(prog.rows)):
+        for bounds in itertools.product((0.0, 1.0), repeat=len(fixed)):
+            index = sum(1 << k for k, b in zip(fixed, bounds) if b == 1.0)  # bit k is coordinate k
+            assert lp_oracle._right_hand_sides(prog.rows, fixed, bounds) == [-t[index] for t in sums]
+
+
+@given(prog=_SOLVER_INPUTS.filter(lambda prog: len(prog.rows) == 1))
+@_with_examples([(prog,) for prog in _PINNED_PROGRAMS if len(prog.rows) == 1])
+@settings(max_examples=400, deadline=None)
+def test_a_one_row_solved_point_needs_no_residual_test_or_key(prog):
+    # the loop keeps a one-row solved point whose solved coordinate the snap
+    # leaves strictly inside (0, 1) with no residual test and no dedupe key:
+    # its residual is rounding alone, and its rounded key has that one
+    # coordinate inside (0, 1), so it differs from every corner's, and from
+    # another such point's in which coordinate that is or at a fixed one.
+    # One that snaps onto a corner is feasible too, so the corner table has
+    # kept that corner already
+    keys = []
+    for p in map(snap_probabilities, lp_oracle._candidates(prog)[len(lp._CORNERS):]):
+        if p is None:
+            continue
+        assert prog.residual(p) <= RESIDUAL_TOL
+        if any(0.0 < v < 1.0 for v in p):
+            keys.append(tuple(round(v, 12) for v in p))
+    assert all(sum(0.0 < v < 1.0 for v in key) == 1 for key in keys)
+    assert len(set(keys)) == len(keys)
+
+
 @pytest.mark.parametrize("objective, rates", _SNAPS_ONTO_A_CORNER, ids=["one-row", "two-rows"])
 def test_an_optimum_on_a_corner_that_a_solved_point_snaps_onto(objective, rates):
     prog = EoProgram(objective, rates)
@@ -496,6 +533,9 @@ def _value_gap_tol(ties, swapped_ties):
 # opposite order, and snap a different solved coordinate to 1.0: the
 # permuted p differ by 5e-13
 @example(objective=(0.0, 0.0, 1.0, -1.0), rates=((1.0, 0.999999999999), (0.999999998, 0.999999998999)))
+# one optimum on one side and two tied on the other (see
+# test_tie_tol_is_not_invariant_under_the_group_swap)
+@example(objective=(1e-12, -0.25, 1e-12, -0.25), rates=((0.0, 0.0), (0.0, 0.0)))
 @settings(max_examples=400, deadline=None)
 def test_optimum_is_unchanged_when_the_groups_swap(objective, rates):
     # swapping the groups negates each row and permutes its entries, so the
@@ -506,7 +546,7 @@ def test_optimum_is_unchanged_when_the_groups_swap(objective, rates):
     swapped_pred, swapped_ties = solve_with_ties(swapped)
     gap = abs(prog.value(pred.p) - swapped.value(swapped_pred.p))
     assert gap <= _value_gap_tol(ties, swapped_ties)
-    if ties == 1:
+    if ties == swapped_ties == 1:
         p0, p1, p2, p3 = pred.p
         assert max(abs(u - v) for u, v in zip(swapped_pred.p, (p1, p0, p3, p2))) <= 1e-9
 
@@ -557,6 +597,20 @@ def test_rate_tie_rule_is_not_invariant_under_the_prediction_swap():
         value = program.value(solve(program).p)
         assert abs(value - optimum) <= 1e-9
         assert abs(value - float(exact_minimum(program))) <= 1e-9
+
+
+def test_tie_tol_is_not_invariant_under_the_group_swap():
+    # the ones corner lies 1e-12 above the optimum on both sides, but its value
+    # adds the objective in another order: -0.499999999998 here and
+    # -0.49999999999800004 swapped, so only the swapped side ties it, within
+    # TIE_TOL of its optimum, and picks it
+    prog = EoProgram((1e-12, -0.25, 1e-12, -0.25), ((0.0, 0.0), (0.0, 0.0)))
+    swapped = _group_swap(prog)
+    pred, ties = solve_with_ties(prog)
+    swapped_pred, swapped_ties = solve_with_ties(swapped)
+    assert (pred.p, ties) == ((0.0, 1.0, 1.0, 1.0), 1)
+    assert (swapped_pred.p, swapped_ties) == (ONES, 2)
+    assert abs(prog.value(pred.p) - swapped.value(swapped_pred.p)) <= 1e-12 + TIE_TOL
 
 
 def test_solver_matches_reference_on_every_preset_grid():
