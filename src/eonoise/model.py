@@ -71,8 +71,9 @@ class ProblemInstance:
         if len(self.base) != 4:
             raise RangeError(f"base needs 4 cell probabilities, got {len(self.base)}")
         for (y, a), b in zip(CELLS, self.base):
-            if not b > 0.0:
-                raise EmptyCellError(f"P[Y={y}, A={a}] = {b} must be strictly positive")
+            if not b > 0.0:  # a zero cell is empty; NaN or a negative one is out of range
+                raise (EmptyCellError if b == 0.0 else RangeError)(
+                    f"P[Y={y}, A={a}] = {b} must be strictly positive")
         total = sum(self.base)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise RangeError(f"base probabilities sum to {total!r}, not 1")
@@ -152,10 +153,6 @@ class PerturbationSpec:
         for key, value in (entries or {}).items():
             rates[GENERAL_INDEX[key]] = float(value)
         return cls("general", rates)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.rates)
 
 
 def lift_perturbation(spec: PerturbationSpec) -> PerturbationSpec:

@@ -1,13 +1,14 @@
-"""Build the postprocessing LP, clean or under attribute corruption, and
-derive predictors from it.
+"""Build the postprocessing LP and derive predictors from it.
 
-Every program is one formula applied to a joint over (label, training
-attribute, prediction): the objective coefficient of p[(yt, a)] is
-P[Y=-1, a, yt] - P[Y=+1, a, yt], and the constraint row for label y equates
-the two groups' positive-prediction rates P[prediction=+1 | Y=y, a].  The
-clean program takes the true attribute, the corrupted program the exact
-joint with the corrupted attribute, and the record program a table of
-counts.
+Every program is read off a joint over (label, training attribute,
+prediction) by ``_joint_program``: the objective coefficient of p[(yt, a)]
+is P[Y=-1, a, yt] - P[Y=+1, a, yt], and the constraint row for label y
+equates the two groups' positive-prediction rates P[prediction=+1 | Y=y, a],
+the joint's conditionals.  The clean program reads the joint with the true
+attribute, the corrupted program the exact joint with the corrupted
+attribute (at zero flip rates the clean joint, bit for bit), and the record
+program a table of counts.  So a (label, attribute) pair with no mass is an
+EmptyCellError on every path.
 
 Joints are (2, 2, 2) over (label, attribute, prediction), with index 0
 standing for the value +1 on the label and prediction axes.
@@ -65,10 +66,24 @@ def _corrupt(clean, flips) -> list:
             for c, f in zip(clean, flips)]
 
 
+def _joint_program(joint, raw=None) -> EoProgram:
+    """LP read off a nested joint of floats.  The first (label, attribute)
+    pair in ``CELLS`` order whose mass in ``raw`` (the joint's own pair
+    masses by default) is not positive is an EmptyCellError; one whose share
+    of the joint underflows to 0 is a RangeError."""
+    masses = _masses(joint)
+    shares = masses[0] + masses[1]
+    for (y, a), mass, share in zip(CELLS, shares if raw is None else raw, shares):
+        if mass <= 0.0:
+            raise EmptyCellError(f"no mass at (Y={y}, training attribute={a})")
+        if share <= 0.0:
+            raise RangeError(f"share of (Y={y}, training attribute={a}) underflows to 0")
+    return EoProgram(objective=_objective(joint), rates=_positive_rates(joint, masses))
+
+
 def build_clean_program(inst: ProblemInstance) -> EoProgram:
     """LP that the postprocessing method solves with the true attribute."""
-    rates = ((inst.alpha1, inst.beta1), (inst.alpha2, inst.beta2))
-    return EoProgram(objective=_objective(_clean_joint(inst)), rates=rates)
+    return _joint_program(_clean_joint(inst))
 
 
 def build_corrupted_joint(inst: ProblemInstance, spec: PerturbationSpec) -> list:
@@ -82,36 +97,26 @@ def build_corrupted_joint(inst: ProblemInstance, spec: PerturbationSpec) -> list
 
 def build_corrupted_program(inst: ProblemInstance, spec: PerturbationSpec) -> EoProgram:
     """LP with the attribute replaced by its corrupted version everywhere."""
-    joint = build_corrupted_joint(inst, spec)
-    masses = _masses(joint)
-    for (y, a), mass in zip(CELLS, masses[0] + masses[1]):
-        if mass <= 0.0:
-            raise EmptyCellError(f"no mass at (Y={y}, training attribute={a})")
-    return EoProgram(objective=_objective(joint), rates=_positive_rates(joint, masses))
+    return _joint_program(build_corrupted_joint(inst, spec))
 
 
 def grid_programs(inst: ProblemInstance, flips) -> Iterator[EoProgram]:
-    """One program per grid row, in order, from four float64 arrays of
-    prediction-independent flip rates in ``CELLS`` order: the clean program
-    where all four rates are 0, as ``derive_predictor`` builds it, and the
-    corrupted program elsewhere.  Every row's cells are checked when the
-    first program is asked for; the programs are then built one at a time,
-    so a caller that solves each in turn holds one at once."""
+    """One corrupted program per grid row, in order, from four float64
+    arrays of prediction-independent flip rates in ``CELLS`` order, equal
+    bit for bit to ``build_corrupted_program`` on that row.  Every row's
+    pairs are checked when the first program is asked for; the programs are
+    then built one at a time, so a caller that solves each in turn holds one
+    at once."""
     g10, g11, gm10, gm11 = flips
-    zero = (g10 == 0.0) & (g11 == 0.0) & (gm10 == 0.0) & (gm11 == 0.0)
     joint = _corrupt(_clean_joint(inst), [[[g10, g10], [g11, g11]], [[gm10, gm10], [gm11, gm11]]])
     masses = _masses(joint)
-    empty = (np.stack([*masses[0], *masses[1]], axis=1) <= 0.0) & ~zero[:, None]
-    if empty.any():
-        row = int(np.argmax(empty.any(axis=1)))
-        y, a = CELLS[int(np.argmax(empty[row]))]
-        raise EmptyCellError(f"no mass at (Y={y}, training attribute={a})")
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero-flip rows may have empty cells
-        (h0, h1), (k0, k1) = _positive_rates(joint, masses)
+    empty = (np.stack([*masses[0], *masses[1]], axis=1) <= 0.0).any(axis=1)
+    if empty.any():  # the first row at fault names its first empty pair
+        _joint_program(np.array(joint)[..., int(np.argmax(empty))].tolist())
+    (h0, h1), (k0, k1) = _positive_rates(joint, masses)
     table = np.stack([*_objective(joint), h0, h1, k0, k1], axis=1).tolist()
-    clean = build_clean_program(inst)
-    for z, c in zip(zero.tolist(), table):
-        yield clean if z else EoProgram(objective=c[:4], rates=(c[4:6], c[6:]))
+    for c in table:
+        yield EoProgram(objective=c[:4], rates=(c[4:6], c[6:]))
 
 
 def program_from_table(table) -> EoProgram:
@@ -131,19 +136,11 @@ def program_from_table(table) -> EoProgram:
     if total == np.inf:  # finite cells whose sum overflows; a power of two scales exactly
         t = t * 2.0**-4
         total = t.sum()
-    joint = (t / total).tolist()
-    masses = _masses(joint)
-    for (y, a), raw, share in zip(CELLS, pairs, masses[0] + masses[1]):
-        if raw <= 0.0:
-            raise EmptyCellError(f"no mass at (Y={y}, training attribute={a})")
-        if share <= 0.0:
-            raise RangeError(f"share of (Y={y}, training attribute={a}) underflows to 0")
-    return EoProgram(objective=_objective(joint), rates=_positive_rates(joint, masses))
+    return _joint_program((t / total).tolist(), pairs)
 
 
 def derive_predictor(inst: ProblemInstance,
                      spec: PerturbationSpec | None = None) -> DerivedPredictor:
     """Derived fair predictor; trained on the corrupted attribute when a
-    nonzero spec is given, on the true attribute otherwise."""
-    clean = spec is None or spec.is_zero
-    return solve(build_clean_program(inst) if clean else build_corrupted_program(inst, spec))
+    spec is given, on the true attribute otherwise."""
+    return solve(build_clean_program(inst) if spec is None else build_corrupted_program(inst, spec))

@@ -142,13 +142,13 @@ def sweep_programs(step: float):
 
 def _derive_programs(seed):
     """The 10,000 programs one ``derive-single`` pass solves, built as
-    ``derive_predictor`` builds them from the benchmark's seeded inputs."""
+    ``derive_predictor`` builds them from the benchmark's seeded inputs,
+    every one of which has a spec."""
     import eonoise
-    from eonoise.programs import build_clean_program, build_corrupted_program
+    from eonoise.programs import build_corrupted_program
     from worker import draw_derive_inputs
 
-    return [build_clean_program(inst) if spec.is_zero else build_corrupted_program(inst, spec)
-            for inst, spec in draw_derive_inputs(eonoise, seed)]
+    return [build_corrupted_program(inst, spec) for inst, spec in draw_derive_inputs(eonoise, seed)]
 
 
 def one_row_programs(count: int, seed: int = 0):

@@ -334,10 +334,16 @@ _RATES_CONFIG = ("alpha1 = 0.9\nbeta1 = 0.8\nalpha2 = 0.4\nbeta2 = 0.1\nschedule
     (_RATES_CONFIG + "base = 0.25 0.25 0.5\n", "key 'base': expected four probabilities"),
     (_RATES_CONFIG + "base = 0.3 0.3 0.3 0.3\n",
      "invalid instance/schedule parameters: base probabilities sum to 1.2, not 1"),
+    # an empty cell and a NaN one raise different errors, with one exit code and text
+    (_RATES_CONFIG + "base = 0 0.3 0.3 0.4\n",
+     "invalid instance/schedule parameters: P[Y=1, A=0] = 0.0 must be strictly positive"),
+    (_RATES_CONFIG + "base = 0.3 0.3 nan 0.4\n",
+     "invalid instance/schedule parameters: P[Y=-1, A=0] = nan must be strictly positive"),
     (_RATES_CONFIG.replace("equal", "bogus"),
      "invalid instance/schedule parameters: unknown schedule kind 'bogus'"),
     (_RATES_CONFIG, "no output path: pass --out or set 'out' in the config"),
-], ids=["missing", "not-a-number", "three-base", "base-sum", "schedule", "no-out"])
+], ids=["missing", "not-a-number", "three-base", "base-sum", "zero-base", "nan-base", "schedule",
+        "no-out"])
 def test_sweep_config_errors_exit_2_with_their_message(tmp_path, capsys, text, message):
     path = tmp_path / "sweep.cfg"
     if text is not None:

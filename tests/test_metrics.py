@@ -218,7 +218,7 @@ def test_bound_where_the_shrink_factor_denominator_underflows():
 
 # --------------------------------------------------------------------- bound
 
-def test_bound_zero_spec_is_zero():
+def test_bound_of_a_zero_spec_vanishes():
     inst = fig1_top_left()
     assert corrupted_bias_bound(inst, PerturbationSpec.uniform(0.0), 1) == 0.0
 

@@ -32,6 +32,14 @@ def test_zero_cell_rejected():
         ProblemInstance(base=(0.5, 0.5, 0.0, 0.0), alpha1=0.5, beta1=0.5, alpha2=0.5, beta2=0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -0.1, -math.inf], ids=["nan", "negative", "-inf"])
+def test_nan_or_negative_cell_is_out_of_range_not_empty(bad):
+    # only a zero cell is empty; the CLI gives both the same exit code and text
+    with pytest.raises(RangeError) as excinfo:
+        ProblemInstance(base=(bad, 0.3, 0.3, 0.4), alpha1=0.5, beta1=0.5, alpha2=0.5, beta2=0.5)
+    assert str(excinfo.value) == f"P[Y=1, A=0] = {bad} must be strictly positive"
+
+
 @pytest.mark.parametrize("base", [(0.5, 0.25, 0.25), (0.25, 0.25, 0.25, 0.25, 0.0)],
                          ids=["three-cells", "five-cells"])
 def test_base_of_wrong_length_rejected(base):

@@ -174,23 +174,34 @@ def test_vanishing_corrupted_cell_raises():
         build_corrupted_program(inst, PerturbationSpec.restricted(1.0, 0.0, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("cell", CELLS[1:], ids=["y+1-a1", "y-1-a0", "y-1-a1"])
+@pytest.mark.parametrize("cell", CELLS, ids=["y+1-a0", "y+1-a1", "y-1-a0", "y-1-a1"])
 def test_other_vanishing_corrupted_cells_are_named(cell):
-    # flipping all of one (label, attribute) pair and nothing into it empties that pair
+    # each builder names an empty (label, attribute) pair the same way
+    message = re.escape("no mass at (Y={}, training attribute={})".format(*cell))
+    # flipping all of one pair and nothing into it empties that pair
     rates = [1.0 if c == cell else 0.0 for c in CELLS]
-    y, a = cell
-    with pytest.raises(EmptyCellError, match=re.escape(f"no mass at (Y={y}, training attribute={a})")):
+    with pytest.raises(EmptyCellError, match=message):
         build_corrupted_program(fig1_top_left(), PerturbationSpec.restricted(*rates))
+    table = np.ones((2, 2, 2))
+    table[LABELS.index(cell[0]), cell[1]] = 0.0
+    with pytest.raises(EmptyCellError, match=message):
+        program_from_table(table)
+    # a base cell of 5e-324 at rate 1/2 rounds to 0 in both of its joint cells
+    base = [5e-324 if c == cell else 1 / 3 for c in CELLS]
+    tiny = ProblemInstance(base=tuple(base), alpha1=0.5, beta1=0.5, alpha2=0.5, beta2=0.5)
+    with pytest.raises(EmptyCellError, match=message):
+        build_clean_program(tiny)
 
 
 def test_zero_perturbation_program_equals_clean():
+    # the clean program is read off the clean joint, which a zero spec's
+    # corrupted joint equals bit for bit
     rng = np.random.default_rng(4)
     for _ in range(20):
         inst = random_instance(rng)
-        clean = build_clean_program(inst)
-        corr = build_corrupted_program(inst, PerturbationSpec.uniform(0.0))
-        assert np.allclose(clean.objective, corr.objective, atol=1e-12)
-        assert np.allclose(clean.rows, corr.rows, atol=1e-12)
+        clean = _program_or_error(lambda: build_clean_program(inst))
+        for zero in (PerturbationSpec.uniform(0.0), PerturbationSpec.general()):
+            assert _program_or_error(lambda: build_corrupted_program(inst, zero)) == clean
 
 
 def test_balanced_uniform_constraint_rates():
@@ -250,29 +261,22 @@ def test_unbiased_informative_classifier_kept():
     assert error_derived(inst, pred) == pytest.approx(error_given(inst), abs=1e-9)
 
 
-def test_zero_spec_equivalent_to_no_spec(monkeypatch):
-    corrupted_builds = []
-
-    def spy(inst, spec):
-        corrupted_builds.append(spec)
-        return build_corrupted_program(inst, spec)
-
-    monkeypatch.setattr(programs, "build_corrupted_program", spy)
+def test_zero_spec_equivalent_to_no_spec():
     rng = np.random.default_rng(9)
     for _ in range(20):
         inst = random_instance(rng)
+        zero = PerturbationSpec.uniform(0.0)
+        # a zero spec's corrupted program is the clean program, bit for bit
+        assert _program_or_error(lambda: build_corrupted_program(inst, zero)) == _program_or_error(
+            lambda: build_clean_program(inst))
         none_pred = derive_predictor(inst, None)
-        zero_pred = derive_predictor(inst, PerturbationSpec.uniform(0.0))
+        zero_pred = derive_predictor(inst, zero)
         assert none_pred.p == zero_pred.p
         for y in (1, -1):
             assert bias_derived(inst, none_pred, y) == pytest.approx(
                 bias_derived(inst, zero_pred, y), abs=1e-12)
         assert error_derived(inst, none_pred) == pytest.approx(
             error_derived(inst, zero_pred), abs=1e-12)
-    # a zero spec is trained on the true attribute; the spy sees nonzero specs
-    assert corrupted_builds == []
-    derive_predictor(inst, PerturbationSpec.uniform(0.1))
-    assert corrupted_builds == [PerturbationSpec.uniform(0.1)]
 
 
 def test_half_noise_returns_given_classifier_metrics():
@@ -369,9 +373,7 @@ def test_grid_programs_match_the_per_row_builders():
         flips = _grid_flips(rng)
         rows = np.stack(flips, axis=1).tolist()
         try:
-            want = [build_clean_program(inst) if not any(row)
-                    else build_corrupted_program(inst, PerturbationSpec.restricted(*row))
-                    for row in rows]
+            want = [build_corrupted_program(inst, PerturbationSpec.restricted(*row)) for row in rows]
         except EmptyCellError as exc:
             with pytest.raises(EmptyCellError, match=re.escape(str(exc))):
                 next(programs.grid_programs(inst, flips))
@@ -379,15 +381,20 @@ def test_grid_programs_match_the_per_row_builders():
         assert list(programs.grid_programs(inst, flips)) == want
 
 
-def test_grid_programs_name_the_first_empty_cell_and_skip_zero_rows():
-    # a zero-flip row keeps the clean program, whose cells may be empty at
-    # this base; no other row may be, and nothing warns
+def test_grid_programs_name_the_first_empty_cell_and_zero_rows_are_checked():
+    # the clean joint's cells round to 0 at this base, so a zero-flip row,
+    # the clean program and the clean predictor all name the empty pair,
+    # and nothing warns
     tiny = ProblemInstance(base=(5e-324, 5e-324, 0.5, 0.5),
                            alpha1=0.5, beta1=0.5, alpha2=0.5, beta2=0.5)
     zero = np.zeros(2)
+    message = re.escape("no mass at (Y=1, training attribute=0)")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert list(programs.grid_programs(tiny, (zero,) * 4)) == [build_clean_program(tiny)] * 2
+        for build in (lambda: next(programs.grid_programs(tiny, (zero,) * 4)),
+                      lambda: build_clean_program(tiny), lambda: derive_predictor(tiny)):
+            with pytest.raises(EmptyCellError, match=message):
+                build()
     flips = tuple(np.array(column) for column in
                   ([0.0, 0.2, 1.0, 0.0], [0.0, 0.2, 0.0, 1.0], [0.0] * 4, [0.0] * 4))
     with pytest.raises(EmptyCellError, match=re.escape("no mass at (Y=1, training attribute=0)")):
@@ -408,8 +415,8 @@ def _swap_groups(inst, spec):
 def test_derived_metrics_are_unchanged_when_the_groups_swap():
     # 2,000 pairs drawn like perfbench's derive-single inputs: classifier
     # rates often 0, 1/2 or 1, a quarter uninformative, half the specs
-    # general, every flip rate in [0, 0.5]; every eighth spec is zero, so the
-    # clean program is solved.  Tied solves are among them.  No oracle.
+    # general, every flip rate in [0, 0.5]; every eighth spec is zero, whose
+    # program is the clean one.  Tied solves are among them.  No oracle.
     rng = np.random.default_rng(27027)
     n = 2000
     base = rng.uniform(0.01, 1.0, size=(n, 4))

@@ -25,7 +25,7 @@ import eonoise.cli
 import eonoise.errors
 import lp_oracle
 from eonoise import sample_records, write_records_csv
-from eonoise.programs import build_clean_program, build_corrupted_program
+from eonoise.programs import build_corrupted_program
 from support import fig1_top_left
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -79,14 +79,12 @@ def test_traced_pass_makes_the_expected_calls(workload, tmp_path):
     for name, want in worker.EXPECTED_CALLS[workload].items():
         assert stats[name] == want, name
     if workload == "derive-single":
-        # derive_predictor's programs: clean unless the spec flips something
-        programs = [build_clean_program(inst) if spec.is_zero else build_corrupted_program(inst, spec)
-                    for inst, spec in work_pass.pairs]
+        # derive_predictor's programs: every input has a spec, a zero one included
+        programs = [build_corrupted_program(inst, spec) for inst, spec in work_pass.pairs]
         tied = sum(lp_oracle.solve_with_ties(program)[1] > 1 for program in programs)
         assert stats[tracing.TIED_SOLVES] == tied
-        flipping = sum(not spec.is_zero for _, spec in work_pass.pairs)
-        assert stats["programs.build_corrupted_joint.calls"] == flipping
-        assert stats["programs.build_clean_program.calls"] == len(work_pass.pairs) - flipping
+        assert stats["programs.build_corrupted_joint.calls"] == len(work_pass.pairs)
+        assert stats["programs.build_clean_program.calls"] == 0
 
 
 @pytest.mark.parametrize("name", ["PRESETS", "SWEEP_COLUMNS", "DATASET_COLUMNS", "main"])
@@ -210,6 +208,26 @@ def test_only_lp_names_solve_with_ties():
     users = [source.name for source in SOURCES if source.name != "lp.py"
              and re.search(r"\bsolve_with_ties\b", source.read_text())]
     assert not users, f"{users} name solve_with_ties; call lp.solve instead"
+
+
+def _program_builders(tree) -> set:
+    """The top-level definitions of a module's syntax tree that call
+    ``EoProgram(...)`` or ``<module>.EoProgram(...)``; None for a call at
+    module level."""
+    return {getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call) and "EoProgram" in (getattr(node.func, "id", None),
+                                                               getattr(node.func, "attr", None))}
+
+
+def test_only_the_joint_reader_and_the_grid_build_programs():
+    # one path from a joint to the LP: programs._joint_program reads every
+    # scalar program off its joint, and grid_programs is its array twin
+    assert _program_builders(ast.parse("def f():\n    lp.EoProgram(o, r)")) == {"f"}
+    assert _program_builders(ast.parse("EoProgram(o, r)")) == {None}
+    builders = {(source.name, name) for source in SOURCES
+                for name in _program_builders(ast.parse(source.read_text()))}
+    assert builders == {("programs.py", "_joint_program"), ("programs.py", "grid_programs")}, \
+        "build a program with programs._joint_program, not EoProgram(...)"
 
 
 def _names(tree, name):
