@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateProgramError, EoNoiseError, RangeError
+from .errors import ConfigError, DegenerateProgramError, EmptyCellError, EoNoiseError, RangeError
 from .metrics import (
     bias_at,
     bias_derived,
@@ -252,7 +252,6 @@ def run_sweep(config: SweepConfig) -> np.ndarray:
     inst = config.instance
     gamma10 = np.array(grid_points(*config.grid))
     flips = config.schedule.grid_rates(gamma10)
-    error_true = error_derived(inst, derive_predictor(inst, None))
 
     solutions = []
     for g10, program in zip(gamma10.tolist(), grid_programs(inst, flips)):
@@ -260,6 +259,11 @@ def run_sweep(config: SweepConfig) -> np.ndarray:
         _check_feasible(program, predictor, "at gamma10 = {}", g10)
         solutions.append(predictor.p)
     p = np.array(solutions).reshape(-1, 4)
+    # after the grid, so that an empty pair in a row is named by its row
+    try:
+        error_true = error_derived(inst, derive_predictor(inst, None))
+    except EmptyCellError as exc:
+        raise EmptyCellError(f"at the true attribute, {exc}") from None
 
     err_corr = error_at(inst, *p.T)
     biases = [bias_at(inst, y, *p.T) for y in Y_VALUES]
@@ -317,7 +321,10 @@ def run_dataset(records, scenarios, seed: int) -> np.ndarray:
     rows = []
     for scenario in scenarios:
         corrupted = apply_scenario(train, scenario, seed)
-        tables = estimate_corrupted_tables(corrupted)
+        try:
+            tables = estimate_corrupted_tables(corrupted)
+        except EmptyCellError as exc:
+            raise EmptyCellError(f"at level {_fmt(scenario.level)}, {exc}") from None
         program = program_from_table(tables.joint)
         corr_pred = solve(program)
         _check_feasible(program, corr_pred, "at level {}", scenario.level)

@@ -66,16 +66,17 @@ def _corrupt(clean, flips) -> list:
             for c, f in zip(clean, flips)]
 
 
-def _joint_program(joint, raw=None) -> EoProgram:
+def _joint_program(joint, raw=None, where="") -> EoProgram:
     """LP read off a nested joint of floats.  The first (label, attribute)
     pair in ``CELLS`` order whose mass in ``raw`` (the joint's own pair
-    masses by default) is not positive is an EmptyCellError; one whose share
-    of the joint underflows to 0 is a RangeError."""
+    masses by default) is not positive is an EmptyCellError, its message
+    led by ``where``; one whose share of the joint underflows to 0 is a
+    RangeError."""
     masses = _masses(joint)
     shares = masses[0] + masses[1]
     for (y, a), mass, share in zip(CELLS, shares if raw is None else raw, shares):
         if mass <= 0.0:
-            raise EmptyCellError(f"no mass at (Y={y}, training attribute={a})")
+            raise EmptyCellError(f"{where}no mass at (Y={y}, training attribute={a})")
         if share <= 0.0:
             raise RangeError(f"share of (Y={y}, training attribute={a}) underflows to 0")
     return EoProgram(objective=_objective(joint), rates=_positive_rates(joint, masses))
@@ -111,8 +112,10 @@ def grid_programs(inst: ProblemInstance, flips) -> Iterator[EoProgram]:
     joint = _corrupt(_clean_joint(inst), [[[g10, g10], [g11, g11]], [[gm10, gm10], [gm11, gm11]]])
     masses = _masses(joint)
     empty = (np.stack([*masses[0], *masses[1]], axis=1) <= 0.0).any(axis=1)
-    if empty.any():  # the first row at fault names its first empty pair
-        _joint_program(np.array(joint)[..., int(np.argmax(empty))].tolist())
+    if empty.any():  # the first row at fault, named by its gamma10, names its first empty pair
+        row = int(np.argmax(empty))
+        where = f"at gamma10 = {float(g10[row]):.12g}, "
+        _joint_program(np.array(joint)[..., row].tolist(), where=where)
     (h0, h1), (k0, k1) = _positive_rates(joint, masses)
     table = np.stack([*_objective(joint), h0, h1, k0, k1], axis=1).tolist()
     for c in table:

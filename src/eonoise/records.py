@@ -401,8 +401,11 @@ def write_records_csv(path, records: RecordSet) -> None:
     templates built once: the labels' text, ``%.12g`` in the score field
     and empty fields for absent columns.  Each chunk of rows joins its
     rows' templates and, when there is a score column, applies one ``%`` to
-    the chunk's scores.
+    the chunk's scores.  A set of no records is a RecordsError, raised
+    before the file is opened, as a file of no data rows does not read back.
     """
+    if records.n == 0:
+        raise RecordsError(f"{path}: no data rows to write")
     labels = [name for name in RECORD_CSV_HEADER
               if name != "score" and getattr(records, name) is not None]
     score = records.score

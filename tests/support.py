@@ -1,5 +1,9 @@
 """Shared case generators and reference instances for the test suite."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from eonoise import PerturbationSpec, ProblemInstance
@@ -7,6 +11,20 @@ from eonoise.model import GENERAL_INDEX
 from eonoise.programs import build_clean_program, build_corrupted_program
 
 BALANCED = (0.25, 0.25, 0.25, 0.25)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name: str):
+    """The benchmark module perfbench/<name>.py, loaded as ``perfbench_<name>``."""
+    # worker.py imports its sibling modules by their bare names
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
 
 
 def clean_cell(inst: ProblemInstance, y: int, a: int, yt: int) -> float:

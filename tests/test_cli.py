@@ -324,6 +324,25 @@ def test_main_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err == "error: (1.0, 0.2, 0.5) outside [0,1) x [0,1) x (0,1)\n"
 
 
+@pytest.mark.parametrize("base, grid, where, pair", [
+    ("5e-324 5e-324 0.5 0.5", (0, 0.5, 0.1), "gamma10 = 0", "(Y=1, training attribute=0)"),
+    # the (+1, 1) cells round to 0, so the flips refill (+1, 1) below
+    # gamma10 = 1 and empty (+1, 0) at it; the true attribute's program is
+    # read only after the grid
+    ("0.5 5e-324 0.25 0.25", (0.5, 1, 0.25), "gamma10 = 1", "(Y=1, training attribute=0)"),
+    ("0.5 5e-324 0.25 0.25", (0.5, 0.75, 0.25), "the true attribute",
+     "(Y=1, training attribute=1)"),
+], ids=["first-row", "last-row", "true-attribute"])
+def test_sweep_names_the_row_of_an_empty_pair(tmp_path, capsys, base, grid, where, pair):
+    config = _write_config(tmp_path, "alpha1 = 0.5\nbeta1 = 0.5\nalpha2 = 0.5\nbeta2 = 0.5\n"
+                           "schedule = equal\nbase = {}\ngrid_start = {}\ngrid_stop = {}\n"
+                           "grid_step = {}\n".format(base, *grid))
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: at {where}, no mass at {pair}\n"
+    assert not out.exists()
+
+
 _RATES_CONFIG = ("alpha1 = 0.9\nbeta1 = 0.8\nalpha2 = 0.4\nbeta2 = 0.1\nschedule = equal\n"
                  "grid_start = 0\ngrid_stop = 0.1\ngrid_step = 0.05\n")
 
@@ -697,6 +716,19 @@ def test_dataset_names_the_empty_cell_of_the_training_half(tmp_path, capsys):
     records.write_text("y,a,a_c,score,yhat\n1,1,,,1\n")
     assert main(argv) == 3
     assert capsys.readouterr().err == "error: no records with Y=1, A=0\n"
+    assert not out.exists()
+
+
+def test_dataset_names_the_level_of_an_empty_corrupted_pair(tmp_path, capsys):
+    # every pair holds training records at level 0; at level 0.05 the score
+    # band leaves none with Y=1 and corrupted attribute 1
+    records = tmp_path / "records.csv"
+    write_records_csv(records, sample_records(fig1_top_left(), 40, seed=41, with_scores=True))
+    out = tmp_path / "out.csv"
+    assert main(["dataset", str(records), "--scenario", "score-band", "--grid", "0:0.1:0.05",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: at level 0.05, "
+                                       "no records with Y=1, corrupted attribute=1\n")
     assert not out.exists()
 
 

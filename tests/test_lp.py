@@ -152,18 +152,6 @@ def _with_examples(cases):
     return attach
 
 
-@given(objective=_OBJECTIVE, rates=_RATES)
-@_with_examples(_HARD_PROGRAMS)
-@settings(max_examples=400, deadline=None)
-def test_solve_matches_exact_oracle(objective, rates):
-    # the exact rational optimum under the same near-equal rule: the optimal
-    # values agree even where the optimum is not unique
-    prog = EoProgram(objective=objective, rates=rates)
-    pred = solve(prog)
-    assert abs(prog.value(pred.p) - float(exact_minimum(prog))) <= 1e-9
-    assert prog.residual(pred.p) <= RESIDUAL_TOL
-
-
 # Each has its optimum at a vertex with a coordinate within BOUND_TOL of a
 # bound.  Snapping that coordinate moves the vertex's residual by up to
 # BOUND_TOL, and a residual bound of BOUND_TOL then dropped the vertex: the
@@ -282,18 +270,6 @@ _PINNED_PROGRAMS = ([EoProgram(objective, rates)
 def test_solver_matches_reference_bit_for_bit(prog):
     # the inlined loop against the itertools enumerator it replaced; repr
     # tells a zero's sign
-    pred, ties = solve_with_ties(prog)
-    ref, ref_ties = lp_oracle.solve_with_ties(prog)
-    assert repr(pred.p) == repr(ref.p)
-    assert ties == ref_ties
-
-
-@given(prog=_SOLVER_INPUTS)
-@_with_examples([(prog,) for prog in _PINNED_PROGRAMS])
-@settings(max_examples=400, deadline=None)
-def test_solver_points_are_fixed_points_of_snap(prog):
-    # the point the loop picks is already snapped, so DerivedPredictor's own
-    # snap would leave it as it is, bit for bit, and the solver skips it
     picked = []
 
     def pick(ties, ones_first):
@@ -301,7 +277,13 @@ def test_solver_points_are_fixed_points_of_snap(prog):
         return picked[-1]
 
     with mock.patch.object(lp, "_pick", pick):
-        pred = solve(prog)
+        pred, ties = solve_with_ties(prog)
+    ref, ref_ties = lp_oracle.solve_with_ties(prog)
+    assert repr(pred.p) == repr(ref.p)
+    assert ties == ref_ties
+
+    # the point the loop picks is already snapped, so DerivedPredictor's own
+    # snap would leave it as it is, bit for bit, and the solver skips it
     assert repr(snap_probabilities(picked[0])) == repr(picked[0]) == repr(pred.p)
     assert repr(snap_probabilities(pred.p)) == repr(pred.p)
     # built without the snap, it is still an ordinary frozen DerivedPredictor
@@ -312,11 +294,6 @@ def test_solver_points_are_fixed_points_of_snap(prog):
         pred.p = rebuilt.p
     assert pickle.loads(pickle.dumps(pred)) == pred
 
-
-@given(prog=_SOLVER_INPUTS)
-@_with_examples([(prog,) for prog in _PINNED_PROGRAMS])
-@settings(max_examples=400, deadline=None)
-def test_a_candidate_on_a_corner_is_decided_by_the_corner_table(prog):
     # the loop skips a solved point that snaps onto a box corner, which is
     # exact only if the corner's full residual passes RESIDUAL_TOL just when
     # every row's subset sum for that corner does: the two are equal but for
@@ -331,16 +308,10 @@ def test_a_candidate_on_a_corner_is_decided_by_the_corner_table(prog):
         assert (prog.residual(p) <= RESIDUAL_TOL) == all(-RESIDUAL_TOL <= e <= RESIDUAL_TOL
                                                          for e in entries)
 
-
-@given(prog=_SOLVER_INPUTS)
-@_with_examples([(prog,) for prog in _PINNED_PROGRAMS])
-@settings(max_examples=400, deadline=None)
-def test_a_solved_candidate_reads_its_right_hand_sides_off_the_corner_table(prog):
     # each solved candidate fixes its coordinates at a box corner's, and the
     # loop reads its right-hand sides off that corner's entries in the rows'
     # corner tables: exact only if they equal the oracle's products with 0.0
     # and 1.0 negated, but for the sign of a zero, which == does not tell
-    sums = [lp._corner_sums(row) for row in prog.rows]
     for fixed in itertools.combinations(range(4), 4 - len(prog.rows)):
         for bounds in itertools.product((0.0, 1.0), repeat=len(fixed)):
             index = sum(1 << k for k, b in zip(fixed, bounds) if b == 1.0)  # bit k is coordinate k
@@ -537,12 +508,16 @@ def _value_gap_tol(ties, swapped_ties):
 # test_tie_tol_is_not_invariant_under_the_group_swap)
 @example(objective=(1e-12, -0.25, 1e-12, -0.25), rates=((0.0, 0.0), (0.0, 0.0)))
 @settings(max_examples=400, deadline=None)
-def test_optimum_is_unchanged_when_the_groups_swap(objective, rates):
+def test_optimum_is_exact_and_unchanged_when_the_groups_swap(objective, rates):
+    # the exact rational optimum under the same near-equal rule: the optimal
+    # values agree even where the optimum is not unique
+    prog = EoProgram(objective, rates)
+    pred, ties = solve_with_ties(prog)
+    assert abs(prog.value(pred.p) - float(exact_minimum(prog))) <= 1e-9
+    assert prog.residual(pred.p) <= RESIDUAL_TOL
     # swapping the groups negates each row and permutes its entries, so the
     # feasible set is the permuted one and the optimal value cannot move
-    prog = EoProgram(objective, rates)
     swapped = _group_swap(prog)
-    pred, ties = solve_with_ties(prog)
     swapped_pred, swapped_ties = solve_with_ties(swapped)
     gap = abs(prog.value(pred.p) - swapped.value(swapped_pred.p))
     assert gap <= _value_gap_tol(ties, swapped_ties)

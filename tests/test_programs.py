@@ -371,14 +371,17 @@ def test_grid_programs_match_the_per_row_builders():
     for _ in range(30):
         inst = random_instance(rng)
         flips = _grid_flips(rng)
-        rows = np.stack(flips, axis=1).tolist()
-        try:
-            want = [build_corrupted_program(inst, PerturbationSpec.restricted(*row)) for row in rows]
-        except EmptyCellError as exc:
-            with pytest.raises(EmptyCellError, match=re.escape(str(exc))):
-                next(programs.grid_programs(inst, flips))
-            continue
-        assert list(programs.grid_programs(inst, flips)) == want
+        want = []
+        for row in np.stack(flips, axis=1).tolist():
+            try:
+                want.append(build_corrupted_program(inst, PerturbationSpec.restricted(*row)))
+            except EmptyCellError as exc:  # the grid names the row by its first flip rate
+                message = f"at gamma10 = {row[0]:.12g}, {exc}"
+                with pytest.raises(EmptyCellError, match=f"^{re.escape(message)}$"):
+                    next(programs.grid_programs(inst, flips))
+                break
+        else:
+            assert list(programs.grid_programs(inst, flips)) == want
 
 
 def test_grid_programs_name_the_first_empty_cell_and_zero_rows_are_checked():
@@ -388,16 +391,19 @@ def test_grid_programs_name_the_first_empty_cell_and_zero_rows_are_checked():
     tiny = ProblemInstance(base=(5e-324, 5e-324, 0.5, 0.5),
                            alpha1=0.5, beta1=0.5, alpha2=0.5, beta2=0.5)
     zero = np.zeros(2)
-    message = re.escape("no mass at (Y=1, training attribute=0)")
+    message = "no mass at (Y=1, training attribute=0)"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for build in (lambda: next(programs.grid_programs(tiny, (zero,) * 4)),
-                      lambda: build_clean_program(tiny), lambda: derive_predictor(tiny)):
-            with pytest.raises(EmptyCellError, match=message):
+        for build, prefix in ((lambda: next(programs.grid_programs(tiny, (zero,) * 4)),
+                               "at gamma10 = 0, "),
+                              (lambda: build_clean_program(tiny), ""),
+                              (lambda: derive_predictor(tiny), "")):
+            with pytest.raises(EmptyCellError, match=f"^{re.escape(prefix + message)}$"):
                 build()
+    # the third row is the first at fault
     flips = tuple(np.array(column) for column in
                   ([0.0, 0.2, 1.0, 0.0], [0.0, 0.2, 0.0, 1.0], [0.0] * 4, [0.0] * 4))
-    with pytest.raises(EmptyCellError, match=re.escape("no mass at (Y=1, training attribute=0)")):
+    with pytest.raises(EmptyCellError, match=f"^{re.escape('at gamma10 = 1, ' + message)}$"):
         next(programs.grid_programs(fig1_top_left(), flips))
 
 

@@ -866,16 +866,13 @@ def test_csv_writer_agrees_with_per_field_oracle(tmp_path, monkeypatch, scores, 
     _assert_writer_matches_oracle(tmp_path, rs)
 
 
-@pytest.mark.parametrize("chunk_lines", [records._CHUNK_LINES, 3])
 @_ABSENT
-def test_csv_writer_matches_per_field_oracle_on_no_rows(tmp_path, monkeypatch, absent,
-                                                        chunk_lines):
-    monkeypatch.setattr(records, "_CHUNK_LINES", chunk_lines)
-    rs = _record_set(np.random.default_rng(0), [], absent)
-    path, reference = tmp_path / "records.csv", tmp_path / "reference.csv"
-    write_records_csv(path, rs)
-    oracle_write_records_csv(reference, rs)
-    assert path.read_bytes() == reference.read_bytes() == CSV_HEADER.encode()
+def test_csv_writer_refuses_no_rows_and_leaves_no_file(tmp_path, absent):
+    # a header-only file would not read back
+    path = tmp_path / "records.csv"
+    with pytest.raises(RecordsError, match=f"^{re.escape(str(path))}: no data rows to write$"):
+        write_records_csv(path, _record_set(np.random.default_rng(0), [], absent))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("chunk_lines", [records._CHUNK_LINES, 3])

@@ -10,7 +10,6 @@ imports only names it uses, and that every top-level name has a reader."""
 
 import ast
 import importlib
-import importlib.util
 import os
 import re
 import shlex
@@ -26,7 +25,7 @@ import eonoise.errors
 import lp_oracle
 from eonoise import sample_records, write_records_csv
 from eonoise.programs import build_corrupted_program
-from support import fig1_top_left
+from support import fig1_top_left, load_perfbench
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -39,20 +38,10 @@ EXCEPTIONS = [name for name in eonoise.__all__
               and issubclass(getattr(eonoise, name), BaseException)]
 
 
-def _load_perfbench(name):
-    # worker.py imports its sibling modules by their bare names
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                      ROOT / "perfbench" / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
-    return module
+WORKER, TRACING = load_perfbench("worker"), load_perfbench("tracer")
 
 
-@pytest.mark.parametrize("module, attr", _load_perfbench("tracer").TARGETS)
+@pytest.mark.parametrize("module, attr", TRACING.TARGETS)
 def test_tracer_targets_resolve(module, attr):
     obj = importlib.import_module(f"eonoise.{module}")
     for part in attr.split("."):
@@ -62,12 +51,12 @@ def test_tracer_targets_resolve(module, attr):
 
 @pytest.mark.parametrize("workload", ["sweep-presets", "dataset-1e6", "derive-single"])
 def test_traced_pass_makes_the_expected_calls(workload, tmp_path):
-    # the call counts a traced benchmark run checks, here on one seed-0 pass
-    worker = _load_perfbench("worker")
-    worker.SETUPS[workload](eonoise, tmp_path, 0)
-    work_pass = worker.PASSES[workload](eonoise, tmp_path, 0)
-    tracing = _load_perfbench("tracer")
-    tracer = tracing.Tracer()
+    # the call counts a traced benchmark run checks, and the pinned seed-0
+    # digests of its outputs (the sweep's, the dataset's records CSV and
+    # output, and the derived predictors), here on one seed-0 pass
+    WORKER.SETUPS[workload](eonoise, tmp_path, 0)
+    work_pass = WORKER.PASSES[workload](eonoise, tmp_path, 0)
+    tracer = TRACING.Tracer()
     tracer.pass_id = 0
     tracer.install()
     try:
@@ -75,14 +64,18 @@ def test_traced_pass_makes_the_expected_calls(workload, tmp_path):
     finally:
         tracer.uninstall()
     assert all(ok for _, _, ok in ops)
+    digests = dict(zip(work_pass.ops, work_pass.digests()))
+    if workload == "dataset-1e6":
+        digests["records.csv"] = WORKER.sha256_file(WORKER.dataset_paths(tmp_path)[0])
+    assert digests == WORKER.expected_digests(workload, 0)
     stats = tracer.per_pass()[0]
-    for name, want in worker.EXPECTED_CALLS[workload].items():
+    for name, want in WORKER.EXPECTED_CALLS[workload].items():
         assert stats[name] == want, name
     if workload == "derive-single":
         # derive_predictor's programs: every input has a spec, a zero one included
         programs = [build_corrupted_program(inst, spec) for inst, spec in work_pass.pairs]
         tied = sum(lp_oracle.solve_with_ties(program)[1] > 1 for program in programs)
-        assert stats[tracing.TIED_SOLVES] == tied
+        assert stats[TRACING.TIED_SOLVES] == tied
         assert stats["programs.build_corrupted_joint.calls"] == len(work_pass.pairs)
         assert stats["programs.build_clean_program.calls"] == 0
 
