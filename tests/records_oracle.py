@@ -20,7 +20,8 @@ exact rational values of ``evaluate_predictor_exact`` up to rounding.
 with ``str`` for labels and ``format(v, ".12g")`` for scores, or ``repr(v)``
 for a score above 0.5 whose 12-digit text reads back as at most 0.5; the
 package joins per-row line templates picked by a cell code and formats each
-chunk's scores with one ``%``.
+chunk's scores with one ``%``.  Both refuse a set of no records, as a file
+of no data rows does not read back.
 
 ``sample_records`` draws records with the package's generator calls in the
 same order, building each column with ``np.where`` and ``astype`` and both
@@ -104,6 +105,8 @@ def read_records_csv(path) -> RecordSet:
 
 
 def write_records_csv(path, records: RecordSet) -> None:
+    if records.n == 0:
+        raise RecordsError(f"{path}: no data rows to write")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(RECORD_CSV_HEADER) + "\n")
         fields = []

@@ -732,6 +732,24 @@ def test_dataset_names_the_level_of_an_empty_corrupted_pair(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_sweep_keeps_the_empty_cell_error_of_the_true_attribute(tmp_path):
+    # main exits 3 on every EoNoiseError; the runner re-raises the type
+    config = load_sweep_config(_write_config(
+        tmp_path, "alpha1 = 0.5\nbeta1 = 0.5\nalpha2 = 0.5\nbeta2 = 0.5\nschedule = equal\n"
+        "base = 0.5 5e-324 0.25 0.25\ngrid_start = 0.5\ngrid_stop = 0.75\ngrid_step = 0.25\n"))
+    with pytest.raises(EmptyCellError, match=r"^at the true attribute, "
+                                             r"no mass at \(Y=1, training attribute=1\)$"):
+        run_sweep(config)
+
+
+def test_run_dataset_keeps_the_empty_cell_error_of_a_level():
+    rs = sample_records(fig1_top_left(), 40, seed=41, with_scores=True)
+    scenarios = [RecordScenario("score-band", level) for level in (0.0, 0.05, 0.1)]
+    with pytest.raises(EmptyCellError, match=r"^at level 0\.05, "
+                                             r"no records with Y=1, corrupted attribute=1$"):
+        run_dataset(rs, scenarios, seed=0)
+
+
 def test_dataset_without_predictions_fails_at_the_clean_table():
     rs = sample_records(fig1_top_left(), 200, seed=38)
     with pytest.raises(RecordsError, match="estimation needs a yhat column"):

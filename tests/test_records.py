@@ -866,13 +866,18 @@ def test_csv_writer_agrees_with_per_field_oracle(tmp_path, monkeypatch, scores, 
     _assert_writer_matches_oracle(tmp_path, rs)
 
 
+@pytest.mark.parametrize("chunk_lines", [records._CHUNK_LINES, 3])
 @_ABSENT
-def test_csv_writer_refuses_no_rows_and_leaves_no_file(tmp_path, absent):
-    # a header-only file would not read back
-    path = tmp_path / "records.csv"
-    with pytest.raises(RecordsError, match=f"^{re.escape(str(path))}: no data rows to write$"):
-        write_records_csv(path, _record_set(np.random.default_rng(0), [], absent))
-    assert not path.exists()
+def test_csv_writer_matches_per_field_oracle_on_no_rows(tmp_path, monkeypatch, absent,
+                                                        chunk_lines):
+    # both refuse before the file is opened: a header-only file would not read back
+    monkeypatch.setattr(records, "_CHUNK_LINES", chunk_lines)
+    rs = _record_set(np.random.default_rng(0), [], absent)
+    for write in (write_records_csv, oracle_write_records_csv):
+        path = tmp_path / f"{write.__module__}.csv"
+        with pytest.raises(RecordsError, match=f"^{re.escape(str(path))}: no data rows to write$"):
+            write(path, rs)
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("chunk_lines", [records._CHUNK_LINES, 3])
