@@ -248,16 +248,20 @@ def run_sweep(config: SweepConfig) -> np.ndarray:
     """The (N, 16) float64 table of SWEEP_COLUMNS, one row per grid point in
     grid order; an undefined bound is NaN and a flag is 0.0 or 1.0.  Every
     step but the LP runs once over the whole grid as float64 arrays; each
-    row's program is solved exactly on its own."""
+    row's program is solved exactly on its own, started from the previous
+    row's optimum, which the solver keeps only where it proves the answer
+    unchanged, so the table is bit for bit that of a sweep solved cold."""
     inst = config.instance
     gamma10 = np.array(grid_points(*config.grid))
     flips = config.schedule.grid_rates(gamma10)
 
     solutions = []
+    start = None
     for g10, program in zip(gamma10.tolist(), grid_programs(inst, flips)):
-        predictor = solve(program)
+        predictor = solve(program, start)
         _check_feasible(program, predictor, "at gamma10 = {}", g10)
-        solutions.append(predictor.p)
+        start = predictor.p
+        solutions.append(start)
     p = np.array(solutions).reshape(-1, 4)
     # after the grid, so that an empty pair in a row is named by its row
     try:

@@ -11,6 +11,12 @@ solver enumerates every candidate vertex exactly, reading every right-hand side
 off one table per row of the row's sums over the 16 box corners (see
 ``solve_with_ties``).  ``tests/lp_oracle.py``, the loop's bit-for-bit reference,
 forms them as products instead and takes none of the loop's shortcuts.
+
+A solve may start from a previous optimum, as each row of a sweep does from
+the row before.  The vertex of that optimum's type is then solved alone and
+returned when the reduced costs of its basis prove it the one optimum within
+``TIE_TOL``, with room for the enumeration's tolerances (see ``_certified``).
+The answer, ``p`` and tie count, is the enumeration's bit for bit either way.
 """
 
 from __future__ import annotations
@@ -119,7 +125,82 @@ def _pick(ties: Sequence[tuple[float, ...]], ones_first: bool) -> tuple[float, .
     return min(ties)
 
 
-def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:
+#: The two free coordinates, then the two fixed ones, of a start whose coordinates
+#: strictly inside (0, 1) are two, keyed by which are.
+_PATTERNS = {tuple(k in free for k in range(4)): (*free, *(k for k in range(4) if k not in free))
+             for free in combinations(range(4), 2)}
+#: The unit roundoff of a float.
+_U = 2.0 ** -53
+
+
+def _certified(program: EoProgram, start: Sequence[float]) -> tuple[float, ...] | None:
+    """The two-row enumerator's optimum when it is the vertex of ``start``'s
+    type and provably alone within ``TIE_TOL``, else None.
+
+    ``start``'s two coordinates strictly inside (0, 1) are the free pair and
+    its other two, read as 1 where at least 1, the corner ``m``.  The point p
+    is solved with the enumerator's own ``det``, ``-sums[m]``, ``-tums[m]``
+    and Cramer's rule and must pass its residual test, so it is the
+    enumerator's point bit for bit.  It is accepted only if
+
+        gap * (mu - eta) > mu * (TIE_TOL + eta * (|c_f0| + |c_f1|) + 18 * u * |c|_1),
+
+    where gap = min(0 - c.p, c.1 - c.p), with the values added as the
+    enumerator adds them, mu is the least distance of the solved pair to a
+    bound, eta = 4 * RESIDUAL_TOL * kappa, kappa the infinity norm of the
+    inverse of the 2x2 basis, and u the unit roundoff.
+
+    Why that is exact.  Every row vanishes at 0 and at 1.  With one fixed
+    coordinate at 0 and one at 1, the exact vertex p* of the basis therefore
+    has the edges -p* and 1 - p*, and the polygon is the parallelogram 0, p*,
+    1, 1 - p*: each ratio-test step is 1, and the two reduced costs are the
+    value gaps from p* to 0 and to 1.  (Both fixed coordinates at 0, or both
+    at 1, solve to 0 or to 1, which mu rejects.)  For any q, c.q - c.p* =
+    g_0 t_0 + g_1 t_1 + y.Rq, with g_k those gaps, t_k = |q_k - p*_k| over
+    the fixed coordinates and duals y, |y|_1 <= kappa * (|c_f0| + |c_f1|).
+    Every candidate the enumerator keeps has rows within RESIDUAL_TOL of 0,
+    and any other than p either moves a fixed coordinate to its other bound,
+    so t_0 + t_1 >= 1, or holds a solved one at a bound, and so lies within
+    kappa * RESIDUAL_TOL of a point of the polygon where t_0 + t_1 >= 1 -
+    eta / mu.  p lies within kappa * RESIDUAL_TOL of p*.  eta's factor 4 covers these three terms and
+    the rounding of the residuals, 18 * u * |c|_1 that of the values.  So
+    every other candidate's value exceeds p's by more than TIE_TOL: the tie
+    count is 1, and ``_pick`` returns p.  As mu > eta > BOUND_TOL, no snap
+    moves the pair, and no other candidate's key, whose fixed coordinates are
+    0.0 or 1.0, rounds to p's."""
+    t0, t1, t2, t3 = start
+    pattern = _PATTERNS.get((0.0 < t0 < 1.0, 0.0 < t1 < 1.0, 0.0 < t2 < 1.0, 0.0 < t3 < 1.0))
+    if pattern is None:
+        return None
+    f0, f1, g0, g1 = pattern
+    (r0, r1, r2, r3), (s0, s1, s2, s3) = r, s = program.rows
+    a00, a01, a10, a11 = r[f0], r[f1], s[f0], s[f1]
+    det = a00 * a11 - a01 * a10
+    if -SINGULAR_TOL < det < SINGULAR_TOL:
+        return None
+    m = ((start[g0] >= 1.0) << g0) | ((start[g1] >= 1.0) << g1)
+    e0, e1 = -_corner_sums(r)[m], -_corner_sums(s)[m]
+    v = (e0 * a11 - a01 * e1) / det
+    w = (a00 * e1 - e0 * a10) / det
+    mu = min(v, 1.0 - v, w, 1.0 - w)
+    eta = 4.0 * RESIDUAL_TOL * max(abs(a11) + abs(a01), abs(a10) + abs(a00)) / abs(det)
+    if not mu > eta:
+        return None
+    p = list(_CORNERS[m])
+    p[f0], p[f1] = v, w
+    p0, p1, p2, p3 = p
+    if not (-RESIDUAL_TOL <= r0 * p0 + r1 * p1 + r2 * p2 + r3 * p3 <= RESIDUAL_TOL
+            and -RESIDUAL_TOL <= s0 * p0 + s1 * p1 + s2 * p2 + s3 * p3 <= RESIDUAL_TOL):
+        return None
+    c0, c1, c2, c3 = c = program.objective
+    value = c0 * p0 + c1 * p1 + c2 * p2 + c3 * p3
+    gap = min(0.0 - value, c0 + c1 + c2 + c3 - value)
+    scale = eta * (abs(c[f0]) + abs(c[f1])) + 18.0 * _U * (abs(c0) + abs(c1) + abs(c2) + abs(c3))
+    return tuple(p) if gap * (mu - eta) > mu * (TIE_TOL + scale) else None
+
+
+def solve_with_ties(program: EoProgram,
+                    start: Sequence[float] | None = None) -> tuple[DerivedPredictor, int]:
     """Solve the program; also report how many distinct optima tied.
 
     One ``_corner_sums`` table per row drives every candidate.  A box corner
@@ -135,9 +216,18 @@ def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:
     its only one inside (0, 1), so two points differ there or at a fixed one
     and need no key.  A two-row point must pass its residual, and its key rounds
     only solved coordinates strictly inside (0, 1).  Every point is its own
-    snap, so the picked one becomes the predictor without a second snap."""
+    snap, so the picked one becomes the predictor without a second snap.
+
+    ``start``, a previous optimum's ``p``, only saves time: a two-row program
+    first solves the one vertex of ``start``'s type, and returns it with a tie
+    count of 1 when ``_certified`` proves that the enumeration would.  Every
+    other call, and every start the proof does not accept, enumerates."""
     c0, c1, c2, c3 = program.objective
     rows = program.rows
+    if start is not None and len(rows) == 2:
+        point = _certified(program, start)
+        if point is not None:
+            return _snapped_predictor(point), 1
     feasible = {}
     if len(rows) == 1:
         r = rows[0]
@@ -199,13 +289,15 @@ def solve_with_ties(program: EoProgram) -> tuple[DerivedPredictor, int]:
     return _snapped_predictor(_pick(ties, 1.0 - csum >= 1.0 + csum)), len(ties)
 
 
-def solve(program: EoProgram) -> DerivedPredictor:
+def solve(program: EoProgram, start: Sequence[float] | None = None) -> DerivedPredictor:
     """Predictor whose ``p`` is a global minimizer at a vertex of the
     feasible polytope; its optimal value is ``program.value(pred.p)``.
     Objective ties within ``TIE_TOL`` go to a tied constant classifier, ones
     first unless ``1 + sum(objective) > 1 - sum(objective)`` (for a program
     from a distribution, unless P[Y=-1] > P[Y=+1]), else to the
-    lexicographically smallest tied vertex (see ``_pick``)."""
-    predictor, _ = solve_with_ties(program)
+    lexicographically smallest tied vertex (see ``_pick``).  A ``start``, a
+    previous optimum's ``p``, may make the solve faster but never changes its
+    answer (see ``solve_with_ties``)."""
+    predictor, _ = solve_with_ties(program, start)
     return predictor
 

@@ -22,7 +22,8 @@ priors that ``lp._pick``'s one ordered scan replaced.
 Run as a script (``PYTHONPATH=src python tests/lp_oracle.py``), it makes the
 same comparison at full scale, on every program of a ``sweep-presets`` pass, of
 ``derive-single`` seeds 0 and 1 and of a seeded set of one-row programs, and
-times the solver on them.
+times the solver on them; then once more on the sweep with each row started
+from the previous row's optimum, as ``eonoise sweep`` solves it.
 """
 
 import sys
@@ -41,31 +42,40 @@ def _right_hand_sides(rows, fixed, bounds):
     return [-sum(row[i] * b for i, b in zip(fixed, bounds)) for row in rows]
 
 
+def solved_point(rows, fixed, bounds):
+    """The point with coordinates ``fixed`` at ``bounds`` and the rest solved
+    from the rows, by a 1x1 division or by Cramer's rule; None where the
+    solved coordinates' matrix is singular."""
+    free = tuple(k for k in range(4) if k not in fixed)
+    a = [[row[k] for k in free] for row in rows]
+    det = a[0][0] if len(rows) == 1 else a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    if abs(det) < SINGULAR_TOL:
+        return None
+    r = _right_hand_sides(rows, fixed, bounds)
+    if len(rows) == 1:
+        solved = (r[0] / det,)
+    else:
+        solved = ((r[0] * a[1][1] - a[0][1] * r[1]) / det,
+                  (a[0][0] * r[1] - r[0] * a[1][0]) / det)
+    p = [0.0, 0.0, 0.0, 0.0]
+    for k, v in zip(fixed + free, bounds + solved):
+        p[k] = v
+    return tuple(p)
+
+
 def _candidates(program: EoProgram):
     """Deterministically ordered candidate points covering every vertex: the
     box corners, which include the two constant classifiers (feasible for every
-    program, as each row's entries sum to zero), then every point with
-    ``4 - len(rows)`` coordinates at a bound and the rest solved from the rows
-    by a 1x1 division or by Cramer's rule."""
+    program, as each row's entries sum to zero), then every ``solved_point``
+    with ``4 - len(rows)`` coordinates at a bound."""
     rows = program.rows
     cands = list(_CORNERS)
     for fixed in combinations(range(4), 4 - len(rows)):
-        free = tuple(k for k in range(4) if k not in fixed)
-        a = [[row[k] for k in free] for row in rows]
-        det = a[0][0] if len(rows) == 1 else a[0][0] * a[1][1] - a[0][1] * a[1][0]
-        if abs(det) < SINGULAR_TOL:
-            continue
         for bounds in product((0.0, 1.0), repeat=len(fixed)):
-            r = _right_hand_sides(rows, fixed, bounds)
-            if len(rows) == 1:
-                solved = (r[0] / det,)
-            else:
-                solved = ((r[0] * a[1][1] - a[0][1] * r[1]) / det,
-                          (a[0][0] * r[1] - r[0] * a[1][0]) / det)
-            p = [0.0, 0.0, 0.0, 0.0]
-            for k, v in zip(fixed + free, bounds + solved):
-                p[k] = v
-            cands.append(tuple(p))
+            p = solved_point(rows, fixed, bounds)
+            if p is None:
+                break
+            cands.append(p)
     return cands
 
 
@@ -177,14 +187,17 @@ def one_row_programs(count: int, seed: int = 0):
 def _main() -> int:
     """Compare ``lp.solve_with_ties`` with this oracle, bit for bit (``repr`` of
     ``p`` and the tie count), on the benchmark's programs and on 30,000 one-row
-    programs, and time the solver.
+    programs, and time the solver.  Then solve the sweep's programs again with
+    each preset's rows in grid order, every row but the first from the previous
+    row's ``p`` as ``cli.run_sweep`` does, compare those too, and count how many
+    rows the start certified and how many fell back to the enumeration.
 
         PYTHONPATH=src python tests/lp_oracle.py
 
     Prints one line per program set and exits 1 on any mismatch."""
     import time
 
-    from eonoise import lp
+    from eonoise import cli, lp
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     sets = {"sweep-presets": sweep_programs(0.001),
@@ -192,23 +205,56 @@ def _main() -> int:
             "derive-single seed 1": _derive_programs(1),
             "one-row seed 0": one_row_programs(30000)}
     failed = False
+    refs = {}
     for name, programs in sets.items():
         mismatches = tied = 0
-        for prog in programs:
+        refs[name] = [solve_with_ties(prog) for prog in programs]
+        for prog, (ref, ref_ties) in zip(programs, refs[name]):
             pred, ties = lp.solve_with_ties(prog)
-            ref, ref_ties = solve_with_ties(prog)
             mismatches += (repr(pred.p), ties) != (repr(ref.p), ref_ties)
             tied += ties > 1
-        best = float("inf")
-        for _ in range(5):
-            start = time.perf_counter()
-            for prog in programs:
-                lp.solve_with_ties(prog)
-            best = min(best, time.perf_counter() - start)
+        best = _best_of_5(time, lambda: [lp.solve_with_ties(prog) for prog in programs])
         print(f"{name}: {len(programs)} programs, {tied} tied, {mismatches} mismatches, "
               f"{best / len(programs) * 1e6:.1f} us per solve (best of 5)")
         failed |= mismatches > 0
+
+    programs = sets["sweep-presets"]
+    rows = len(programs) // len(cli.PRESETS)
+    starts, mismatches, certified = [], 0, lp._certified
+    counts = {True: 0, False: 0}
+
+    def counting(program, start):
+        point = certified(program, start)
+        counts[point is not None] += 1
+        return point
+
+    lp._certified = counting
+    try:
+        for i, (prog, (ref, ref_ties)) in enumerate(zip(programs, refs["sweep-presets"])):
+            starts.append(None if i % rows == 0 else start)
+            pred, ties = lp.solve_with_ties(prog, starts[-1])
+            mismatches += (repr(pred.p), ties) != (repr(ref.p), ref_ties)
+            start = pred.p
+    finally:
+        lp._certified = certified
+    best = _best_of_5(time, lambda: [lp.solve_with_ties(prog, start)
+                                     for prog, start in zip(programs, starts)])
+    print(f"sweep-presets from the previous row: {len(programs)} programs, "
+          f"{counts[True]} certified, {counts[False]} fell back, "
+          f"{len(programs) - sum(counts.values())} first rows, {mismatches} mismatches, "
+          f"{best / len(programs) * 1e6:.1f} us per solve (best of 5)")
+    failed |= mismatches > 0
     return 1 if failed else 0
+
+
+def _best_of_5(time, run) -> float:
+    """The least of five wall times of ``run()``, in seconds."""
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 if __name__ == "__main__":

@@ -172,7 +172,8 @@ def test_sweep_exits_4_when_a_bias_breaks_its_bound(tmp_path, monkeypatch, capsy
     # The given classifier keeps its own bias, which the bound shrinks.  It
     # breaks the program's constraints too, so the feasibility check is
     # turned off to reach the bound check.
-    monkeypatch.setattr(eonoise.cli, "solve", lambda program: DerivedPredictor(GIVEN_PREDICTOR_P))
+    monkeypatch.setattr(eonoise.cli, "solve",
+                        lambda program, start=None: DerivedPredictor(GIVEN_PREDICTOR_P))
     monkeypatch.setattr(eonoise.cli, "RESIDUAL_TOL", math.inf)
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 4
@@ -182,7 +183,8 @@ def test_sweep_exits_4_when_a_bias_breaks_its_bound(tmp_path, monkeypatch, capsy
 
 
 def test_sweep_exits_4_when_the_solver_breaks_a_constraint(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(eonoise.cli, "solve", lambda program: DerivedPredictor((1.0, 0.0, 0.0, 0.0)))
+    monkeypatch.setattr(eonoise.cli, "solve",
+                        lambda program, start=None: DerivedPredictor((1.0, 0.0, 0.0, 0.0)))
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 4
     assert not out.exists()

@@ -255,12 +255,31 @@ _TIED_AT_BOTH_BOUNDS_ONE = [
      ((0.6482177530006114, 0.68405456081798), (0.6010934767919718, 0.7070133400475941))),
 ]
 
+# (objective, rates, start) triples, each a start whose vertex the warm start
+# must not accept, and which the rule without one of its conditions accepts,
+# returning that vertex alone where the enumerator returns another answer:
+# - the solved pair within eta of a bound: it is (5e-13, 5e-14), which the
+#   enumerator snaps onto the corner (0, 1, 0, 0);
+# - the margin above TIE_TOL: the vertex lies 1.0000056e-12 below the ones
+#   corner, over TIE_TOL, but the values as added tie, so the enumerator
+#   counts two optima and picks the ones corner;
+# - the gap to the zero corner: it lies 0.044 below the vertex;
+# - the gap to the ones corner: the vertex lies 5.6e-17 below it, a tie.
+_CERTIFICATE_EDGES = [
+    ((0.3, -1e-07, -0.6, 1.0), ((0.9, 0.0), (0.3, 3e-13)), (0.0, 1.0, 0.5, 0.5)),
+    ((-0.2896569965076684, 0.2158882970818252, -0.08523535840348379, -0.01),
+     ((0.67446875, 0.5758674300449337), (0.3819448, 0.5758674291336985)), (0.5, 0.0, 0.5, 1.0)),
+    ((0.6, 0.7, 0.2, -0.7), ((0.2, 0.1), (0.4, 1.0)), (0.0, 0.5, 1.0, 0.5)),
+    ((-0.7, 0.3, -0.3, 0.2), ((0.4, 0.6), (0.4, 0.5)), (1.0, 0.5, 0.0, 0.5)),
+]
+
 _SOLVER_INPUTS = st.one_of(st.builds(EoProgram, objective=_OBJECTIVE, rates=_RATES),
                            st.builds(EoProgram, objective=_OBJECTIVE, rates=_PAIR.map(lambda h: (h, h))),
                            _uninformative_program())
 _PINNED_PROGRAMS = ([EoProgram(objective, rates)
                      for objective, rates in (_HARD_PROGRAMS + _SNAP_AND_KEY_EDGES + _CORNER_EDGES
                                               + _SNAPS_ONTO_A_CORNER + _TIED_AT_BOTH_BOUNDS_ONE)]
+                    + [EoProgram(objective, rates) for objective, rates, _ in _CERTIFICATE_EDGES]
                     + [_ONE_SNAP_FROM_A_BOUND, build_clean_program(_RATE_1E_12)])
 
 
@@ -338,6 +357,57 @@ def test_a_one_row_solved_point_needs_no_residual_test_or_key(prog):
             keys.append(tuple(round(v, 12) for v in p))
     assert all(sum(0.0 < v < 1.0 for v in key) == 1 for key in keys)
     assert len(set(keys)) == len(keys)
+
+
+# The 24 vertex types of a two-row program: two coordinates inside (0, 1), at
+# 0.5, and the other two at each of their four corners
+_VERTEX_TYPES = [tuple(0.5 if k in free else float(bits >> k & 1) for k in range(4))
+                 for free in itertools.combinations(range(4), 2) for bits in range(16)
+                 if not bits & (1 << free[0] | 1 << free[1])]
+_NUDGE = st.tuples(st.sampled_from((1e-12, 1e-9, 1e-6, 1e-3, 0.1)), st.tuples(*[_SHIFT] * 8))
+
+
+def _certified_spy():
+    """A stand-in for ``lp._certified`` that records what each call returns."""
+    certified, returned = lp._certified, []
+
+    def spy(program, start):
+        returned.append(certified(program, start))
+        return returned[-1]
+    return spy, returned
+
+
+@given(prog=_SOLVER_INPUTS, nudge=_NUDGE)
+@_with_examples([(prog, (1e-6, (0.5,) * 8)) for prog in _PINNED_PROGRAMS])
+@settings(max_examples=400, deadline=None)
+def test_a_start_leaves_the_solve_bit_for_bit(prog, nudge):
+    # a start from any vertex type, the program's own optimum or a nearby
+    # program's optimum gives the cold solve's p and tie count
+    step, shifts = nudge
+    objective = tuple(c + step * d for c, d in zip(prog.objective, shifts))
+    rates = tuple(tuple(min(max(h + step * d, 0.0), 1.0) for h, d in zip(pair, ds))
+                  for pair, ds in zip(prog.rates, (shifts[4:6], shifts[6:])))
+    pred, ties = solve_with_ties(prog)
+    for start in _VERTEX_TYPES + [pred.p, solve(EoProgram(objective, rates)).p]:
+        warm, warm_ties = solve_with_ties(prog, start)
+        assert (repr(warm.p), warm_ties) == (repr(pred.p), ties)
+
+
+@pytest.mark.parametrize("objective, rates, start", _CERTIFICATE_EDGES,
+                         ids=["interior", "above-tie-tol", "gap-to-zero", "gap-to-ones"])
+def test_a_start_the_certificate_cannot_accept_falls_back(objective, rates, start):
+    prog = EoProgram(objective, rates)
+    fixed = tuple(k for k in range(4) if not 0.0 < start[k] < 1.0)
+    vertex = lp_oracle.solved_point(prog.rows, fixed, tuple(start[k] for k in fixed))
+    assert all(0.0 < vertex[k] < 1.0 for k in range(4) if k not in fixed)
+    spy, returned = _certified_spy()
+    with mock.patch.object(lp, "_certified", spy):
+        pred, ties = solve_with_ties(prog, start)
+    assert returned == [None]
+    cold, cold_ties = solve_with_ties(prog)
+    assert (repr(pred.p), ties) == (repr(cold.p), cold_ties)
+    # accepting the start's vertex would return it alone, and that is wrong
+    assert (pred.p, ties) != (vertex, 1)
 
 
 @pytest.mark.parametrize("objective, rates", _SNAPS_ONTO_A_CORNER, ids=["one-row", "two-rows"])
@@ -589,13 +659,22 @@ def test_tie_tol_is_not_invariant_under_the_group_swap():
 
 
 def test_solver_matches_reference_on_every_preset_grid():
-    # the sweep's own programs: all 24 presets on the grid 0:0.5:0.01
+    # the sweep's own programs: all 24 presets on the grid 0:0.5:0.01, solved
+    # cold and, as run_sweep solves them, each row from the previous row's p.
+    # The start certifies every row but each preset's first and the 20 where
+    # the optimal vertex changes type
     programs = lp_oracle.sweep_programs(0.01)
     assert len(programs) == 1224
     mismatches = []
-    for prog in programs:
-        pred, ties = solve_with_ties(prog)
-        ref, ref_ties = lp_oracle.solve_with_ties(prog)
-        if (pred.p, ties) != (ref.p, ref_ties):
-            mismatches.append(prog)
+    spy, returned = _certified_spy()
+    previous = None
+    with mock.patch.object(lp, "_certified", spy):
+        for i, prog in enumerate(programs):
+            ref, ref_ties = lp_oracle.solve_with_ties(prog)
+            for start in (None, None if i % 51 == 0 else previous):
+                pred, ties = solve_with_ties(prog, start)
+                if (repr(pred.p), ties) != (repr(ref.p), ref_ties):
+                    mismatches.append((prog, start))
+            previous = pred.p
     assert mismatches == []
+    assert (len(returned), sum(point is not None for point in returned)) == (1200, 1180)

@@ -322,10 +322,10 @@ if sys.flags.optimize != 1:
     raise SystemExit(f"sys.flags.optimize is {sys.flags.optimize}, not 1")
 config, records, out = sys.argv[1:]
 sweep = ["sweep", "--config", config, "--out", out]
-unfair, tol = (lambda program: DerivedPredictor((1.0, 0.0, 0.0, 0.0))), cli.RESIDUAL_TOL
+unfair, tol = (lambda program, start=None: DerivedPredictor((1.0, 0.0, 0.0, 0.0))), cli.RESIDUAL_TOL
 cli.solve = unfair
 codes = [cli.main(sweep)]
-cli.solve, cli.RESIDUAL_TOL = (lambda program: DerivedPredictor(GIVEN_PREDICTOR_P)), math.inf
+cli.solve, cli.RESIDUAL_TOL = (lambda program, start=None: DerivedPredictor(GIVEN_PREDICTOR_P)), math.inf
 codes.append(cli.main(sweep))
 cli.solve, cli.RESIDUAL_TOL = unfair, tol
 codes.append(cli.main(["dataset", records, "--scenario", "independent-flip",
