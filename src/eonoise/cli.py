@@ -16,6 +16,7 @@ import argparse
 import codecs
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,7 +109,7 @@ class SweepConfig:
     instance: ProblemInstance
     schedule: GammaSchedule
     grid: tuple[float, float, float]  # start, stop, step
-    out: Path | None = None
+    out: str | None = None  # as given: Path would drop a trailing "/" or "/.", naming a directory
 
     def __post_init__(self) -> None:
         for y in Y_VALUES:
@@ -193,9 +194,7 @@ def load_sweep_config(path) -> SweepConfig:
         raise ConfigError(f"invalid instance/schedule parameters: {exc}") from None
 
     grid = tuple(number(key, need(key)) for key in ("grid_start", "grid_stop", "grid_step"))
-    out = merged.get("out")
-    return SweepConfig(instance=instance, schedule=schedule, grid=grid,
-                       out=None if out is None else Path(out))
+    return SweepConfig(instance=instance, schedule=schedule, grid=grid, out=merged.get("out"))
 
 
 #: Most points a grid may have.  A longer grid is a configuration error:
@@ -291,10 +290,11 @@ def run_sweep(config: SweepConfig) -> np.ndarray:
 
 
 def _check_out(path) -> None:
-    """Raise ConfigError unless ``path`` names a file in an existing directory."""
-    path = Path(path)
-    if "\0" in str(path) or path.is_dir() or not path.parent.is_dir():  # open() rejects NUL
-        raise ConfigError(f"output path {path} is not a file in an existing directory")
+    """Raise ConfigError unless ``path``, as given, names a file in an existing directory."""
+    text = os.fspath(path)
+    if ("\0" in text or os.path.basename(text) in ("", ".") or os.path.isdir(text)  # open() rejects NUL
+            or not os.path.isdir(os.path.dirname(text) or ".")):
+        raise ConfigError(f"output path {text} is not a file in an existing directory")
 
 
 def write_csv(path, columns, table) -> None:
@@ -369,7 +369,7 @@ def run_counterexample(mode: str, level: float):
 
 def _cmd_sweep(args) -> int:
     config = load_sweep_config(args.config)
-    out = config.out if args.out is None else Path(args.out)
+    out = config.out if args.out is None else args.out
     if out is None:
         raise ConfigError("no output path: pass --out or set 'out' in the config")
     _check_out(out)
@@ -429,7 +429,8 @@ def _cmd_estimate(args) -> int:
              + ", ".join(map(str, est.counts))]
     text = "\n".join(lines) + "\n"
     if args.out is not None:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as fh:
+            fh.write(text)
         print(f"wrote estimate to {args.out}")
     else:
         sys.stdout.write(text)

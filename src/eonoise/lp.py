@@ -13,10 +13,10 @@ off one table per row of the row's sums over the 16 box corners (see
 forms them as products instead and takes none of the loop's shortcuts.
 
 A solve may start from a previous optimum, as each row of a sweep does from
-the row before.  The vertex of that optimum's type is then solved alone and
-returned when the reduced costs of its basis prove it the one optimum within
-``TIE_TOL``, with room for the enumeration's tolerances (see ``_certified``).
-The answer, ``p`` and tie count, is the enumeration's bit for bit either way.
+the row before.  One lookup reads that optimum's vertex type, whose vertex,
+solved alone from the rows' own entries, is returned when its basis's reduced
+costs prove it the one optimum within ``TIE_TOL`` (see ``_certified``).  ``p``
+and the tie count are the enumeration's bit for bit either way.
 """
 
 from __future__ import annotations
@@ -125,10 +125,10 @@ def _pick(ties: Sequence[tuple[float, ...]], ones_first: bool) -> tuple[float, .
     return min(ties)
 
 
-#: The two free coordinates, then the two fixed ones, of a start whose coordinates
-#: strictly inside (0, 1) are two, keyed by which are.
-_PATTERNS = {tuple(k in free for k in range(4)): (*free, *(k for k in range(4) if k not in free))
-             for free in combinations(range(4), 2)}
+#: The free pair and the fixed coordinate at 1 of the 12 vertex types with one fixed at each bound,
+#: keyed by where each coordinate lies: 0 at or below 0, 1 strictly inside (0, 1), 2 at or above 1.
+_TYPES = {tuple(1 if k in free else 2 if k == hi else 0 for k in range(4)): (*free, hi)
+          for free in combinations(range(4), 2) for hi in range(4) if hi not in free}
 #: The unit roundoff of a float.
 _U = 2.0 ** -53
 
@@ -137,11 +137,12 @@ def _certified(program: EoProgram, start: Sequence[float]) -> tuple[float, ...] 
     """The two-row enumerator's optimum when it is the vertex of ``start``'s
     type and provably alone within ``TIE_TOL``, else None.
 
-    ``start``'s two coordinates strictly inside (0, 1) are the free pair and
-    its other two, read as 1 where at least 1, the corner ``m``.  The point p
-    is solved with the enumerator's own ``det``, ``-sums[m]``, ``-tums[m]``
-    and Cramer's rule and must pass its residual test, so it is the
-    enumerator's point bit for bit.  It is accepted only if
+    One lookup of ``start``'s type in ``_TYPES`` gives the free pair and the
+    fixed coordinate ``hi`` at 1; a start of any other type gives None.  The
+    corner is ``1 << hi``, whose sums are the rows' own entries ``r[hi]`` and
+    ``s[hi]``, so p, solved with the enumerator's ``det`` and Cramer's rule
+    and passing its residual test, is the enumerator's point bit for bit.
+    It is accepted only if
 
         gap * (mu - eta) > mu * (TIE_TOL + eta * (|c_f0| + |c_f1|) + 18 * u * |c|_1),
 
@@ -154,39 +155,37 @@ def _certified(program: EoProgram, start: Sequence[float]) -> tuple[float, ...] 
     coordinate at 0 and one at 1, the exact vertex p* of the basis therefore
     has the edges -p* and 1 - p*, and the polygon is the parallelogram 0, p*,
     1, 1 - p*: each ratio-test step is 1, and the two reduced costs are the
-    value gaps from p* to 0 and to 1.  (Both fixed coordinates at 0, or both
-    at 1, solve to 0 or to 1, which mu rejects.)  For any q, c.q - c.p* =
-    g_0 t_0 + g_1 t_1 + y.Rq, with g_k those gaps, t_k = |q_k - p*_k| over
-    the fixed coordinates and duals y, |y|_1 <= kappa * (|c_f0| + |c_f1|).
-    Every candidate the enumerator keeps has rows within RESIDUAL_TOL of 0,
-    and any other than p either moves a fixed coordinate to its other bound,
-    so t_0 + t_1 >= 1, or holds a solved one at a bound, and so lies within
+    value gaps from p* to 0 and to 1.  For any q, c.q - c.p* = g_0 t_0 +
+    g_1 t_1 + y.Rq, with g_k those gaps, t_k = |q_k - p*_k| over the fixed
+    coordinates and duals y, |y|_1 <= kappa * (|c_f0| + |c_f1|).  Every
+    candidate the enumerator keeps has rows within RESIDUAL_TOL of 0, and
+    any other than p either moves a fixed coordinate to its other bound, so
+    t_0 + t_1 >= 1, or holds a solved one at a bound, and so lies within
     kappa * RESIDUAL_TOL of a point of the polygon where t_0 + t_1 >= 1 -
-    eta / mu.  p lies within kappa * RESIDUAL_TOL of p*.  eta's factor 4 covers these three terms and
-    the rounding of the residuals, 18 * u * |c|_1 that of the values.  So
-    every other candidate's value exceeds p's by more than TIE_TOL: the tie
-    count is 1, and ``_pick`` returns p.  As mu > eta > BOUND_TOL, no snap
-    moves the pair, and no other candidate's key, whose fixed coordinates are
-    0.0 or 1.0, rounds to p's."""
+    eta / mu.  p lies within kappa * RESIDUAL_TOL of p*.  eta's factor 4
+    covers these three terms and the rounding of the residuals, 18 * u *
+    |c|_1 that of the values.  So every other candidate's value exceeds p's
+    by more than TIE_TOL: the tie count is 1, and ``_pick`` returns p.  As
+    mu > eta > BOUND_TOL, no snap moves the pair, and no other candidate's
+    key, whose fixed coordinates are 0.0 or 1.0, rounds to p's."""
     t0, t1, t2, t3 = start
-    pattern = _PATTERNS.get((0.0 < t0 < 1.0, 0.0 < t1 < 1.0, 0.0 < t2 < 1.0, 0.0 < t3 < 1.0))
-    if pattern is None:
+    vertex = _TYPES.get(((t0 > 0.0) + (t0 >= 1.0), (t1 > 0.0) + (t1 >= 1.0),
+                         (t2 > 0.0) + (t2 >= 1.0), (t3 > 0.0) + (t3 >= 1.0)))
+    if vertex is None:
         return None
-    f0, f1, g0, g1 = pattern
+    f0, f1, hi = vertex
     (r0, r1, r2, r3), (s0, s1, s2, s3) = r, s = program.rows
-    a00, a01, a10, a11 = r[f0], r[f1], s[f0], s[f1]
+    a00, a01, a10, a11, e0, e1 = r[f0], r[f1], s[f0], s[f1], -r[hi], -s[hi]
     det = a00 * a11 - a01 * a10
     if -SINGULAR_TOL < det < SINGULAR_TOL:
         return None
-    m = ((start[g0] >= 1.0) << g0) | ((start[g1] >= 1.0) << g1)
-    e0, e1 = -_corner_sums(r)[m], -_corner_sums(s)[m]
     v = (e0 * a11 - a01 * e1) / det
     w = (a00 * e1 - e0 * a10) / det
     mu = min(v, 1.0 - v, w, 1.0 - w)
     eta = 4.0 * RESIDUAL_TOL * max(abs(a11) + abs(a01), abs(a10) + abs(a00)) / abs(det)
     if not mu > eta:
         return None
-    p = list(_CORNERS[m])
+    p = list(_CORNERS[1 << hi])
     p[f0], p[f1] = v, w
     p0, p1, p2, p3 = p
     if not (-RESIDUAL_TOL <= r0 * p0 + r1 * p1 + r2 * p2 + r3 * p3 <= RESIDUAL_TOL
@@ -219,9 +218,9 @@ def solve_with_ties(program: EoProgram,
     snap, so the picked one becomes the predictor without a second snap.
 
     ``start``, a previous optimum's ``p``, only saves time: a two-row program
-    first solves the one vertex of ``start``'s type, and returns it with a tie
-    count of 1 when ``_certified`` proves that the enumeration would.  Every
-    other call, and every start the proof does not accept, enumerates."""
+    first looks up ``start``'s vertex type and solves that one vertex, returned
+    with a tie count of 1 when ``_certified`` proves that the enumeration would.
+    Every other call, and every start the proof does not accept, enumerates."""
     c0, c1, c2, c3 = program.objective
     rows = program.rows
     if start is not None and len(rows) == 2:

@@ -21,9 +21,14 @@ priors that ``lp._pick``'s one ordered scan replaced.
 
 Run as a script (``PYTHONPATH=src python tests/lp_oracle.py``), it makes the
 same comparison at full scale, on every program of a ``sweep-presets`` pass, of
-``derive-single`` seeds 0 and 1 and of a seeded set of one-row programs, and
-times the solver on them; then once more on the sweep with each row started
-from the previous row's optimum, as ``eonoise sweep`` solves it.
+``derive-single`` seeds 0 and 1 and of a seeded set of one-row programs; then
+once more on the sweep with each row started from the previous row's optimum,
+as ``eonoise sweep`` solves it.  It times the solver on every set, the warm
+sweep's rounds interleaved with the cold ones.  A warm row's vertex type is
+read off its start in one lookup, and the certified corner's right-hand sides
+are the rows' own entries at its one fixed coordinate at 1; one run on a
+2-vCPU host timed 3.4 us per warm solve of the sweep against 15.4 us per cold
+one.
 """
 
 import sys
@@ -187,10 +192,12 @@ def one_row_programs(count: int, seed: int = 0):
 def _main() -> int:
     """Compare ``lp.solve_with_ties`` with this oracle, bit for bit (``repr`` of
     ``p`` and the tie count), on the benchmark's programs and on 30,000 one-row
-    programs, and time the solver.  Then solve the sweep's programs again with
-    each preset's rows in grid order, every row but the first from the previous
-    row's ``p`` as ``cli.run_sweep`` does, compare those too, and count how many
-    rows the start certified and how many fell back to the enumeration.
+    programs.  Then solve the sweep's programs again with each preset's rows in
+    grid order, every row but the first from the previous row's ``p`` as
+    ``cli.run_sweep`` does, compare those too, and count how many rows the
+    start certified and how many fell back to the enumeration.  Last, time the
+    solver on every set in five rounds, each round solving every set once in
+    turn, so that the warm sweep and the cold one are timed side by side.
 
         PYTHONPATH=src python tests/lp_oracle.py
 
@@ -205,7 +212,7 @@ def _main() -> int:
             "derive-single seed 1": _derive_programs(1),
             "one-row seed 0": one_row_programs(30000)}
     failed = False
-    refs = {}
+    refs, lines = {}, {}
     for name, programs in sets.items():
         mismatches = tied = 0
         refs[name] = [solve_with_ties(prog) for prog in programs]
@@ -213,9 +220,7 @@ def _main() -> int:
             pred, ties = lp.solve_with_ties(prog)
             mismatches += (repr(pred.p), ties) != (repr(ref.p), ref_ties)
             tied += ties > 1
-        best = _best_of_5(time, lambda: [lp.solve_with_ties(prog) for prog in programs])
-        print(f"{name}: {len(programs)} programs, {tied} tied, {mismatches} mismatches, "
-              f"{best / len(programs) * 1e6:.1f} us per solve (best of 5)")
+        lines[name] = f"{name}: {len(programs)} programs, {tied} tied, {mismatches} mismatches"
         failed |= mismatches > 0
 
     programs = sets["sweep-presets"]
@@ -237,24 +242,36 @@ def _main() -> int:
             start = pred.p
     finally:
         lp._certified = certified
-    best = _best_of_5(time, lambda: [lp.solve_with_ties(prog, start)
-                                     for prog, start in zip(programs, starts)])
-    print(f"sweep-presets from the previous row: {len(programs)} programs, "
-          f"{counts[True]} certified, {counts[False]} fell back, "
-          f"{len(programs) - sum(counts.values())} first rows, {mismatches} mismatches, "
-          f"{best / len(programs) * 1e6:.1f} us per solve (best of 5)")
+    warm = "sweep-presets from the previous row"
+    lines[warm] = (f"{warm}: {len(programs)} programs, {counts[True]} certified, "
+                   f"{counts[False]} fell back, {len(programs) - sum(counts.values())} first rows, "
+                   f"{mismatches} mismatches")
     failed |= mismatches > 0
+
+    runs = {name: (lambda programs=programs: [lp.solve_with_ties(prog) for prog in programs])
+            for name, programs in sets.items()}
+    runs[warm] = lambda: [lp.solve_with_ties(prog, start) for prog, start in zip(programs, starts)]
+    sets[warm] = programs
+    times = _interleaved_rounds(time, runs)
+    for name, spent in times.items():
+        print(f"{lines[name]}, {min(spent) / len(sets[name]) * 1e6:.1f} us per solve (best of 5)")
+    ratios = sorted(w / c for w, c in zip(times[warm], times["sweep-presets"]))
+    print(f"warm sweep over cold sweep: {ratios[2]:.2f} of the time (median of 5 rounds)")
     return 1 if failed else 0
 
 
-def _best_of_5(time, run) -> float:
-    """The least of five wall times of ``run()``, in seconds."""
-    best = float("inf")
+def _interleaved_rounds(time, runs) -> dict[str, list[float]]:
+    """Five wall times of each of the named ``runs``, in seconds.  Each of five
+    rounds times every run once in turn, so a change of the host's speed phase
+    between rounds moves every run's time alike, and ratios within one round
+    hold."""
+    times = {name: [] for name in runs}
     for _ in range(5):
-        start = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - start)
-    return best
+        for name, run in runs.items():
+            start = time.perf_counter()
+            run()
+            times[name].append(time.perf_counter() - start)
+    return times
 
 
 if __name__ == "__main__":

@@ -410,14 +410,18 @@ def _spy_on_work(monkeypatch):
         monkeypatch.setattr(eonoise.cli, name, worked)
 
 
-@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("where", ["missing directory", "directory", "trailing slash",
+                                   "trailing slash and dot"])
 @pytest.mark.parametrize("command", _OUT_COMMANDS)
 def test_unusable_out_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command, where):
-    out = tmp_path / "missing" / "out.csv" if where == "missing directory" else tmp_path
+    # a path whose text ends in "/" or "/." names a directory, though Path drops the ending
+    out = {"missing directory": tmp_path / "missing" / "out.csv", "directory": tmp_path,
+           "trailing slash": f"{tmp_path / 'out.csv'}/",
+           "trailing slash and dot": f"{tmp_path / 'out.csv'}/."}[where]
     argv = _argv(command, tmp_path, out)
     _spy_on_work(monkeypatch)
     assert main(argv) == 2
-    assert not (tmp_path / "missing").exists()
+    assert not (tmp_path / "missing").exists() and not (tmp_path / "out.csv").exists()
     err = capsys.readouterr().err
     assert f"error: output path {out} is not a file in an existing directory" in err
 

@@ -364,6 +364,8 @@ def test_a_one_row_solved_point_needs_no_residual_test_or_key(prog):
 _VERTEX_TYPES = [tuple(0.5 if k in free else float(bits >> k & 1) for k in range(4))
                  for free in itertools.combinations(range(4), 2) for bits in range(16)
                  if not bits & (1 << free[0] | 1 << free[1])]
+# The 12 of them whose two fixed coordinates sit at one bound, which no start certifies
+_SAME_BOUND_TYPES = [t for t in _VERTEX_TYPES if len(set(t) - {0.5}) == 1]
 _NUDGE = st.tuples(st.sampled_from((1e-12, 1e-9, 1e-6, 1e-3, 0.1)), st.tuples(*[_SHIFT] * 8))
 
 
@@ -382,7 +384,10 @@ def _certified_spy():
 @settings(max_examples=400, deadline=None)
 def test_a_start_leaves_the_solve_bit_for_bit(prog, nudge):
     # a start from any vertex type, the program's own optimum or a nearby
-    # program's optimum gives the cold solve's p and tie count
+    # program's optimum gives the cold solve's p and tie count, and a start
+    # whose fixed coordinates sit at one bound is never certified
+    if len(prog.rows) == 2:
+        assert [lp._certified(prog, start) for start in _SAME_BOUND_TYPES] == [None] * 12
     step, shifts = nudge
     objective = tuple(c + step * d for c, d in zip(prog.objective, shifts))
     rates = tuple(tuple(min(max(h + step * d, 0.0), 1.0) for h, d in zip(pair, ds))
